@@ -308,12 +308,3 @@ def _validate(gens: MmapGenerators):
         elif mat.nnz and mat.data.min() < -CONSERVATION_TOL:
             raise AssemblyError(f"negative entry in {label} block")
 
-
-def dump_sparse(mat: sp.spmatrix) -> str:
-    """Plain text dump: header with dimensions, then `row col value` lines."""
-    coo = sp.coo_matrix(mat)
-    lines = [f"# rows={coo.shape[0]} cols={coo.shape[1]} nnz={coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        lines.append(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}")
-    return "\n".join(lines) + "\n"

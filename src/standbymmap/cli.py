@@ -1,11 +1,13 @@
-"""Command-line front end: model files, command dispatch, result emission.
+"""Command-line front end: argument plumbing, command dispatch, result emission.
 
 Commands: build, steady, transient, measures, profit, optimize, simulate,
-validate.  Models are JSON documents carrying every ModelConfig field
-(matrices row-major, vacation as a family/params pair or an explicit PH);
-a four-unit example ships with the package and is used when --model is
-omitted.  Every flag can also be set through an environment variable with
-the STANDBYMMAP_ prefix (e.g. STANDBYMMAP_SEED=7).
+validate.  Models are JSON files in the format of the config module, which
+also reads and writes them (its load_model, bundled_model_path,
+config_from_dict, config_to_dict and ModelFileError are re-exported here);
+the bundled four-unit example is used when --model is omitted.  Every flag
+can also be set through an environment variable with the STANDBYMMAP_
+prefix (e.g. STANDBYMMAP_SEED=7, STANDBYMMAP_ALL=on); on/off switches
+accept on|off, true|false and 1|0.
 
 CSV output carries 6 significant digits; JSON keeps full precision.
 Exit code 0 means no validation or numerical failure; errors are emitted
@@ -21,12 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .assembler import AssemblyError, EVENT_LABELS, assemble_all
-from .config import ConfigError, CostBlock, ModelConfig, vacation_from_params
+# the model-file names stay importable from here
+from .config import (ConfigError, ModelConfig, ModelFileError,
+                     bundled_model_path, config_from_dict, config_to_dict,
+                     load_model, vacation_from_params)
 from .economics import profit_stationary, profit_transient
 from .measures import (availability_stationary, availability_transient,
                        event_rates_stationary, occupancy)
-from .optimizer import FAMILIES, grid_to_csv, grid_to_json, optimize, run_grid
-from .ph import PhDistribution
+from .optimizer import grid_to_csv, grid_to_json, optimize, run_grid
 from .simulator import simulate, validate
 from .solvers import SolverError, initial_distribution, stationary_direct, transient
 
@@ -36,151 +40,11 @@ _FAMILY_ALIASES = {"exp": "exponential", "exponential": "exponential",
                    "erlang": "erlang2", "erlang2": "erlang2"}
 
 
-class ModelFileError(ValueError):
-    """Raised when a model file fails to parse or validate."""
-
-
-# ---------------------------------------------------------------------------
-# model files
-
-def _get(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ModelFileError(f"{where}: missing field {key!r}")
-    return doc[key]
-
-
-def _matrix(doc, key, where, ndim):
-    try:
-        arr = np.asarray(_get(doc, key, where), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{where}.{key}: not numeric ({exc})") from None
-    if arr.ndim != ndim:
-        raise ModelFileError(f"{where}.{key}: expected {ndim}-dimensional "
-                             f"array, got shape {arr.shape}")
-    return arr
-
-
-def _ph(doc, key, where):
-    sub = _get(doc, key, where)
-    path = f"{where}.{key}"
-    if not isinstance(sub, dict):
-        raise ModelFileError(f"{path}: expected an object")
-    if "family" in sub:
-        try:
-            return vacation_from_params(sub["family"],
-                                        _get(sub, "params", path))
-        except ConfigError as exc:
-            raise ModelFileError(f"{path}: {exc}") from None
-    try:
-        return PhDistribution(_matrix(sub, "init", path, 1),
-                              _matrix(sub, "subgen", path, 2))
-    except ValueError as exc:
-        raise ModelFileError(f"{path}: {exc}") from None
-
-
-def config_from_dict(doc: dict, where: str = "model") -> ModelConfig:
-    costs_doc = _get(doc, "costs", where)
-    costs = CostBlock(
-        gross_profit=float(_get(costs_doc, "gross_profit", f"{where}.costs")),
-        downtime_loss=float(_get(costs_doc, "downtime_loss", f"{where}.costs")),
-        repair_present=float(_get(costs_doc, "repair_present", f"{where}.costs")),
-        vacation=float(_get(costs_doc, "vacation", f"{where}.costs")),
-        return_fixed=float(_get(costs_doc, "return_fixed", f"{where}.costs")),
-        repairable_fixed=float(_get(costs_doc, "repairable_fixed", f"{where}.costs")),
-        inspection_fixed=float(_get(costs_doc, "inspection_fixed", f"{where}.costs")),
-        new_unit=float(_get(costs_doc, "new_unit", f"{where}.costs")),
-        operational=_matrix(costs_doc, "operational", f"{where}.costs", 1),
-        damage=_matrix(costs_doc, "damage", f"{where}.costs", 1),
-        corrective=_matrix(costs_doc, "corrective", f"{where}.costs", 1),
-        preventive=_matrix(costs_doc, "preventive", f"{where}.costs", 1),
-    )
-    try:
-        return ModelConfig(
-            internal=_ph(doc, "internal", where),
-            internal_exit_repairable=_matrix(doc, "internal_exit_repairable", where, 1),
-            internal_exit_nonrepairable=_matrix(doc, "internal_exit_nonrepairable", where, 1),
-            minor_internal=int(_get(doc, "minor_internal", where)),
-            shock=_ph(doc, "shock", where),
-            total_failure_prob=float(_get(doc, "total_failure_prob", where)),
-            shock_effect=_matrix(doc, "shock_effect", where, 2),
-            shock_repairable=_matrix(doc, "shock_repairable", where, 1),
-            shock_nonrepairable=_matrix(doc, "shock_nonrepairable", where, 1),
-            damage_init=_matrix(doc, "damage_init", where, 1),
-            damage_matrix=_matrix(doc, "damage_matrix", where, 2),
-            damage_exit=_matrix(doc, "damage_exit", where, 1),
-            minor_damage=int(_get(doc, "minor_damage", where)),
-            inspection=_ph(doc, "inspection", where),
-            vacation=_ph(doc, "vacation", where),
-            corrective=_ph(doc, "corrective", where),
-            preventive=_ph(doc, "preventive", where),
-            units=int(_get(doc, "units", where)),
-            vacation_threshold=int(_get(doc, "vacation_threshold", where)),
-            pm_enabled=bool(_get(doc, "pm_enabled", where)),
-            costs=costs,
-        )
-    except (ConfigError, ValueError) as exc:
-        raise ModelFileError(f"{where}: {exc}") from None
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    def ph(p):
-        return {"init": p.init.tolist(), "subgen": p.subgen.tolist()}
-    c = config.costs
-    return {
-        "units": config.units,
-        "vacation_threshold": config.vacation_threshold,
-        "pm_enabled": config.pm_enabled,
-        "internal": ph(config.internal),
-        "internal_exit_repairable": config.internal_exit_repairable.tolist(),
-        "internal_exit_nonrepairable": config.internal_exit_nonrepairable.tolist(),
-        "minor_internal": config.minor_internal,
-        "shock": ph(config.shock),
-        "total_failure_prob": config.total_failure_prob,
-        "shock_effect": config.shock_effect.tolist(),
-        "shock_repairable": config.shock_repairable.tolist(),
-        "shock_nonrepairable": config.shock_nonrepairable.tolist(),
-        "damage_init": config.damage_init.tolist(),
-        "damage_matrix": config.damage_matrix.tolist(),
-        "damage_exit": config.damage_exit.tolist(),
-        "minor_damage": config.minor_damage,
-        "inspection": ph(config.inspection),
-        "vacation": ph(config.vacation),
-        "corrective": ph(config.corrective),
-        "preventive": ph(config.preventive),
-        "costs": {
-            "gross_profit": c.gross_profit, "downtime_loss": c.downtime_loss,
-            "repair_present": c.repair_present, "vacation": c.vacation,
-            "return_fixed": c.return_fixed,
-            "repairable_fixed": c.repairable_fixed,
-            "inspection_fixed": c.inspection_fixed, "new_unit": c.new_unit,
-            "operational": c.operational.tolist(),
-            "damage": c.damage.tolist(),
-            "corrective": c.corrective.tolist(),
-            "preventive": c.preventive.tolist(),
-        },
-    }
-
-
-def bundled_model_path() -> Path:
-    return Path(__file__).parent / "data" / "example_model.json"
-
-
-def load_model(path) -> ModelConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ModelFileError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return config_from_dict(doc, where=str(path))
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+def _env_var(name: str) -> str:
+    return ENV_PREFIX + name.upper().replace("-", "_")
 
 
 def _resolve(args, name, cast, fallback=None):
@@ -188,18 +52,22 @@ def _resolve(args, name, cast, fallback=None):
     val = getattr(args, name.replace("-", "_"), None)
     if val is not None:
         return val
-    raw = _env(name)
+    raw = os.environ.get(_env_var(name))
     if raw is not None:
-        return cast(raw)
+        try:
+            return cast(raw)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"{_env_var(name)}={raw!r}: {exc}") from None
     return fallback
 
 
-def _parse_pm(text: str) -> bool:
+def _parse_switch(text: str) -> bool:
     if text in ("on", "true", "1"):
         return True
     if text in ("off", "false", "0"):
         return False
-    raise argparse.ArgumentTypeError("--pm takes on|off")
+    raise argparse.ArgumentTypeError("expected on|off")
 
 
 def _parse_tgrid(text: str):
@@ -215,7 +83,7 @@ def build_config(args) -> ModelConfig:
     config = load_model(model) if model else load_model(bundled_model_path())
     n = _resolve(args, "n", int)
     R = _resolve(args, "R", int)
-    pm = _resolve(args, "pm", _parse_pm)
+    pm = _resolve(args, "pm", _parse_switch)
     family = _resolve(args, "vacation", str)
     if family is not None:
         if family not in _FAMILY_ALIASES:
@@ -344,7 +212,7 @@ def cmd_profit(args) -> int:
 def cmd_optimize(args) -> int:
     config = build_config(args)
     out = _outdir(args)
-    if _resolve(args, "all", bool, False):
+    if _resolve(args, "all", _parse_switch, False):
         results = run_grid(config)
         _write(out / "grid.csv", grid_to_csv(results))
         _write(out / "grid.json", grid_to_json(results))
@@ -387,13 +255,17 @@ def _sim_report_files(report) -> tuple:
     return "\n".join(rows) + "\n", json.dumps(doc, indent=2)
 
 
+def _simulate(args, config):
+    return simulate(config,
+                    horizon=_resolve(args, "horizon", float, 1e5),
+                    replications=_resolve(args, "reps", int, 5),
+                    seed=_resolve(args, "seed", int, 0),
+                    threads=_resolve(args, "threads", int, 1))
+
+
 def cmd_simulate(args) -> int:
     config = build_config(args)
-    report = simulate(config,
-                      horizon=_resolve(args, "horizon", float, 1e5),
-                      replications=_resolve(args, "reps", int, 5),
-                      seed=_resolve(args, "seed", int, 0),
-                      threads=_resolve(args, "threads", int, 1))
+    report = _simulate(args, config)
     csv, js = _sim_report_files(report)
     out = _outdir(args)
     _write(out / "simulate.csv", csv)
@@ -415,11 +287,7 @@ def cmd_validate(args) -> int:
         "major_inspection": rates.major_inspection,
         "new_systems": rates.new_systems,
     }
-    report = simulate(config,
-                      horizon=_resolve(args, "horizon", float, 1e5),
-                      replications=_resolve(args, "reps", int, 5),
-                      seed=_resolve(args, "seed", int, 0),
-                      threads=_resolve(args, "threads", int, 1))
+    report = _simulate(args, config)
     result = validate(analytic, report)
     print(result.to_text())
     out = _outdir(args)
@@ -457,7 +325,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: .)")
         p.add_argument("--n", type=int, help="override the number of units")
         p.add_argument("--R", type=int, help="override the vacation threshold")
-        p.add_argument("--pm", type=_parse_pm, metavar="on|off",
+        p.add_argument("--pm", type=_parse_switch, metavar="on|off",
                        help="override preventive maintenance")
         p.add_argument("--vacation", choices=sorted(_FAMILY_ALIASES),
                        help="switch the vacation family (resets its rates)")
@@ -478,8 +346,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ModelFileError, ConfigError, AssemblyError,
-            SolverError, ValueError, KeyError) as exc:
+    except (ModelFileError, ConfigError, AssemblyError, SolverError,
+            ValueError, KeyError, argparse.ArgumentTypeError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1

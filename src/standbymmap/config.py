@@ -1,19 +1,56 @@
-"""Model configuration: all parameters of the standby fleet.
+"""Model configuration: all parameters of the standby fleet, and model files.
 
 A ModelConfig collects the PH distributions of the online unit, the shock
 and damage machinery, the repair facility clocks, the fleet/vacation policy
 knobs (n, R, preventive maintenance on/off) and the cost block.
+
+Model files are JSON documents with one key per ModelConfig field (the cost
+block nested under "costs", matrices row-major, a PH distribution as
+{"init", "subgen"} or, for the vacation, {"family", "params"}).  They are
+read and written by walking the dataclass fields, so a field added to
+ModelConfig or CostBlock is part of the file format at once.  The bundled
+file data/example_model.json is the one definition of the example fleet.
 """
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
+from typing import Annotated, get_args
 
 import numpy as np
 
 from .ph import PhDistribution, VALIDATION_ATOL
 
+# Array-valued fields carry their dimension in the annotation; it drives both
+# the coercion in __post_init__ and the shape check of model files.
+Vector = Annotated[np.ndarray, 1]
+Matrix = Annotated[np.ndarray, 2]
+
 
 class ConfigError(ValueError):
     """Raised for inconsistent model parameters."""
+
+
+class ModelFileError(ValueError):
+    """Raised when a model file fails to parse or validate."""
+
+
+def _array_ndim(annotation) -> int | None:
+    args = get_args(annotation)
+    return args[1] if args else None
+
+
+def _coerce_arrays(obj):
+    """Store every Vector field flat and every Matrix field as 2-D floats
+    (a missing Vector becomes empty)."""
+    for f in fields(obj):
+        ndim = _array_ndim(f.type)
+        if ndim is None:
+            continue
+        value = getattr(obj, f.name)
+        arr = np.zeros(0) if value is None else np.asarray(value, dtype=float)
+        object.__setattr__(obj, f.name,
+                           arr.ravel() if ndim == 1 else np.atleast_2d(arr))
 
 
 @dataclass(frozen=True)
@@ -28,16 +65,13 @@ class CostBlock:
     repairable_fixed: float = 0.0    # fcr, per repairable failure
     inspection_fixed: float = 0.0    # fmi, per major inspection
     new_unit: float = 0.0            # fnu, per unit of a fresh fleet
-    operational: np.ndarray = None   # c0, length m
-    damage: np.ndarray = None        # cd, length d
-    corrective: np.ndarray = None    # cr1, length z1
-    preventive: np.ndarray = None    # cr2, length z2
+    operational: Vector = None       # c0, length m
+    damage: Vector = None            # cd, length d
+    corrective: Vector = None        # cr1, length z1
+    preventive: Vector = None        # cr2, length z2
 
     def __post_init__(self):
-        for name in ("operational", "damage", "corrective", "preventive"):
-            v = getattr(self, name)
-            v = np.zeros(0) if v is None else np.asarray(v, dtype=float).ravel()
-            object.__setattr__(self, name, v)
+        _coerce_arrays(self)
 
 
 @dataclass(frozen=True)
@@ -46,21 +80,21 @@ class ModelConfig:
 
     # Online unit
     internal: PhDistribution          # (alpha, T)
-    internal_exit_repairable: np.ndarray    # T_r0
-    internal_exit_nonrepairable: np.ndarray  # T_nr0
+    internal_exit_repairable: Vector    # T_r0
+    internal_exit_nonrepairable: Vector  # T_nr0
     minor_internal: int               # phases 1..minor_internal are minor
 
     # External shocks
     shock: PhDistribution             # (gamma, L)
     total_failure_prob: float         # omega0
-    shock_effect: np.ndarray          # W, m x m substochastic
-    shock_repairable: np.ndarray      # W_r0
-    shock_nonrepairable: np.ndarray   # W_nr0
+    shock_effect: Matrix              # W, m x m substochastic
+    shock_repairable: Vector          # W_r0
+    shock_nonrepairable: Vector       # W_nr0
 
     # Cumulative damage chain
-    damage_init: np.ndarray           # omega row vector, length d
-    damage_matrix: np.ndarray         # d x d substochastic
-    damage_exit: np.ndarray           # exit probabilities, length d
+    damage_init: Vector               # omega row vector, length d
+    damage_matrix: Matrix             # d x d substochastic
+    damage_exit: Vector               # exit probabilities, length d
     minor_damage: int                 # phases 1..minor_damage are minor
 
     # Inspections
@@ -79,14 +113,7 @@ class ModelConfig:
     costs: CostBlock = None
 
     def __post_init__(self):
-        for name in ("internal_exit_repairable", "internal_exit_nonrepairable",
-                     "shock_repairable", "shock_nonrepairable",
-                     "damage_init", "damage_exit"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float).ravel())
-        for name in ("shock_effect", "damage_matrix"):
-            object.__setattr__(self, name,
-                               np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+        _coerce_arrays(self)
         if self.costs is None:
             object.__setattr__(self, "costs", CostBlock())
         self.validate()
@@ -153,21 +180,12 @@ class ModelConfig:
         if self.costs.preventive.size and self.costs.preventive.size != self.preventive.order:
             raise ConfigError("configuration error: preventive cost length != z2")
 
-    def with_vacation(self, vacation: PhDistribution) -> "ModelConfig":
-        return replace(self, vacation=vacation)
-
     def with_policy(self, units=None, vacation_threshold=None, pm_enabled=None,
                     vacation=None) -> "ModelConfig":
-        kw = {}
-        if units is not None:
-            kw["units"] = units
-        if vacation_threshold is not None:
-            kw["vacation_threshold"] = vacation_threshold
-        if pm_enabled is not None:
-            kw["pm_enabled"] = pm_enabled
-        if vacation is not None:
-            kw["vacation"] = vacation
-        return replace(self, **kw)
+        """Copy with the given policy fields replaced (None keeps a field)."""
+        changes = dict(units=units, vacation_threshold=vacation_threshold,
+                       pm_enabled=pm_enabled, vacation=vacation)
+        return replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
 def exponential_vacation(a: float) -> PhDistribution:
@@ -193,76 +211,108 @@ def vacation_from_params(family: str, params) -> PhDistribution:
     raise ConfigError(f"configuration error: unknown vacation family {family!r}")
 
 
-def example_fleet_config(units: int = 4, vacation_threshold: int = 3,
-                         pm_enabled: bool = True,
+# ---------------------------------------------------------------------------
+# model files
+
+def _get(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ModelFileError(f"{where}: missing field {key!r}")
+    return doc[key]
+
+
+def _matrix(doc, key, where, ndim):
+    try:
+        arr = np.asarray(_get(doc, key, where), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{where}.{key}: not numeric ({exc})") from None
+    if arr.ndim != ndim:
+        raise ModelFileError(f"{where}.{key}: expected {ndim}-dimensional "
+                             f"array, got shape {arr.shape}")
+    return arr
+
+
+def _ph(doc, key, where):
+    sub = _get(doc, key, where)
+    path = f"{where}.{key}"
+    if not isinstance(sub, dict):
+        raise ModelFileError(f"{path}: expected an object")
+    if "family" in sub:
+        try:
+            return vacation_from_params(sub["family"],
+                                        _get(sub, "params", path))
+        except ConfigError as exc:
+            raise ModelFileError(f"{path}: {exc}") from None
+    try:
+        return PhDistribution(_matrix(sub, "init", path, 1),
+                              _matrix(sub, "subgen", path, 2))
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+
+
+def _from_doc(cls, doc, where: str):
+    """Instance of the dataclass cls from its document, field by field."""
+    kw = {}
+    for f in fields(cls):
+        ndim = _array_ndim(f.type)
+        if f.type is PhDistribution:
+            kw[f.name] = _ph(doc, f.name, where)
+        elif f.type is CostBlock:
+            kw[f.name] = _from_doc(CostBlock, _get(doc, f.name, where),
+                                   f"{where}.{f.name}")
+        elif ndim is not None:
+            kw[f.name] = _matrix(doc, f.name, where, ndim)
+        else:
+            try:
+                kw[f.name] = f.type(_get(doc, f.name, where))
+            except (TypeError, ValueError) as exc:
+                raise ModelFileError(f"{where}.{f.name}: {exc}") from None
+    try:
+        return cls(**kw)
+    except (ConfigError, ValueError) as exc:
+        raise ModelFileError(f"{where}: {exc}") from None
+
+
+def config_from_dict(doc: dict, where: str = "model") -> ModelConfig:
+    return _from_doc(ModelConfig, doc, where)
+
+
+def config_to_dict(config) -> dict:
+    """Model-file document of a ModelConfig (or of its CostBlock)."""
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, PhDistribution):
+            value = {"init": value.init.tolist(), "subgen": value.subgen.tolist()}
+        elif isinstance(value, CostBlock):
+            value = config_to_dict(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        doc[f.name] = value
+    return doc
+
+
+def bundled_model_path() -> Path:
+    return Path(__file__).parent / "data" / "example_model.json"
+
+
+def load_model(path) -> ModelConfig:
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    return config_from_dict(doc, where=str(path))
+
+
+def example_fleet_config(units: int | None = None,
+                         vacation_threshold: int | None = None,
+                         pm_enabled: bool | None = None,
                          vacation: PhDistribution | None = None) -> ModelConfig:
-    """The bundled four-unit fleet with shocks, two-stage damage and PM."""
-    internal = PhDistribution(
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        np.array([
-            [-0.04, 0.02, 0.0, 0.0],
-            [0.0, -0.03, 0.02, 0.0],
-            [0.0, 0.0, -0.1, 0.04],
-            [0.0, 0.0, 0.0, -0.4],
-        ]),
-    )
-    shock = PhDistribution(
-        np.array([1.0, 0.0]),
-        np.array([[-0.1, 0.06], [0.0, -0.5]]),
-    )
-    inspection = PhDistribution(
-        np.array([1.0, 0.0]),
-        np.array([[-0.2, 0.15], [0.5, -0.6]]),
-    )
-    corrective = PhDistribution(
-        np.array([1.0, 0.0, 0.0]),
-        np.array([[-0.8, 0.5, 0.2], [0.3, -0.8, 0.4], [0.4, 0.1, -0.7]]),
-    )
-    preventive = PhDistribution(
-        np.array([1.0, 0.0, 0.0]),
-        np.array([[-0.8, 0.2, 0.05], [0.05, -0.9, 0.2], [0.1, 0.1, -0.8]]),
-    )
-    if vacation is None:
-        vacation = erlang2_vacation(0.8297104, 0.8297099)
-    costs = CostBlock(
-        gross_profit=70.0,
-        downtime_loss=70.0,
-        repair_present=20.0,
-        vacation=4.0,
-        return_fixed=5.0,
-        repairable_fixed=10.0,
-        inspection_fixed=4.0,
-        new_unit=150.0,
-        operational=np.array([6.0, 14.0, 32.0, 42.0]),
-        damage=np.array([1.0, 2.0]),
-        corrective=np.array([20.0, 20.0, 20.0]),
-        preventive=np.array([10.0, 10.0, 10.0]),
-    )
-    return ModelConfig(
-        internal=internal,
-        internal_exit_repairable=np.array([0.016, 0.008, 0.048, 0.32]),
-        internal_exit_nonrepairable=np.array([0.004, 0.002, 0.012, 0.08]),
-        minor_internal=2,
-        shock=shock,
-        total_failure_prob=0.2,
-        shock_effect=np.array([
-            [0.1, 0.05, 0.2, 0.05],
-            [0.0, 0.05, 0.2, 0.05],
-            [0.0, 0.0, 0.2, 0.05],
-            [0.0, 0.0, 0.0, 0.05],
-        ]),
-        shock_repairable=np.array([0.6, 0.6, 0.65, 0.65]),
-        shock_nonrepairable=np.array([0.0, 0.1, 0.1, 0.3]),
-        damage_init=np.array([1.0, 0.0]),
-        damage_matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        damage_exit=np.array([0.0, 1.0]),
-        minor_damage=1,
-        inspection=inspection,
-        vacation=vacation,
-        corrective=corrective,
-        preventive=preventive,
-        units=units,
-        vacation_threshold=vacation_threshold,
-        pm_enabled=pm_enabled,
-        costs=costs,
-    )
+    """The bundled four-unit fleet (R = 3, PM on) with shocks, two-stage
+    damage and the published optimal Erlang vacation, read from
+    data/example_model.json; the arguments override its policy."""
+    return load_model(bundled_model_path()).with_policy(
+        units=units, vacation_threshold=vacation_threshold,
+        pm_enabled=pm_enabled, vacation=vacation)

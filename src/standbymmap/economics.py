@@ -7,13 +7,13 @@ cost of the task in service.  Fixed per-event costs enter through the event
 rates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assembler import MmapGenerators
 from .config import ModelConfig
-from .measures import event_counts_transient, event_rates_stationary
+from .measures import EventRates, event_counts_transient, event_rates_stationary
 from .solvers import transient_integral
 from .statespace import StateSpaceLayout
 
@@ -79,18 +79,22 @@ class ProfitBreakdown:
     total: float
 
 
+def fixed_cost(rates: EventRates, config: ModelConfig) -> float:
+    """Event-driven fixed costs of the given event rates (or mean counts)."""
+    c = config.costs
+    return (rates.new_systems * config.units * c.new_unit
+            + rates.repairable * c.repairable_fixed
+            + rates.major_inspection * c.inspection_fixed
+            + (rates.returns + rates.returns_empty) * c.return_fixed)
+
+
 def profit_stationary(pi: np.ndarray, gens: MmapGenerators,
                       config: ModelConfig) -> ProfitBreakdown:
     """Mean net total profit per unit of time in stationary regime."""
     lay = gens.layout
-    c = config.costs
     phi_w = float(pi @ build_nr(config, lay))
     phi_rf = float(pi @ build_nc(config, lay))
-    rates = event_rates_stationary(pi, gens)
-    fixed = (rates.new_systems * config.units * c.new_unit
-             + rates.repairable * c.repairable_fixed
-             + rates.major_inspection * c.inspection_fixed
-             + (rates.returns + rates.returns_empty) * c.return_fixed)
+    fixed = fixed_cost(event_rates_stationary(pi, gens), config)
     return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)
 
 
@@ -99,13 +103,11 @@ def profit_transient(gens: MmapGenerators, phi: np.ndarray, t: float,
     """Mean net total profit accumulated over [0, t], including the
     purchase of the initial fleet."""
     lay = gens.layout
-    c = config.costs
     ip = transient_integral(gens, phi, t)
     phi_w = float(ip @ build_nr(config, lay))
     phi_rf = float(ip @ build_nc(config, lay))
     counts = event_counts_transient(gens, phi, t)
-    fixed = ((1.0 + counts.new_systems) * config.units * c.new_unit
-             + counts.repairable * c.repairable_fixed
-             + counts.major_inspection * c.inspection_fixed
-             + (counts.returns + counts.returns_empty) * c.return_fixed)
+    # the initial fleet is bought like one more fleet renewal
+    fixed = fixed_cost(replace(counts, new_systems=1.0 + counts.new_systems),
+                       config)
     return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)

@@ -51,7 +51,7 @@ class OccupancyTable:
 
     psi: dict   # (k, s, x) -> value
 
-    def by_units(self, n: int) -> dict:
+    def by_units(self) -> dict:
         """Psi_k aggregated over s and x."""
         out = {}
         for (k, s, x), val in self.psi.items():
@@ -100,12 +100,16 @@ class EventRates:
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in RATE_LABELS}
 
+    @classmethod
+    def from_flows(cls, flows: dict) -> "EventRates":
+        """Aggregate per-label flows (label -> rate or count) by RATE_LABELS."""
+        return cls(**{name: sum(flows[l] for l in labels)
+                      for name, labels in RATE_LABELS.items()})
+
 
 def _rates_from_vector(vec: np.ndarray, gens: MmapGenerators) -> EventRates:
-    flows = {label: float((vec @ gens[label]).sum())
-             for label in gens.arrival_labels}
-    return EventRates(**{name: sum(flows[l] for l in labels)
-                         for name, labels in RATE_LABELS.items()})
+    return EventRates.from_flows({label: float((vec @ gens[label]).sum())
+                                  for label in gens.arrival_labels})
 
 
 def event_rates_stationary(pi: np.ndarray, gens: MmapGenerators) -> EventRates:

@@ -1,8 +1,11 @@
 """Vacation-parameter optimization and the policy grid sweep.
 
 For a fixed fleet policy (n, R, PM flag) and vacation family, the generator
-depends affinely on the vacation rates, so the sweep caches the constant
-part and re-solves only the bordered linear system per evaluation.
+depends affinely on the vacation rates, so each cell caches the constant
+part and per evaluation only rebuilds D(x) and runs the bordered stationary
+solve of the solvers module.  The profit goes through the same fixed-cost
+formula as economics.profit_stationary, and the optimum's profit,
+availability and event rates come from the cell's own final solve.
 """
 
 import io
@@ -10,18 +13,21 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.optimize import minimize, minimize_scalar
 
 from .assembler import assemble_all
 from .config import ModelConfig, vacation_from_params
-from .economics import build_nc, build_nr, profit_stationary
-from .measures import availability_stationary, event_rates_stationary
+from .economics import build_nc, build_nr, fixed_cost, profit_stationary
+from .measures import (EventRates, availability_stationary, down_mask,
+                       event_rates_stationary)
+from .solvers import bordered_stationary, stationary_direct
 from .statespace import enumerate_states
 
 FAMILIES = ("exponential", "erlang2")
 
 GRID_CELLS = [(n, R) for n in (4, 3, 2) for R in range(n, 0, -1)]
+
+NELDER_MEAD_MAXFEV = 500
 
 
 @dataclass
@@ -35,6 +41,7 @@ class OptimizationResult:
     availability: float
     evaluations: int
     converged: bool
+    rates: EventRates   # event rates at x
 
     def as_record(self) -> dict:
         return {
@@ -46,22 +53,21 @@ class OptimizationResult:
 
 
 class _CellEvaluator:
-    """Evaluates Phi/A for one grid cell with the generator split into its
-    vacation-rate-independent part plus one rate-proportional part per
-    parameter: D(x) = K0 + sum_i x_i K_i.  The per-label outflow vectors
-    needed for the fixed costs are cached the same way."""
+    """Evaluates Phi/A/event rates for one grid cell with the generator split
+    into its vacation-rate-independent part plus one rate-proportional part
+    per parameter: D(x) = K0 + sum_i x_i K_i.  The per-label outflow vectors
+    needed for the event rates are cached the same way."""
 
     def __init__(self, config: ModelConfig, family: str):
-        self.family = family
         self.dim = 1 if family == "exponential" else 2
-        self.config = config.with_vacation(vacation_from_params(family,
-                                                                [1.0] * self.dim))
+        self.config = config.with_policy(
+            vacation=vacation_from_params(family, [1.0] * self.dim))
         self.layout = enumerate_states(self.config)
         snapshots = [assemble_all(self.config, self.layout, validate=False)]
         for i in range(self.dim):
             x = np.ones(self.dim)
             x[i] = 2.0
-            cfg = config.with_vacation(vacation_from_params(family, x))
+            cfg = config.with_policy(vacation=vacation_from_params(family, x))
             snapshots.append(assemble_all(cfg, self.layout, validate=False))
         base = snapshots[0].total
         self.parts = [(s.total - base).tocsr() for s in snapshots[1:]]
@@ -78,60 +84,46 @@ class _CellEvaluator:
             l: out0[l] - sum(p[l] for p in self.outflow_parts) for l in labels}
         self.nr = build_nr(self.config, self.layout)
         self.nc = build_nc(self.config, self.layout)
-        from .measures import down_mask
         self.up_mask = ~down_mask(self.layout)
-        self.evaluations = 0
 
-    def config_at(self, x) -> ModelConfig:
-        return self.config.with_vacation(vacation_from_params(self.family, x))
-
-    def stationary(self, x) -> np.ndarray:
+    def evaluate(self, x):
+        """Phi, availability and event rates at x from one stationary solve."""
         D = self.base + sum(float(xi) * K for xi, K in zip(x, self.parts))
-        B = D.T.tolil()
-        B[0, :] = 1.0
-        rhs = np.zeros(D.shape[0])
-        rhs[0] = 1.0
-        pi = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-        self.evaluations += 1
-        return np.clip(pi, 0.0, None) / pi.sum()
-
-    def rates(self, pi: np.ndarray, x) -> dict:
-        return {l: float(pi @ (self.outflow_base[l]
-                               + sum(float(xi) * p[l]
-                                     for xi, p in zip(x, self.outflow_parts))))
-                for l in self.outflow_base}
+        pi = bordered_stationary(D)
+        rates = EventRates.from_flows(
+            {l: float(pi @ (self.outflow_base[l]
+                            + sum(float(xi) * p[l]
+                                  for xi, p in zip(x, self.outflow_parts))))
+             for l in self.outflow_base})
+        profit = float(pi @ self.nr - pi @ self.nc
+                       - fixed_cost(rates, self.config))
+        return profit, float(pi[self.up_mask].sum()), rates
 
     def profit(self, x) -> float:
-        pi = self.stationary(x)
-        flows = self.rates(pi, x)
-        c = self.config.costs
-        fixed = (flows["NS"] * self.config.units * c.new_unit
-                 + flows["A"] * c.repairable_fixed
-                 + flows["B"] * c.inspection_fixed
-                 + (flows["D"] + flows["CD"] + flows["E"]) * c.return_fixed)
-        return float(pi @ self.nr - pi @ self.nc - fixed)
+        return self.evaluate(x)[0]
 
     def availability(self, x) -> float:
-        return float(self.stationary(x)[self.up_mask].sum())
+        return self.evaluate(x)[1]
 
 
 def evaluate(config: ModelConfig, family: str, x):
     """Phi, availability and event rates for one parameter vector."""
-    cfg = config.with_vacation(vacation_from_params(family, x))
+    cfg = config.with_policy(vacation=vacation_from_params(family, x))
     gens = assemble_all(cfg, validate=False)
-    from .solvers import stationary_direct
     pi = stationary_direct(gens)
     profit = profit_stationary(pi, gens, cfg)
     return (profit.total, availability_stationary(pi, gens.layout),
             event_rates_stationary(pi, gens))
 
 
-def optimize(config: ModelConfig, family: str, x0=None,
-             maxfev: int = 500) -> OptimizationResult:
+def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     """Maximize stationary profit over the vacation rates (log scale)."""
     cell = _CellEvaluator(config, family)
+    evaluations = 0
 
     def objective(log_x):
+        nonlocal evaluations
+        evaluations += 1
         return -cell.profit(np.exp(log_x))
 
     if family == "exponential":
@@ -144,14 +136,14 @@ def optimize(config: ModelConfig, family: str, x0=None,
         start = np.log(x0) if x0 is not None else np.zeros(cell.dim)
         res = minimize(objective, start, method="Nelder-Mead",
                        options={"xatol": 1e-6, "fatol": 1e-10,
-                                "maxfev": maxfev})
+                                "maxfev": NELDER_MEAD_MAXFEV})
         log_x = res.x
         converged = bool(res.success)
     x = np.exp(log_x)
-    phi, avail, _ = evaluate(config, family, x)
+    phi, avail, rates = cell.evaluate(x)
     return OptimizationResult(config.units, config.vacation_threshold,
                               config.pm_enabled, family, x, phi, avail,
-                              cell.evaluations, converged)
+                              evaluations, converged, rates)
 
 
 def golden_section_scan(config: ModelConfig, lo: float = 1e-3,
@@ -178,7 +170,7 @@ def golden_section_scan(config: ModelConfig, lo: float = 1e-3,
     return x, cell.profit([x])
 
 
-def run_grid(config: ModelConfig, maxfev: int = 500) -> list:
+def run_grid(config: ModelConfig) -> list:
     """Optimize all 36 policy/family combinations of the study grid."""
     results = []
     for n, R in GRID_CELLS:
@@ -186,7 +178,7 @@ def run_grid(config: ModelConfig, maxfev: int = 500) -> list:
             for family in FAMILIES:
                 cfg = config.with_policy(units=n, vacation_threshold=R,
                                          pm_enabled=pm)
-                results.append(optimize(cfg, family, maxfev=maxfev))
+                results.append(optimize(cfg, family))
     return results
 
 

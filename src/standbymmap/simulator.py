@@ -533,8 +533,9 @@ class ValidationReport:
         return all(r.ok for r in self.rows)
 
     def to_text(self) -> str:
+        band = f"{self.width:g} s.e."
         lines = [f"{'quantity':<28}{'analytic':>14}{'simulated':>14}"
-                 f"{'3 s.e.':>12}  status"]
+                 f"{band:>12}  status"]
         for r in self.rows:
             lines.append(f"{r.name:<28}{r.analytic:>14.6f}{r.estimate:>14.6f}"
                          f"{self.width * r.stderr:>12.6f}  "

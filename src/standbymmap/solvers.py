@@ -84,23 +84,29 @@ def transient_integral(gens: MmapGenerators, phi: np.ndarray, t: float,
     return res * (t / res.sum())
 
 
-def stationary_direct(gens: MmapGenerators, sparse: bool = True) -> np.ndarray:
-    """Solve pi D = 0, pi 1 = 1 by replacing the first column with ones."""
-    D = gens.total.tocsc()
+def bordered_stationary(D: sp.spmatrix) -> np.ndarray:
+    """Solve pi D = 0, pi 1 = 1: the first equation of D^T pi^T = 0 is
+    replaced by the normalisation, and the bordered matrix factored by LU."""
     n = D.shape[0]
+    B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
+                  format="csr")
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    if sparse:
-        B = D.T.tolil()
-        B[0, :] = 1.0
-        pi = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    else:
-        B = D.toarray()
-        B[:, 0] = 1.0
-        pi = np.linalg.solve(B.T, rhs)
+    pi = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    return _normalised(pi)
+
+
+def _normalised(pi: np.ndarray) -> np.ndarray:
+    """Reject negative mass beyond rounding, then clip it and rescale."""
     if np.min(pi) < -1e-9:
         raise SolverError("stationary solve produced negative probabilities")
     return np.clip(pi, 0.0, None) / pi.sum()
+
+
+def stationary_direct(gens: MmapGenerators) -> np.ndarray:
+    """Stationary distribution of the assembled generator by one bordered
+    sparse solve."""
+    return bordered_stationary(gens.total)
 
 
 def stationary_block(gens: MmapGenerators) -> np.ndarray:
@@ -135,7 +141,4 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
     rhs[0] = 1.0
     pin = np.linalg.solve(closing.T, rhs)
     pieces = [pin @ m for m in mult]
-    pi = np.concatenate(pieces)
-    if np.min(pi) < -1e-9:
-        raise SolverError("stationary solve produced negative probabilities")
-    return np.clip(pi, 0.0, None) / pi.sum()
+    return _normalised(np.concatenate(pieces))

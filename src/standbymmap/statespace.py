@@ -14,7 +14,6 @@ The service phase r is carried only in nv states with s >= 1 and belongs to
 the queue head i_1.
 """
 
-import io
 from dataclasses import dataclass
 from itertools import product
 
@@ -163,17 +162,6 @@ class StateSpaceLayout:
     def macro_keys(self):
         """Second-level keys (k, s, x) in layout order."""
         return list(self._blocks.keys())
-
-    def dump(self) -> str:
-        """CSV table of the layout: key -> offset, count."""
-        out = io.StringIO()
-        out.write("k,s,x,queue,offset,count\n")
-        for (k, s, x), b in self._blocks.items():
-            for queue, qoff, qsize in zip(self.queues(s), b.queue_offsets,
-                                          b.queue_sizes):
-                qstr = "".join(map(str, queue))
-                out.write(f"{k},{s},{x},{qstr},{qoff},{qsize}\n")
-        return out.getvalue()
 
 
 def enumerate_states(config: ModelConfig) -> StateSpaceLayout:

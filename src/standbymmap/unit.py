@@ -5,7 +5,9 @@ Its outflow splits into four labelled channels: repairable failure (A),
 positive inspection sending the unit to preventive maintenance (B),
 non-repairable failure (C) and everything else (O, block H0).  The primed
 variants of A/B/C apply when the failing unit is the last operational one,
-so no fresh unit is re-initialised and only the shock clock survives.
+so no fresh unit is re-initialised and only the shock clock survives: each
+is derived from its unprimed block by summing the target columns over every
+phase but the shock clock, H' = H (1_m (x) I_t (x) 1_d (x) 1_eps).
 """
 
 from dataclasses import dataclass
@@ -51,39 +53,26 @@ def _shock_pieces(config: ModelConfig):
     return renew * (1 - config.total_failure_prob), renew * config.total_failure_prob
 
 
-def build_HC(config: ModelConfig, has_spare: bool = True) -> np.ndarray:
+def build_HC(config: ModelConfig) -> np.ndarray:
     """Non-repairable failure channel of the online unit."""
-    m, t, d = config.m, config.t, config.d
+    t, d = config.t, config.d
     alpha = config.internal.init
     omega = config.damage_init
     eta = config.inspection.init
     shock_sub, shock_total = _shock_pieces(config)
     dam_stay = config.damage_matrix.sum(axis=1)     # D 1
-    em = np.ones(m)
-
-    if has_spare:
-        internal_f = np.outer(config.internal_exit_nonrepairable, alpha)
-        wnr_f = np.outer(config.shock_nonrepairable, alpha)
-        any_f = np.outer(em, alpha)
-        dam_restart = np.outer(np.ones(d), omega)
-        core = (np.kron(np.kron(internal_f, np.eye(t)), dam_restart)
-                + np.kron(np.kron(wnr_f, shock_sub), np.outer(dam_stay, omega))
-                + np.kron(np.kron(any_f, shock_sub), np.outer(config.damage_exit, omega))
-                + np.kron(np.kron(any_f, shock_total), dam_restart))
-        return np.kron(core, np.outer(np.ones(config.eps), eta))
-
-    internal_f = config.internal_exit_nonrepairable[:, None]
-    wnr_f = config.shock_nonrepairable[:, None]
-    any_f = em[:, None]
-    ones_d = np.ones((d, 1))
-    core = (np.kron(np.kron(internal_f, np.eye(t)), ones_d)
-            + np.kron(np.kron(wnr_f, shock_sub), dam_stay[:, None])
-            + np.kron(np.kron(any_f, shock_sub), config.damage_exit[:, None])
-            + np.kron(np.kron(any_f, shock_total), ones_d))
-    return np.kron(core, np.ones((config.eps, 1)))
+    internal_f = np.outer(config.internal_exit_nonrepairable, alpha)
+    wnr_f = np.outer(config.shock_nonrepairable, alpha)
+    any_f = np.outer(np.ones(config.m), alpha)
+    dam_restart = np.outer(np.ones(d), omega)
+    core = (np.kron(np.kron(internal_f, np.eye(t)), dam_restart)
+            + np.kron(np.kron(wnr_f, shock_sub), np.outer(dam_stay, omega))
+            + np.kron(np.kron(any_f, shock_sub), np.outer(config.damage_exit, omega))
+            + np.kron(np.kron(any_f, shock_total), dam_restart))
+    return np.kron(core, np.outer(np.ones(config.eps), eta))
 
 
-def build_HA(config: ModelConfig, has_spare: bool = True) -> np.ndarray:
+def build_HA(config: ModelConfig) -> np.ndarray:
     """Repairable failure channel of the online unit."""
     t, d = config.t, config.d
     alpha = config.internal.init
@@ -91,44 +80,27 @@ def build_HA(config: ModelConfig, has_spare: bool = True) -> np.ndarray:
     eta = config.inspection.init
     shock_sub, _ = _shock_pieces(config)
     dam_stay = config.damage_matrix.sum(axis=1)
-
-    if has_spare:
-        core = (np.kron(np.kron(np.outer(config.internal_exit_repairable, alpha),
-                                np.eye(t)),
-                        np.outer(np.ones(d), omega))
-                + np.kron(np.kron(np.outer(config.shock_repairable, alpha), shock_sub),
-                          np.outer(dam_stay, omega)))
-        return np.kron(core, np.outer(np.ones(config.eps), eta))
-
-    core = (np.kron(np.kron(config.internal_exit_repairable[:, None], np.eye(t)),
-                    np.ones((d, 1)))
-            + np.kron(np.kron(config.shock_repairable[:, None], shock_sub),
-                      dam_stay[:, None]))
-    return np.kron(core, np.ones((config.eps, 1)))
+    core = (np.kron(np.kron(np.outer(config.internal_exit_repairable, alpha),
+                            np.eye(t)),
+                    np.outer(np.ones(d), omega))
+            + np.kron(np.kron(np.outer(config.shock_repairable, alpha), shock_sub),
+                      np.outer(dam_stay, omega)))
+    return np.kron(core, np.outer(np.ones(config.eps), eta))
 
 
-def build_HB(config: ModelConfig, has_spare: bool = True) -> np.ndarray:
+def build_HB(config: ModelConfig) -> np.ndarray:
     """Major-inspection channel (preventive maintenance trigger)."""
     m, t, d, eps = config.m, config.t, config.d, config.eps
     if not config.pm_enabled:
-        cols = m * t * d * eps if has_spare else t
-        return np.zeros((m * t * d * eps, cols))
+        return np.zeros((m * t * d * eps, m * t * d * eps))
     U1, U2, _, V2 = build_selectors(config)
     alpha = config.internal.init
     omega = config.damage_init
     insp = np.outer(config.inspection.exit_vector, config.inspection.init)
-
-    if has_spare:
-        return (np.kron(np.kron(np.kron(np.outer(U2 @ np.ones(m), alpha), np.eye(t)),
-                                np.outer(np.ones(d), omega)), insp)
-                + np.kron(np.kron(np.kron(np.outer(U1 @ np.ones(m), alpha), np.eye(t)),
-                                  np.outer(V2 @ np.ones(d), omega)), insp))
-
-    exit_col = config.inspection.exit_vector[:, None]
-    return (np.kron(np.kron(np.kron((U2 @ np.ones(m))[:, None], np.eye(t)),
-                            np.ones((d, 1))), exit_col)
-            + np.kron(np.kron(np.kron((U1 @ np.ones(m))[:, None], np.eye(t)),
-                              (V2 @ np.ones(d))[:, None]), exit_col))
+    return (np.kron(np.kron(np.kron(np.outer(U2 @ np.ones(m), alpha), np.eye(t)),
+                            np.outer(np.ones(d), omega)), insp)
+            + np.kron(np.kron(np.kron(np.outer(U1 @ np.ones(m), alpha), np.eye(t)),
+                              np.outer(V2 @ np.ones(d), omega)), insp))
 
 
 def build_H0(config: ModelConfig) -> np.ndarray:
@@ -153,15 +125,15 @@ def build_H0(config: ModelConfig) -> np.ndarray:
 
 
 def build_unit_blocks(config: ModelConfig) -> UnitBlocks:
-    blocks = UnitBlocks(
-        H0=build_H0(config),
-        HA=build_HA(config, True),
-        HB=build_HB(config, True),
-        HC=build_HC(config, True),
-        HA_p=build_HA(config, False),
-        HB_p=build_HB(config, False),
-        HC_p=build_HC(config, False),
-    )
+    HA, HB, HC = build_HA(config), build_HB(config), build_HC(config)
+    # 1_m (x) I_t (x) 1_d (x) 1_eps: sums each target (i, j, h, u) over every
+    # phase but the shock clock j, which alone survives the loss of the last
+    # operational unit
+    keep_shock = np.kron(np.kron(np.kron(np.ones((config.m, 1)), np.eye(config.t)),
+                                 np.ones((config.d, 1))), np.ones((config.eps, 1)))
+    blocks = UnitBlocks(H0=build_H0(config), HA=HA, HB=HB, HC=HC,
+                        HA_p=HA @ keep_shock, HB_p=HB @ keep_shock,
+                        HC_p=HC @ keep_shock)
     residual = (blocks.H0 + blocks.HA + blocks.HB + blocks.HC).sum(axis=1)
     if np.max(np.abs(residual)) > 1e-10:
         raise ValueError(

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from standbymmap.cli import (bundled_model_path, config_from_dict,
-                             config_to_dict, load_model, main)
+from standbymmap.cli import (ModelFileError, bundled_model_path,
+                             config_from_dict, config_to_dict, load_model,
+                             main)
 from standbymmap.config import example_fleet_config
 
 
@@ -26,6 +27,25 @@ def test_model_round_trip():
     again = config_from_dict(doc)
     np.testing.assert_allclose(again.internal.subgen, config.internal.subgen)
     assert again.costs.new_unit == config.costs.new_unit
+
+
+def test_bundled_file_is_the_example_model():
+    doc = json.loads(bundled_model_path().read_text())
+    assert config_to_dict(example_fleet_config()) == doc
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["costs"].pop("new_unit"), "model.costs: missing field"),
+    (lambda doc: doc["costs"].update(damage="high"), "model.costs.damage: not numeric"),
+    (lambda doc: doc.update(damage_init=[[1.0, 0.0]]),
+     "model.damage_init: expected 1-dimensional array"),
+    (lambda doc: doc.update(units="four"), "model.units:"),
+])
+def test_model_errors_name_the_field(edit, message):
+    doc = config_to_dict(example_fleet_config())
+    edit(doc)
+    with pytest.raises(ModelFileError, match=message):
+        config_from_dict(doc)
 
 
 def test_build_reports_structure(capsys):
@@ -95,6 +115,21 @@ def test_env_variables_mirror_flags(capsys, monkeypatch):
     monkeypatch.delenv("STANDBYMMAP_R")
     assert main(["build", "--n", "2", "--R", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first
+
+
+def test_env_switch_off_runs_one_cell(tmp_path, monkeypatch):
+    monkeypatch.setenv("STANDBYMMAP_ALL", "0")
+    assert run(["optimize", "--vacation", "exp", "--n", "2", "--R", "2"],
+               tmp_path) == 0
+    assert (tmp_path / "optimize.json").is_file()
+    assert not (tmp_path / "grid.json").exists()
+
+
+def test_malformed_env_switch_is_a_json_error(capsys, monkeypatch):
+    monkeypatch.setenv("STANDBYMMAP_PM", "maybe")
+    assert main(["build"]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert "STANDBYMMAP_PM" in record["message"]
 
 
 def test_simulate_is_deterministic(tmp_path):

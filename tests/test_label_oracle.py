@@ -1,0 +1,164 @@
+"""Exact per-label oracle: the nine assembled generators against the
+simulator's labelled transition rows.
+
+Every state the simulator can reach from its initial states is visited
+breadth-first; each state's outcome distribution is turned into rows of the
+nine labelled generators and compared entry by entry with the assembled
+ones, over random valid models.  The simulator is built from the event
+semantics alone, so this checks the Kronecker blocks (the derived primed
+unit blocks included) on models other than the bundled one.
+"""
+
+from collections import deque
+from itertools import product
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from standbymmap.assembler import EVENT_LABELS, assemble_all
+from standbymmap.config import CostBlock, ModelConfig
+from standbymmap.ph import PhDistribution, renewal_stationary
+from standbymmap.simulator import FleetSimulator, SimState
+from standbymmap.statespace import enumerate_states
+
+from simstates import global_index, sim_state_of
+
+ATOL = 1e-12
+
+
+def _positive(draw, size, lo=0.05, hi=1.0):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                  max_size=size)))
+
+
+def _distribution(draw, size):
+    """Full-support probability vector."""
+    w = _positive(draw, size)
+    return w / w.sum()
+
+
+def _stochastic_rows(draw, rows, cols):
+    """Positive rows summing to one."""
+    w = _positive(draw, rows * cols).reshape(rows, cols)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _subgen(draw, order, exits):
+    """Sub-generator whose rows lose exactly `exits` to absorption."""
+    off = _positive(draw, order * order, 0.0, 1.0).reshape(order, order)
+    np.fill_diagonal(off, 0.0)
+    return off - np.diag(off.sum(axis=1) + exits)
+
+
+def _ph(draw, order):
+    return PhDistribution(_distribution(draw, order),
+                          _subgen(draw, order, _positive(draw, order)))
+
+
+@st.composite
+def small_models(draw):
+    """Random valid model: PH orders 1-3 (m, d >= 2), full-support initial
+    vectors, every exit channel open, n <= 3, any R, PM on or off.  The
+    fleet shrinks as the online unit's phase count P grows (n <= 3 for
+    P <= 24, n <= 2 for P <= 36), which keeps each walk near a second."""
+    m, d = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    t, eps, v, z1, z2 = (draw(st.integers(1, 3)) for _ in range(5))
+    phases = m * t * d * eps
+    n = draw(st.integers(1, 3 if phases <= 24 else 2 if phases <= 36 else 1))
+    exit_r, exit_nr = _positive(draw, m), _positive(draw, m)
+    shock_rows = _stochastic_rows(draw, m, m + 2)
+    damage_rows = _stochastic_rows(draw, d, d + 1)
+    return ModelConfig(
+        internal=PhDistribution(_distribution(draw, m),
+                                _subgen(draw, m, exit_r + exit_nr)),
+        internal_exit_repairable=exit_r,
+        internal_exit_nonrepairable=exit_nr,
+        minor_internal=draw(st.integers(1, m - 1)),
+        shock=_ph(draw, t),
+        total_failure_prob=draw(st.floats(0.05, 0.5)),
+        shock_effect=shock_rows[:, :m],
+        shock_repairable=shock_rows[:, m],
+        shock_nonrepairable=shock_rows[:, m + 1],
+        damage_init=_distribution(draw, d),
+        damage_matrix=damage_rows[:, :d],
+        damage_exit=damage_rows[:, d],
+        minor_damage=draw(st.integers(1, d - 1)),
+        inspection=_ph(draw, eps),
+        vacation=_ph(draw, v),
+        corrective=_ph(draw, z1),
+        preventive=_ph(draw, z2),
+        units=n,
+        vacation_threshold=draw(st.integers(1, n)),
+        pm_enabled=draw(st.booleans()),
+        # the simulator's reward rate indexes every per-phase cost vector
+        costs=CostBlock(operational=np.zeros(m), damage=np.zeros(d),
+                        corrective=np.zeros(z1), preventive=np.zeros(z2)),
+    )
+
+
+def initial_states(config):
+    """Support of FleetSimulator.initial_state: a fresh fleet on vacation."""
+    def support(vec):
+        return np.flatnonzero(np.asarray(vec) > 0).tolist()
+    return [SimState(config.units, 0, (), True, i, j, h, u, w)
+            for i, j, h, u, w in product(
+                support(config.internal.init),
+                support(renewal_stationary(config.shock)),
+                support(config.damage_init), support(config.inspection.init),
+                support(config.vacation.init))]
+
+
+def simulator_generators(config, layout):
+    """The nine labelled generators read off the simulator's rows, over the
+    states reachable from the initial ones; also the reached indices."""
+    sim = FleetSimulator(config)
+    entries = {label: ([], [], []) for label in EVENT_LABELS}
+    index = {}      # reached state -> global index
+    todo = deque()
+
+    def reach(state):
+        if state not in index:
+            index[state] = global_index(layout, state)
+            todo.append(state)
+        return index[state]
+
+    for state in initial_states(config):
+        reach(state)
+    while todo:
+        state = todo.popleft()
+        i = index[state]
+        row = sim.row(state)
+        rates = row.total * np.diff(row.cum, prepend=0.0)
+        for rate, target, event in zip(rates, row.targets, row.events):
+            rows, cols, vals = entries[event or "O"]
+            rows.append(i)
+            cols.append(reach(target))
+            vals.append(rate)
+        rows, cols, vals = entries["O"]
+        rows.append(i)
+        cols.append(i)
+        vals.append(-row.total)
+    shape = (layout.total, layout.total)
+    mats = {label: sp.csr_matrix((vals, (rows, cols)), shape=shape)
+            for label, (rows, cols, vals) in entries.items()}
+    return mats, set(index.values())
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_every_label_matches_the_simulator_rows(config):
+    layout = enumerate_states(config)
+    gens = assemble_all(config, layout, validate=False)
+    mats, reached = simulator_generators(config, layout)
+    rows = sorted(reached)
+    for label in EVENT_LABELS:
+        gap = abs(gens[label][rows] - mats[label][rows]).max()
+        assert gap <= ATOL, f"label {label}: max entry gap {gap:.3e}"
+    # every layout state is reached; with PM off, no preventive repair is
+    # ever queued, so only the states without one are
+    expected = {idx for idx in range(layout.total)
+                if config.pm_enabled
+                or 2 not in sim_state_of(layout, idx).queue}
+    assert reached == expected

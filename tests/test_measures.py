@@ -72,7 +72,7 @@ def test_rate_aggregation_labels_are_disjoint_where_expected():
 
 def test_by_units_marginals(optimal_pi, optimal_gens):
     table = occupancy(optimal_pi, optimal_gens.layout)
-    marg = table.by_units(4)
+    marg = table.by_units()
     assert sum(marg.values()) == pytest.approx(1.0)
     assert set(marg) == {1, 2, 3, 4}
 

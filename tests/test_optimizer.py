@@ -12,9 +12,23 @@ def test_cached_evaluator_matches_full_pipeline():
     config = example_fleet_config(units=3, vacation_threshold=2)
     cell = _CellEvaluator(config, "erlang2")
     for x in ([0.7, 1.3], [1.0, 1.0], [2.5, 0.4]):
-        full_phi, full_a, _ = evaluate(config, "erlang2", x)
+        full_phi, full_a, full_rates = evaluate(config, "erlang2", x)
         assert cell.profit(x) == pytest.approx(full_phi, abs=1e-9)
         assert cell.availability(x) == pytest.approx(full_a, abs=1e-12)
+        rates = cell.evaluate(x)[2].as_dict()
+        for name, value in full_rates.as_dict().items():
+            assert rates[name] == pytest.approx(value, abs=1e-12), name
+
+
+def test_optimum_carries_its_own_measures():
+    """profit, availability and rates at x* agree with a fresh assembly."""
+    config = example_fleet_config(units=2, vacation_threshold=2)
+    result = optimize(config, "exponential")
+    phi, avail, rates = evaluate(config, "exponential", result.x)
+    assert result.profit == pytest.approx(phi, abs=1e-9)
+    assert result.availability == pytest.approx(avail, abs=1e-12)
+    for name, value in rates.as_dict().items():
+        assert result.rates.as_dict()[name] == pytest.approx(value, abs=1e-12)
 
 
 def test_exponential_optimum_matches_golden_section():

@@ -7,39 +7,10 @@ import pytest
 
 from standbymmap.assembler import assemble_all
 from standbymmap.config import example_fleet_config
-from standbymmap.simulator import (FleetSimulator, SimState, simulate, validate)
-from standbymmap.statespace import MacroStateKey, enumerate_states
+from standbymmap.simulator import FleetSimulator, simulate, validate
+from standbymmap.statespace import enumerate_states
 
-
-def global_index(layout, st):
-    """Map a simulator state onto the generator's row index."""
-    key = MacroStateKey(st.k, st.s, "v" if st.on_vacation else "nv", st.queue)
-    lo, _ = layout.index_of(key)
-    if st.s < st.k:
-        phases = [st.internal, st.shock, st.damage, st.inspection]
-    else:
-        phases = [st.shock]
-    if st.clock is not None:
-        phases.append(st.clock)
-    dims = layout.phase_dims(key.k, key.s, key.x, key.queue)
-    flat = 0
-    for p, dim in zip(phases, dims):
-        flat = flat * dim + p
-    return lo + flat
-
-
-def sim_state_of(layout, config, index):
-    """Inverse of global_index, for sampling arbitrary rows."""
-    key, phases = layout.decode(index)      # decode is 1-based
-    phases = [p - 1 for p in phases]
-    if key.s < key.k:
-        i, j, h, u = phases[:4]
-        rest = phases[4:]
-    else:
-        (j,), rest = phases[:1], phases[1:]
-        i = h = u = None
-    clock = rest[0] if rest else None
-    return SimState(key.k, key.s, key.queue, key.x == "v", i, j, h, u, clock)
+from simstates import global_index, sim_state_of
 
 
 @pytest.mark.parametrize("n,R", [(2, 1), (2, 2)])
@@ -52,7 +23,7 @@ def test_rows_match_the_assembled_generator(n, R):
     rng = np.random.default_rng(11)
     for index in rng.integers(0, layout.total, size=60):
         index = int(index)
-        st = sim_state_of(layout, config, index)
+        st = sim_state_of(layout, index)
         row = sim.row(st)
         flows = {}
         probs = np.diff(row.cum, prepend=0.0)
@@ -135,6 +106,14 @@ def test_validate_flags_a_shifted_quantity():
     result = validate(bad, report)
     assert not result.passed
     assert "FAIL" in result.to_text()
+
+
+def test_validation_table_names_its_band_width():
+    report = simulate(example_fleet_config(), horizon=500.0,
+                      replications=2, seed=0)
+    header = validate({"availability": report.availability.mean}, report,
+                      width=4.0).to_text().splitlines()[0]
+    assert "4 s.e." in header and "3 s.e." not in header
 
 
 def test_validate_rejects_unknown_quantities():
