@@ -28,7 +28,7 @@ from .config import (ConfigError, ModelConfig, ModelFileError,
                      bundled_model_path, config_from_dict, config_to_dict,
                      load_model, vacation_from_params)
 from .economics import profit_stationary, profit_transient
-from .measures import (availability_stationary, availability_transient,
+from .measures import (availability_stationary, down_mask,
                        event_rates_stationary, occupancy)
 from .optimizer import grid_to_csv, grid_to_json, optimize, run_grid
 from .simulator import simulate, validate
@@ -152,7 +152,7 @@ def cmd_transient(args) -> int:
     gens = assemble_all(config, validate=False)
     phi = initial_distribution(config, gens.layout)
     dist = transient(gens, phi, grid)
-    avail = availability_transient(gens, phi, grid)
+    avail = 1.0 - dist[:, down_mask(gens.layout)].sum(axis=1)
     out = _outdir(args)
     rows = ["t,index,probability"]
     for t, row in zip(grid, dist):

@@ -114,8 +114,12 @@ class ModelConfig:
 
     def __post_init__(self):
         _coerce_arrays(self)
-        if self.costs is None:
-            object.__setattr__(self, "costs", CostBlock())
+        costs = CostBlock() if self.costs is None else self.costs
+        # an empty per-phase cost vector (the CostBlock default) costs nothing
+        object.__setattr__(self, "costs", replace(costs, **{
+            name: np.zeros(size)
+            for name, (size, _) in self._phase_cost_sizes().items()
+            if getattr(costs, name).size == 0}))
         self.validate()
 
     # Short dimension aliases used throughout the matrix construction.
@@ -144,6 +148,12 @@ class ModelConfig:
         """Service orders by repair type: z[1] corrective, z[2] preventive."""
         return (None, self.corrective.order, self.preventive.order)
 
+    def _phase_cost_sizes(self) -> dict:
+        """Per-phase cost vector -> (its length, the length's name)."""
+        return {"operational": (self.m, "m"), "damage": (self.d, "d"),
+                "corrective": (self.corrective.order, "z1"),
+                "preventive": (self.preventive.order, "z2")}
+
     def validate(self):
         m, d = self.m, self.d
         atol = 1e-9
@@ -171,14 +181,10 @@ class ModelConfig:
             raise ConfigError("configuration error: damage rows plus exit must sum to 1")
         if abs(self.damage_init.sum() - 1) > atol or np.any(self.damage_init < -VALIDATION_ATOL):
             raise ConfigError("configuration error: damage_init must be a distribution")
-        if self.costs.operational.size and self.costs.operational.size != m:
-            raise ConfigError("configuration error: operational cost length != m")
-        if self.costs.damage.size and self.costs.damage.size != d:
-            raise ConfigError("configuration error: damage cost length != d")
-        if self.costs.corrective.size and self.costs.corrective.size != self.corrective.order:
-            raise ConfigError("configuration error: corrective cost length != z1")
-        if self.costs.preventive.size and self.costs.preventive.size != self.preventive.order:
-            raise ConfigError("configuration error: preventive cost length != z2")
+        for name, (size, symbol) in self._phase_cost_sizes().items():
+            if getattr(self.costs, name).size != size:
+                raise ConfigError(f"configuration error: {name} cost length "
+                                  f"!= {symbol}")
 
     def with_policy(self, units=None, vacation_threshold=None, pm_enabled=None,
                     vacation=None) -> "ModelConfig":

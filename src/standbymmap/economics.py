@@ -13,61 +13,40 @@ import numpy as np
 
 from .assembler import MmapGenerators
 from .config import ModelConfig
-from .measures import EventRates, event_counts_transient, event_rates_stationary
+from .measures import EventRates, event_rates_stationary
 from .solvers import transient_integral
 from .statespace import StateSpaceLayout
 
 
-def _online_reward(config: ModelConfig, presence_rate: float, tail: int) -> np.ndarray:
-    """Per-phase net reward of one operational arrangement.
+def build_nr(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
+    """Net reward vector of the online unit (and repairperson time rates).
 
-    Phases run (i, j, h, u) x tail; the reward is
-    B - presence_rate - c0[i] - cd[h] uniformly in j, u and the tail factor.
-    """
+    An online unit's phases (i, j, h, u) lead each phase tuple, so within a
+    queue the reward B - presence - c0[i] - cd[h] repeats over the phases
+    that follow them."""
     c = config.costs
-    base = c.gross_profit - presence_rate
     per_i = np.repeat(c.operational, config.t * config.d * config.eps)
     cd = np.tile(np.repeat(c.damage, config.eps), config.m * config.t)
-    return np.repeat(base - per_i - cd, tail)
-
-
-def build_nr(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
-    """Net reward vector of the online unit (and repairperson time rates)."""
-    c = config.costs
     nr = np.empty(layout.total)
-    for (k, s, x) in layout.macro_keys():
-        start, stop = layout.span(k, s, x)
-        presence = c.vacation if x == "v" else c.repair_present
-        if s == k:
+    for key, start, stop in layout.queue_spans():
+        presence = c.vacation if key.x == "v" else c.repair_present
+        if key.s == key.k:
             nr[start:stop] = -(c.downtime_loss + presence)
         else:
-            tail = config.v if x == "v" else (1 if s == 0 else None)
-            if tail is not None:
-                block = _online_reward(config, presence, tail)
-                nr[start:stop] = np.tile(block, 2 ** s if x == "v" else 1)
-            else:
-                parts = []
-                for head in (1, 2):
-                    piece = _online_reward(config, presence, config.z[head])
-                    parts.append(np.tile(piece, 2 ** (s - 1)))
-                nr[start:stop] = np.concatenate(parts)
+            nr[start:stop] = np.repeat(c.gross_profit - presence - per_i - cd,
+                                       (stop - start) // per_i.size)
     return nr
 
 
 def build_nc(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
-    """Repair-task cost vector: cr per service phase while at work."""
-    c = config.costs
+    """Repair-task cost vector: cr per service phase of the queue head while
+    at work (the service phase is the fastest index)."""
+    cr = (None, config.costs.corrective, config.costs.preventive)
     nc = np.zeros(layout.total)
-    cr = (None, c.corrective, c.preventive)
-    for (k, s, x) in layout.macro_keys():
-        if x == "v" or s == 0:
-            continue
-        start, stop = layout.span(k, s, x)
-        online = config.m * config.t * config.d * config.eps if s < k else config.t
-        parts = []
-        for head in (1, 2):
-            parts.append(np.tile(np.tile(cr[head], online), 2 ** (s - 1)))
-        nc[start:stop] = np.concatenate(parts)
+    for key, start, stop in layout.queue_spans():
+        if key.x == "nv" and key.s:
+            head = cr[key.queue[0]]
+            nc[start:stop] = np.tile(head, (stop - start) // head.size)
     return nc
 
 
@@ -106,7 +85,7 @@ def profit_transient(gens: MmapGenerators, phi: np.ndarray, t: float,
     ip = transient_integral(gens, phi, t)
     phi_w = float(ip @ build_nr(config, lay))
     phi_rf = float(ip @ build_nc(config, lay))
-    counts = event_counts_transient(gens, phi, t)
+    counts = event_rates_stationary(ip, gens)
     # the initial fleet is bought like one more fleet renewal
     fixed = fixed_cost(replace(counts, new_systems=1.0 + counts.new_systems),
                        config)

@@ -1,8 +1,9 @@
 """Performance measures: availability, occupancy and event rates.
 
-All stationary measures take the stationary row vector pi; the transient
-variants take the initial distribution and reuse the uniformization
-machinery from the solvers module.
+All stationary measures take the stationary row vector pi.  Transient
+availability reads the uniformized rows p(t), whose truncated mass stays in
+the result.  Event flows are linear in the row vector: rates under pi, mean
+counts over [0, t] under int_0^t p.
 """
 
 import io
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembler import MmapGenerators
-from .solvers import transient, transient_integral
+from .solvers import transient
 from .statespace import StateSpaceLayout
 
 # event-rate names -> generator labels they aggregate
@@ -74,17 +75,6 @@ def occupancy(pi: np.ndarray, layout: StateSpaceLayout) -> OccupancyTable:
     return OccupancyTable(psi)
 
 
-def occupancy_transient(gens: MmapGenerators, phi: np.ndarray, t: float) -> OccupancyTable:
-    """Mean time spent in each second-level macro-state during [0, t]."""
-    ip = transient_integral(gens, phi, t)
-    return occupancy(ip, gens.layout)
-
-
-def mean_operational_time(gens: MmapGenerators, phi: np.ndarray, t: float) -> float:
-    ip = transient_integral(gens, phi, t)
-    return float(ip[~down_mask(gens.layout)].sum())
-
-
 @dataclass(frozen=True)
 class EventRates:
     """Stationary rates or transient mean counts of the labelled events."""
@@ -107,14 +97,8 @@ class EventRates:
                       for name, labels in RATE_LABELS.items()})
 
 
-def _rates_from_vector(vec: np.ndarray, gens: MmapGenerators) -> EventRates:
+def event_rates_stationary(vec: np.ndarray, gens: MmapGenerators) -> EventRates:
+    """Labelled event flows under any row vector: the stationary rates
+    under pi, the mean counts over [0, t] under int_0^t p."""
     return EventRates.from_flows({label: float((vec @ gens[label]).sum())
                                   for label in gens.arrival_labels})
-
-
-def event_rates_stationary(pi: np.ndarray, gens: MmapGenerators) -> EventRates:
-    return _rates_from_vector(pi, gens)
-
-
-def event_counts_transient(gens: MmapGenerators, phi: np.ndarray, t: float) -> EventRates:
-    return _rates_from_vector(transient_integral(gens, phi, t), gens)

@@ -1,8 +1,11 @@
 """Transient and stationary solvers for the assembled generator.
 
-Transient quantities use uniformization; the stationary distribution is
-available both through a block back-substitution sweep over the unit-count
-levels and through a direct bordered solve, which serve as cross-checks.
+Transient quantities use one uniformization sweep over the whole time grid.
+Its truncated mass stays in the result: p(t) 1 falls short of 1, and
+int_0^t p 1 short of t, by the truncation defect, which callers can check.
+The stationary distribution is available both through a block
+back-substitution sweep over the unit-count levels and through a direct
+bordered solve, which serve as cross-checks.
 """
 
 import numpy as np
@@ -33,55 +36,45 @@ def initial_distribution(config: ModelConfig, layout: StateSpaceLayout) -> np.nd
     return phi
 
 
-def _uniformized(gen: sp.csr_matrix):
-    lam = 1.01 * np.max(np.abs(gen.diagonal()))
-    P = sp.identity(gen.shape[0], format="csr") + gen / lam
-    return lam, P
+def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
+                    integral: bool) -> np.ndarray:
+    """Rows sum_k w_k(t) phi P^k, one per t, with P = I + D / lam and w_k
+    the Poisson(lam t) pmf (for p(t)) or its survival function over lam (for
+    int_0^t p).  One sweep forms phi P^k up to the largest truncation point;
+    each t sums its own weights up to its own point, and the mass beyond it
+    is left out of the result, not rescaled back in."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise SolverError(f"uniformization needs finite times t >= 0: {times}")
+    D = gens.total
+    lam = 1.01 * np.max(np.abs(D.diagonal()))
+    PT = (sp.identity(D.shape[0], format="csr") + D / lam).T.tocsr()
+    # longest sum first, so the times still summing at step k are a prefix
+    order = np.argsort(-times, kind="stable")
+    lamt = lam * times[order]
+    kmax = poisson.isf(tol / np.maximum(lamt, 1.0), lamt).astype(int) + 1
+    steps = np.arange(kmax[0] + 1)[:, None]
+    weights = (poisson.sf(steps, lamt) / lam if integral
+               else poisson.pmf(steps, lamt))
+    live = (steps <= kmax).sum(axis=1)
+    acc = np.zeros((times.size, phi.size))
+    vec = phi
+    for w, n in zip(weights, live):
+        acc[:n] += w[:n, None] * vec
+        vec = PT @ vec
+    return acc[np.argsort(order)]
 
 
 def transient(gens: MmapGenerators, phi: np.ndarray, times,
               tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
     """Rows p(t) = phi expm(D t) for each t, by uniformization."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    lam, P = _uniformized(gens.total)
-    out = np.empty((times.size, phi.size))
-    for r, t in enumerate(times):
-        if t == 0:
-            out[r] = phi
-            continue
-        kmax = int(poisson.isf(tol, lam * t)) + 1
-        weights = poisson.pmf(np.arange(kmax + 1), lam * t)
-        acc = weights[0] * phi
-        vec = phi
-        for k in range(1, kmax + 1):
-            vec = vec @ P
-            acc = acc + weights[k] * vec
-        out[r] = acc / acc.sum()
-    return out
+    return _uniformization(gens, phi, times, tol, integral=False)
 
 
 def transient_integral(gens: MmapGenerators, phi: np.ndarray, t: float,
                        tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
-    """Row vector int_0^t phi expm(D u) du.
-
-    With the uniformized chain P and rate lam this is
-    (1/lam) sum_k phi P^k Pr(Poisson(lam t) > k).
-    """
-    if t <= 0:
-        return np.zeros_like(phi)
-    lam, P = _uniformized(gens.total)
-    kmax = int(poisson.isf(tol / max(lam * t, 1.0), lam * t)) + 1
-    surv = poisson.sf(np.arange(kmax + 1), lam * t)
-    acc = surv[0] * phi
-    vec = phi
-    for k in range(1, kmax + 1):
-        vec = vec @ P
-        acc = acc + surv[k] * vec
-        if surv[k] < tol and k > lam * t:
-            break
-    res = acc / lam
-    # normalise the tiny truncation defect against the exact total mass t
-    return res * (t / res.sum())
+    """Row vector int_0^t phi expm(D u) du, by uniformization."""
+    return _uniformization(gens, phi, t, tol, integral=True)[0]
 
 
 def bordered_stationary(D: sp.spmatrix) -> np.ndarray:

@@ -16,8 +16,9 @@ the queue head i_1.
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
-from .config import ConfigError, ModelConfig
+from .config import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class MacroStateKey:
 
 @dataclass(frozen=True)
 class SecondLevelBlock:
-    key: tuple      # (k, s, x)
     offset: int
     size: int
     queue_offsets: tuple   # global offset per queue, lexicographic order
@@ -43,13 +43,12 @@ class StateSpaceLayout:
     """Immutable global index layout of the full chain."""
 
     def __init__(self, config: ModelConfig):
-        if not 1 <= config.vacation_threshold <= config.units:
-            raise ConfigError("configuration error: R must satisfy 1 <= R <= n")
         self.config = config
         self.n = config.units
         self.R = config.vacation_threshold
         self._blocks: dict[tuple, SecondLevelBlock] = {}
         self._k_spans: dict[int, tuple] = {}
+        spans = []
         offset = 0
         for k in range(self.n, 0, -1):
             k_start = offset
@@ -57,14 +56,16 @@ class StateSpaceLayout:
                 qoffsets, qsizes = [], []
                 for queue in self.queues(s):
                     size = self.phase_count(k, s, x, queue)
+                    spans.append((MacroStateKey(k, s, x, queue), offset,
+                                  offset + size))
                     qoffsets.append(offset)
                     qsizes.append(size)
                     offset += size
                 start = qoffsets[0]
                 self._blocks[(k, s, x)] = SecondLevelBlock(
-                    (k, s, x), start, offset - start,
-                    tuple(qoffsets), tuple(qsizes))
+                    start, offset - start, tuple(qoffsets), tuple(qsizes))
             self._k_spans[k] = (k_start, offset)
+        self._queue_spans = tuple(spans)
         self.total = offset
 
     # -- structure ---------------------------------------------------------
@@ -83,13 +84,7 @@ class StateSpaceLayout:
         return list(product((1, 2), repeat=s))
 
     def phase_count(self, k: int, s: int, x: str, queue: tuple) -> int:
-        c = self.config
-        online = c.m * c.t * c.d * c.eps if s < k else c.t
-        if x == "v":
-            return online * c.v
-        if s == 0:
-            return online
-        return online * c.z[queue[0]]
+        return prod(self.phase_dims(k, s, x, queue))
 
     # -- lookups -----------------------------------------------------------
 
@@ -129,12 +124,9 @@ class StateSpaceLayout:
         """Third-level macro-state containing a global index."""
         if not 0 <= index < self.total:
             raise KeyError(f"index {index} out of range 0..{self.total - 1}")
-        for (k, s, x), b in self._blocks.items():
-            if b.offset <= index < b.offset + b.size:
-                for queue, qoff, qsize in zip(self.queues(s), b.queue_offsets,
-                                              b.queue_sizes):
-                    if qoff <= index < qoff + qsize:
-                        return MacroStateKey(k, s, x, queue)
+        for key, start, stop in self.queue_spans():
+            if start <= index < stop:
+                return key
         raise KeyError(f"index {index} not covered")  # pragma: no cover
 
     def phase_dims(self, k: int, s: int, x: str, queue: tuple) -> tuple:
@@ -158,6 +150,11 @@ class StateSpaceLayout:
             tup.append(rem % size + 1)
             rem //= size
         return key, tuple(reversed(tup))
+
+    def queue_spans(self) -> tuple:
+        """(MacroStateKey, start, stop) of every repair queue, in layout
+        order."""
+        return self._queue_spans
 
     def macro_keys(self):
         """Second-level keys (k, s, x) in layout order."""

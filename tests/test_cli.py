@@ -29,6 +29,17 @@ def test_model_round_trip():
     assert again.costs.new_unit == config.costs.new_unit
 
 
+def test_empty_phase_costs_load_as_zeros(tmp_path):
+    doc = config_to_dict(example_fleet_config())
+    doc["costs"]["operational"] = []
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    config = load_model(path)
+    np.testing.assert_array_equal(config.costs.operational, np.zeros(config.m))
+    again = config_to_dict(config_from_dict(config_to_dict(config)))
+    assert again == config_to_dict(config)
+
+
 def test_bundled_file_is_the_example_model():
     doc = json.loads(bundled_model_path().read_text())
     assert config_to_dict(example_fleet_config()) == doc

@@ -10,6 +10,7 @@ from standbymmap.config import CostBlock, example_fleet_config
 from standbymmap.economics import (build_nc, build_nr, profit_stationary,
                                    profit_transient)
 from standbymmap.measures import availability_stationary, down_mask
+from standbymmap.simulator import simulate
 from standbymmap.solvers import initial_distribution, stationary_direct
 
 
@@ -51,6 +52,20 @@ def test_gross_profit_only_reduces_to_availability(optimal_gens, optimal_pi):
     a = availability_stationary(optimal_pi, optimal_gens.layout)
     assert prof.total == pytest.approx(70.0 * a)
     assert prof.repair_cost == 0.0 and prof.fixed_cost == 0.0
+
+
+def test_default_phase_costs_are_zero():
+    """A CostBlock left at its empty per-phase vectors charges nothing per
+    phase, in the matrix pipeline and in the simulator alike."""
+    config = replace(example_fleet_config(2, 1),
+                     costs=CostBlock(gross_profit=70.0))
+    gens = assemble_all(config, validate=False)
+    pi = stationary_direct(gens)
+    prof = profit_stationary(pi, gens, config)
+    assert prof.total == pytest.approx(
+        70.0 * availability_stationary(pi, gens.layout))
+    sim = simulate(config, horizon=200.0, replications=1, seed=3)
+    assert sim.profit.mean == pytest.approx(70.0 * sim.availability.mean)
 
 
 def test_downtime_only_reduces_to_unavailability(optimal_gens, optimal_pi):
