@@ -6,14 +6,30 @@ interrupts the vacation), E (return followed by a fresh vacation), F (new
 vacation after the repair that brings the fleet back to R operational
 units), NS (total loss of the last unit, fleet replacement).  Their sum is
 the conservative generator of the chain.
+
+Six builders write them.  Each walks the second-level blocks of the layout
+and emits the labels that one physical event can produce:
+
+- failures_to_facility: A, B (the online unit joins the repair queue)
+- unit_losses: C, CD (the online unit is discarded)
+- vacation_ends: D, E
+- service_completions: O, F (the head's repair ends)
+- fleet_renewal: NS
+- phase_moves: O (phase moves without a change of macro-state)
+
+A builder addresses the source and target blocks as (k, s, x, prefix), the
+queues of E_s^{k,x} that start with the prefix, and gives the matrix of one
+source queue; `_Assembly.place` repeats it over all of them.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig
+from .ph import kron_sum
 from .statespace import StateSpaceLayout, enumerate_states
 from .unit import UnitBlocks, build_unit_blocks
 
@@ -43,22 +59,17 @@ class MmapGenerators:
 
 
 def _skron(*mats) -> sp.csr_matrix:
-    out = None
-    for m in mats:
-        m = sp.csr_matrix(m)
-        out = m if out is None else sp.kron(out, m, format="csr")
-    return out
-
-
-def _ksum(a, b) -> sp.csr_matrix:
-    a = sp.csr_matrix(a)
-    b = sp.csr_matrix(b)
-    return (sp.kron(a, sp.identity(b.shape[0], format="csr"), format="csr")
-            + sp.kron(sp.identity(a.shape[0], format="csr"), b, format="csr"))
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                  map(sp.csr_matrix, mats))
 
 
 class _Assembly:
-    """Shared context for the per-event builders."""
+    """Shared context for the per-event builders.
+
+    The last phase factor of a state is its clock: the vacation phase in v
+    states, the head's service phase in nv states with s >= 1, and nothing
+    (a 1 x 1 factor) in the empty facility.  The per-head tables are keyed
+    by the head's mark, None for an empty queue."""
 
     def __init__(self, config: ModelConfig, layout: StateSpaceLayout,
                  blocks: UnitBlocks):
@@ -74,19 +85,41 @@ class _Assembly:
         self.V0 = c.vacation.exit_vector[:, None]
         self.upsilon = c.vacation.init[None, :]
         self.ones_v = np.ones((c.v, 1))
-        self.beta = (None, c.corrective.init[None, :], c.preventive.init[None, :])
-        self.S = (None, c.corrective.subgen, c.preventive.subgen)
-        self.S0 = (None, c.corrective.exit_vector[:, None],
-                   c.preventive.exit_vector[:, None])
+        self.beta = {None: np.ones((1, 1)), 1: c.corrective.init[None, :],
+                     2: c.preventive.init[None, :]}
+        self.S = {None: np.zeros((1, 1)), 1: c.corrective.subgen,
+                  2: c.preventive.subgen}
+        self.S0 = {1: c.corrective.exit_vector[:, None],
+                   2: c.preventive.exit_vector[:, None]}
         self.entries: dict[str, list] = {l: [] for l in EVENT_LABELS}
 
-    def nv_min(self, k: int) -> int:
-        return k - self.lay.R + 1 if k >= self.lay.R else 0
+    @staticmethod
+    def heads(s: int):
+        """(head mark, queue prefix) pairs that split E_s by the head."""
+        return [(None, ())] if s == 0 else [(1, (1,)), (2, (2,))]
 
-    def place(self, label: str, row0: int, col0: int, mat):
-        mat = sp.coo_matrix(mat)
-        if mat.nnz:
-            self.entries[label].append((row0, col0, mat))
+    def clock(self, x: str, head) -> np.ndarray:
+        """Generator of the clock of a v or nv state with this head."""
+        return self.c.vacation.subgen if x == "v" else self.S[head]
+
+    def keep(self, x: str, head) -> np.ndarray:
+        """Identity on the clock: the event leaves it running."""
+        return np.eye(self.clock(x, head).shape[0])
+
+    def place(self, label: str, src: tuple, dst: tuple, inner):
+        """Add `inner` once per queue of src = (k, s, x, prefix): the i-th
+        of its 2**(s - len(prefix)) queues maps into the i-th equal share
+        of the queues of dst."""
+        inner = sp.coo_matrix(inner)
+        if not inner.nnz:
+            return
+        (r0, r1), (c0, c1) = self.lay.span(*src), self.lay.span(*dst)
+        reps = 2 ** (src[1] - len(src[3]))
+        if (reps * inner.shape[0], reps * inner.shape[1]) != (r1 - r0, c1 - c0):
+            raise AssemblyError(f"{label} block {inner.shape} does not tile "
+                                f"{src} -> {dst}")
+        self.entries[label].append(
+            (r0, c0, sp.kron(sp.identity(reps), inner, format="coo")))
 
     def matrix(self, label: str) -> sp.csr_matrix:
         rows, cols, data = [], [], []
@@ -100,169 +133,98 @@ class _Assembly:
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.lay.total, self.lay.total))
 
-    # -- event builders ------------------------------------------------
+    # -- event builders: each walks the second-level blocks ---------------
 
-    def event_failure_to_facility(self, label: str):
-        """A and B: the online unit joins the repair queue (s -> s + 1)."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        qtype = 1 if label == "A" else 2
-        sel = np.zeros((1, 2))
-        sel[0, qtype - 1] = 1.0
-        hx = {"A": (self.b.HA, self.b.HA_p), "B": (self.b.HB, self.b.HB_p)}[label]
-        for k in range(1, n + 1):
-            if k >= R:
-                for s in range(k):
-                    H = hx[0] if s + 1 < k else hx[1]
-                    self.place(label, lay.span(k, s, "v")[0],
-                               lay.span(k, s + 1, "v")[0],
-                               _skron(sp.identity(2 ** s), sel, H,
-                                      np.eye(self.c.v)))
-            for s in range(self.nv_min(k), k):
-                H = hx[0] if s + 1 < k else hx[1]
+    def failures_to_facility(self):
+        """A and B: a repairable failure (A) or a major inspection finding
+        (B) sends the online unit to the back of the queue (s -> s + 1).
+        Into an empty facility at work it starts service at once."""
+        b = self.b
+        for k, s, x in self.lay.macro_keys():
+            if s == k:
+                continue
+            spare = s + 1 < k
+            for label, mark, H in (("A", 1, b.HA if spare else b.HA_p),
+                                   ("B", 2, b.HB if spare else b.HB_p)):
                 if s == 0:
-                    b1 = lay.block(k, 1, "nv")
-                    col0 = b1.queue_offsets[qtype - 1]
-                    self.place(label, lay.span(k, 0, "nv")[0], col0,
-                               _skron(H, self.beta[qtype]))
+                    start = self.beta[mark] if x == "nv" else self.keep(x, None)
+                    self.place(label, (k, 0, x, ()), (k, 1, x, (mark,)),
+                               _skron(H, start))
+                    continue
+                sel = np.eye(1, 2, mark - 1)
+                for head, prefix in self.heads(s):
+                    self.place(label, (k, s, x, prefix), (k, s + 1, x, prefix),
+                               _skron(sel, H, self.keep(x, head)))
+
+    def unit_losses(self):
+        """C and CD: a non-repairable failure with k > 1 discards the online
+        unit (k -> k - 1).  At k = R it interrupts the vacation (CD) and the
+        queue head, if any, starts service."""
+        R = self.lay.R
+        for k, s, x in self.lay.macro_keys():
+            if s == k or k == 1:
+                continue
+            H = self.b.HC if s + 1 < k else self.b.HC_p
+            to = "nv" if k == R else x
+            for head, prefix in self.heads(s):
+                if to == x:
+                    label, clock = "C", (self.keep(x, head),)
                 else:
-                    for head in (1, 2):
-                        self.place(label, lay.head_span(k, s, "nv", head)[0],
-                                   lay.head_span(k, s + 1, "nv", head)[0],
-                                   _skron(sp.identity(2 ** (s - 1)), sel, H,
-                                          np.eye(self.c.z[head])))
+                    label, clock = "CD", (self.ones_v, self.beta[head])
+                self.place(label, (k, s, x, prefix), (k - 1, s, to, prefix),
+                           _skron(H, *clock))
 
-    def event_unit_loss(self):
-        """C: non-repairable failure with k > 1 (vacation not interrupted)."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        for k in range(2, n + 1):
-            if k > R:
-                for s in range(k):
-                    H = self.b.HC if s < k - 1 else self.b.HC_p
-                    self.place("C", lay.span(k, s, "v")[0],
-                               lay.span(k - 1, s, "v")[0],
-                               _skron(sp.identity(2 ** s), H, np.eye(self.c.v)))
-            for s in range(self.nv_min(k), k):
-                H = self.b.HC if s < k - 1 else self.b.HC_p
-                if s == 0:
-                    self.place("C", lay.span(k, 0, "nv")[0],
-                               lay.span(k - 1, 0, "nv")[0], H)
-                else:
-                    for head in (1, 2):
-                        self.place("C", lay.head_span(k, s, "nv", head)[0],
-                                   lay.head_span(k - 1, s, "nv", head)[0],
-                                   _skron(sp.identity(2 ** (s - 1)), H,
-                                          np.eye(self.c.z[head])))
+    def vacation_ends(self):
+        """D and E: the vacation ends.  With at least N = k - R + 1 units
+        waiting the head starts service (D), with fewer a new vacation
+        starts at once (E)."""
+        for k, s, x in self.lay.macro_keys():
+            if x != "v":
+                continue
+            online = np.eye(self.P if s < k else self.c.t)
+            if s < k - self.lay.R + 1:
+                self.place("E", (k, s, x, ()), (k, s, x, ()),
+                           _skron(online, self.V0 @ self.upsilon))
+                continue
+            for head, prefix in self.heads(s):
+                self.place("D", (k, s, x, prefix), (k, s, "nv", prefix),
+                           _skron(online, self.V0, self.beta[head]))
 
-    def event_loss_interrupts_vacation(self):
-        """CD: failure at k = R forces the repairperson back to work."""
-        lay, R = self.lay, self.lay.R
-        if R < 2:
-            return
-        k = R
-        for s in range(k):
-            H = self.b.HC if s < k - 1 else self.b.HC_p
-            if s == 0:
-                self.place("CD", lay.span(k, 0, "v")[0],
-                           lay.span(k - 1, 0, "nv")[0],
-                           _skron(H, self.ones_v))
-            else:
-                for head in (1, 2):
-                    self.place("CD", lay.head_span(k, s, "v", head)[0],
-                               lay.head_span(k - 1, s, "nv", head)[0],
-                               _skron(sp.identity(2 ** (s - 1)), H,
-                                      self.ones_v, self.beta[head]))
+    def service_completions(self):
+        """O and F: the head's repair ends (s -> s - 1), the unit goes
+        online (fresh if none was) and the next queued unit, if any, starts
+        service.  The completion that restores R operational units starts
+        a new vacation instead (F)."""
+        for k, s, x in self.lay.macro_keys():
+            if x != "nv" or s == 0:
+                continue
+            G = np.eye(self.P) if s < k else self.theta
+            for head, prefix in self.heads(s):
+                if s == k - self.lay.R + 1:
+                    self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),
+                               _skron(G, self.upsilon, self.S0[head]))
+                    continue
+                for new, rest in self.heads(s - 1):
+                    self.place("O", (k, s, x, prefix + rest), (k, s - 1, x, rest),
+                               _skron(G, self.S0[head], self.beta[new]))
 
-    def event_return_to_work(self):
-        """D: vacation ends with >= N units waiting, service starts."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        for k in range(R, n + 1):
-            nmin = self.nv_min(k)
-            for s in range(nmin, k + 1):
-                online = self.P if s < k else self.c.t
-                for head in (1, 2):
-                    self.place("D", lay.head_span(k, s, "v", head)[0],
-                               lay.head_span(k, s, "nv", head)[0],
-                               _skron(sp.identity(2 ** (s - 1)), np.eye(online),
-                                      self.V0, self.beta[head]))
+    def fleet_renewal(self):
+        """NS: non-repairable failure of the last unit, whole fleet renewed
+        on a fresh vacation."""
+        x = "v" if self.lay.R == 1 else "nv"    # the one block E_0^{1,x}
+        end = self.ones_v @ self.upsilon if x == "v" else self.upsilon
+        self.place("NS", (1, 0, x, ()), (self.lay.n, 0, "v", ()),
+                   _skron(self.b.HC, end))
 
-    def event_return_and_leave(self):
-        """E: vacation ends with < N units waiting, a new vacation starts."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        renew = self.V0 @ self.upsilon
-        for k in range(R, n + 1):
-            for s in range(self.nv_min(k)):
-                off = lay.span(k, s, "v")[0]
-                self.place("E", off, off,
-                           _skron(sp.identity(2 ** s), np.eye(self.P), renew))
-
-    def event_vacation_after_repair(self):
-        """F: the completion that restores R operational units; new vacation."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        for k in range(R, n + 1):
-            N = self.nv_min(k)
-            G = self.theta if k == N else np.eye(self.P)
-            col0 = lay.span(k, N - 1, "v")[0]
-            for head in (1, 2):
-                self.place("F", lay.head_span(k, N, "nv", head)[0], col0,
-                           _skron(sp.identity(2 ** (N - 1)), G, self.upsilon,
-                                  self.S0[head]))
-
-    def event_new_system(self):
-        """NS: non-repairable failure of the last unit, whole fleet renewed."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        col0 = lay.span(n, 0, "v")[0]
-        if R > 1:
-            self.place("NS", lay.span(1, 0, "nv")[0], col0,
-                       _skron(self.b.HC, self.upsilon))
-        else:
-            self.place("NS", lay.span(1, 0, "v")[0], col0,
-                       _skron(self.b.HC, self.ones_v @ self.upsilon))
-
-    def event_no_arrival(self):
-        """O: phase moves, harmless shocks/inspections, and the service
-        completions that neither reach the vacation threshold nor empty
-        the facility below it."""
-        lay, R, n = self.lay, self.lay.R, self.lay.n
-        c = self.c
-        for k in range(1, n + 1):
-            nmin = self.nv_min(k)
-            if k >= R:
-                for s in range(k + 1):
-                    core = self.b.H0 if s < k else self.shock_renewal
-                    off = lay.span(k, s, "v")[0]
-                    self.place("O", off, off,
-                               _skron(sp.identity(2 ** s),
-                                      _ksum(core, c.vacation.subgen)))
-            if nmin == 0:
-                off = lay.span(k, 0, "nv")[0]
-                self.place("O", off, off, self.b.H0)
-            for s in range(max(nmin, 1), k + 1):
-                core = self.b.H0 if s < k else self.shock_renewal
-                for head in (1, 2):
-                    off = lay.head_span(k, s, "nv", head)[0]
-                    self.place("O", off, off,
-                               _skron(sp.identity(2 ** (s - 1)),
-                                      _ksum(core, self.S[head])))
-            # service completions staying above the vacation threshold
-            s_lo = 1 if k < R else nmin + 1
-            for s in range(s_lo, k + 1):
-                online_rows = self.P if s < k else c.t
-                G = np.eye(self.P) if s < k else self.theta
-                if s == 1:
-                    for head in (1, 2):
-                        self.place("O", lay.head_span(k, 1, "nv", head)[0],
-                                   lay.span(k, 0, "nv")[0],
-                                   _skron(G, self.S0[head]))
-                else:
-                    for old in (1, 2):
-                        row_base = lay.head_span(k, s, "nv", old)[0]
-                        quarter = 2 ** (s - 2) * online_rows * c.z[old]
-                        for new in (1, 2):
-                            self.place(
-                                "O", row_base + (new - 1) * quarter,
-                                lay.head_span(k, s - 1, "nv", new)[0],
-                                _skron(sp.identity(2 ** (s - 2)), G,
-                                       self.S0[old], self.beta[new]))
+    def phase_moves(self):
+        """O: phase moves of the online unit and the clock, harmless shocks
+        and negative inspections; with every unit down only the shock clock
+        runs."""
+        for k, s, x in self.lay.macro_keys():
+            core = self.b.H0 if s < k else self.shock_renewal
+            for head, prefix in self.heads(s):
+                self.place("O", (k, s, x, prefix), (k, s, x, prefix),
+                           kron_sum(core, self.clock(x, head)))
 
 
 def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,
@@ -272,15 +234,12 @@ def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,
     layout = layout or enumerate_states(config)
     blocks = blocks or build_unit_blocks(config)
     asm = _Assembly(config, layout, blocks)
-    asm.event_no_arrival()
-    asm.event_failure_to_facility("A")
-    asm.event_failure_to_facility("B")
-    asm.event_unit_loss()
-    asm.event_loss_interrupts_vacation()
-    asm.event_return_to_work()
-    asm.event_return_and_leave()
-    asm.event_vacation_after_repair()
-    asm.event_new_system()
+    asm.phase_moves()
+    asm.failures_to_facility()
+    asm.unit_losses()
+    asm.vacation_ends()
+    asm.service_completions()
+    asm.fleet_renewal()
     matrices = {label: asm.matrix(label) for label in EVENT_LABELS}
     total = sum(matrices.values(), sp.csr_matrix((layout.total, layout.total)))
     gens = MmapGenerators(layout=layout, matrices=matrices,

@@ -199,7 +199,7 @@ def cmd_profit(args) -> int:
         phi = initial_distribution(config, gens.layout)
         record["accumulated"] = {
             _fmt(t): profit_transient(gens, phi, t, config).total
-            for t in grid if t > 0}
+            for t in grid}
     out = _outdir(args)
     rows = ["component,value"]
     rows += [f"{k},{_fmt(v)}" for k, v in record.items() if k != "accumulated"]

@@ -8,6 +8,12 @@ s = 0..k exist.  Within a second-level macro-state the repair queues
 preventive (2); within a queue the phase tuple is lexicographic with the
 rightmost index fastest.
 
+Prefix addressing: because the queues are lexicographic, the queues of
+E_s^{k,x} that start with a given prefix (i_1, ..., i_p) are contiguous, and
+`span(k, s, x, prefix)` returns their global range.  The empty prefix is the
+whole second-level block, a full queue is one third-level macro-state, and
+the prefix (i_1,) groups the queues by the type of their head.
+
 Phase tuples: (i, j, h, u[, w | r]) while an online unit exists (s < k) and
 (j[, w | r]) when all units are down (the inspection clock is suspended).
 The service phase r is carried only in nv states with s >= 1 and belongs to
@@ -15,7 +21,7 @@ the queue head i_1.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 from .config import ModelConfig
@@ -31,14 +37,6 @@ class MacroStateKey:
     queue: tuple    # (i_1, ..., i_s), entries in {1, 2}, i_1 in service
 
 
-@dataclass(frozen=True)
-class SecondLevelBlock:
-    offset: int
-    size: int
-    queue_offsets: tuple   # global offset per queue, lexicographic order
-    queue_sizes: tuple
-
-
 class StateSpaceLayout:
     """Immutable global index layout of the full chain."""
 
@@ -46,24 +44,22 @@ class StateSpaceLayout:
         self.config = config
         self.n = config.units
         self.R = config.vacation_threshold
-        self._blocks: dict[tuple, SecondLevelBlock] = {}
+        # (k, s, x) -> global boundaries of its 2**s queues, 2**s + 1 entries
+        self._bounds: dict[tuple, tuple] = {}
         self._k_spans: dict[int, tuple] = {}
         spans = []
         offset = 0
         for k in range(self.n, 0, -1):
             k_start = offset
             for s, x in self.second_level_keys(k):
-                qoffsets, qsizes = [], []
-                for queue in self.queues(s):
-                    size = self.phase_count(k, s, x, queue)
-                    spans.append((MacroStateKey(k, s, x, queue), offset,
-                                  offset + size))
-                    qoffsets.append(offset)
-                    qsizes.append(size)
-                    offset += size
-                start = qoffsets[0]
-                self._blocks[(k, s, x)] = SecondLevelBlock(
-                    start, offset - start, tuple(qoffsets), tuple(qsizes))
+                queues = self.queues(s)
+                bounds = tuple(accumulate(
+                    (self.phase_count(k, s, x, q) for q in queues),
+                    initial=offset))
+                spans += [(MacroStateKey(k, s, x, q), lo, hi)
+                          for q, lo, hi in zip(queues, bounds, bounds[1:])]
+                self._bounds[(k, s, x)] = bounds
+                offset = bounds[-1]
             self._k_spans[k] = (k_start, offset)
         self._queue_spans = tuple(spans)
         self.total = offset
@@ -88,37 +84,29 @@ class StateSpaceLayout:
 
     # -- lookups -----------------------------------------------------------
 
-    def block(self, k: int, s: int, x: str) -> SecondLevelBlock:
+    def span(self, k: int, s: int, x: str, prefix: tuple = ()) -> tuple:
+        """Contiguous global range of the queues of E_s^{k,x} that start
+        with `prefix`; the empty prefix gives the whole block."""
         try:
-            return self._blocks[(k, s, x)]
+            bounds = self._bounds[(k, s, x)]
         except KeyError:
             raise KeyError(f"no macro-state E_{s}^{{{k},{x}}} in this layout") from None
-
-    def span(self, k: int, s: int, x: str) -> tuple:
-        b = self.block(k, s, x)
-        return b.offset, b.offset + b.size
+        if len(prefix) > s or any(i not in (1, 2) for i in prefix):
+            raise KeyError(f"invalid queue prefix {prefix} for s={s}")
+        first = 0
+        for i in prefix:
+            first = 2 * first + (i - 1)
+        width = 2 ** (s - len(prefix))
+        return bounds[first * width], bounds[(first + 1) * width]
 
     def k_span(self, k: int) -> tuple:
         return self._k_spans[k]
 
-    def head_span(self, k: int, s: int, x: str, head: int) -> tuple:
-        """Global range of the queues whose head has type `head` (s >= 1)."""
-        b = self.block(k, s, x)
-        half = len(b.queue_offsets) // 2
-        if head == 1:
-            return b.queue_offsets[0], b.queue_offsets[0] + sum(b.queue_sizes[:half])
-        return (b.queue_offsets[half],
-                b.queue_offsets[half] + sum(b.queue_sizes[half:]))
-
     def index_of(self, key: MacroStateKey) -> tuple:
         """Contiguous global index range of a third-level macro-state."""
-        b = self.block(key.k, key.s, key.x)
-        if len(key.queue) != key.s or any(i not in (1, 2) for i in key.queue):
+        if len(key.queue) != key.s:
             raise KeyError(f"invalid queue {key.queue} for s={key.s}")
-        qidx = 0
-        for i in key.queue:
-            qidx = 2 * qidx + (i - 1)
-        return b.queue_offsets[qidx], b.queue_offsets[qidx] + b.queue_sizes[qidx]
+        return self.span(key.k, key.s, key.x, key.queue)
 
     def key_of(self, index: int) -> MacroStateKey:
         """Third-level macro-state containing a global index."""
@@ -158,7 +146,7 @@ class StateSpaceLayout:
 
     def macro_keys(self):
         """Second-level keys (k, s, x) in layout order."""
-        return list(self._blocks.keys())
+        return list(self._bounds)
 
 
 def enumerate_states(config: ModelConfig) -> StateSpaceLayout:

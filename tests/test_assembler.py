@@ -94,3 +94,30 @@ def test_arrivals_keep_the_level(optimal_gens):
         kr = np.array([lay.key_of(int(r)).k for r in coo.row[:200]])
         kc = np.array([lay.key_of(int(c)).k for c in coo.col[:200]])
         assert np.array_equal(kr, kc)
+
+
+# (n, R, PM) -> label -> (nnz, entry sum) of the bundled model
+PINNED = {
+    (4, 3, True): {
+        "O": (22292, -2265.7178448), "A": (4240, 561.376), "B": (2544, 190.8),
+        "C": (4368, 582.4), "D": (624, 517.7389776), "CD": (672, 89.6),
+        "E": (128, 106.2028672), "F": (576, 211.2), "NS": (48, 6.4)},
+    (4, 3, False): {
+        "O": (22292, -2074.9178448), "A": (4240, 561.376), "B": (0, 0.0),
+        "C": (4368, 582.4), "D": (624, 517.7389776), "CD": (672, 89.6),
+        "E": (128, 106.2028672), "F": (576, 211.2), "NS": (48, 6.4)},
+    (6, 3, False): {
+        "O": (105748, -10299.9735248), "A": (20400, 2700.96), "B": (0, 0.0),
+        "C": (23760, 3168.0), "D": (3120, 2588.694888), "CD": (672, 89.6),
+        "E": (832, 690.3186368), "F": (2880, 1056.0), "NS": (48, 6.4)},
+}
+
+
+@pytest.mark.parametrize("policy", list(PINNED))
+def test_label_structure_is_pinned(policy):
+    """Every row, reached or not: with PM off the simulator oracle sees
+    only the states without a preventive mark."""
+    gens = assemble_all(example_fleet_config(*policy), validate=False)
+    for label, (nnz, total) in PINNED[policy].items():
+        assert gens[label].nnz == nnz, label
+        assert gens[label].sum() == pytest.approx(total, rel=1e-12, abs=0.0), label

@@ -111,6 +111,21 @@ def test_transient_at_zero_equals_the_start(tmp_path):
     np.testing.assert_allclose(at_zero, phi, atol=1e-6)
 
 
+def test_profit_at_zero_is_the_initial_fleet_purchase(tmp_path):
+    assert run(["profit", "--t-grid", "0,100"], tmp_path) == 0
+    accumulated = json.loads((tmp_path / "profit.json").read_text())["accumulated"]
+    assert list(accumulated) == ["0", "100"]
+    # four units at 150 each, bought at t = 0 like one fleet renewal
+    assert accumulated["0"] == pytest.approx(-600.0, abs=1e-9)
+
+
+def test_profit_rejects_a_negative_time(tmp_path, capsys):
+    assert run(["profit", "--t-grid", "0,-5,100"], tmp_path) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SolverError"
+    assert not (tmp_path / "profit.json").exists()
+
+
 def test_policy_flags_override_the_model(capsys):
     assert main(["build", "--n", "2", "--R", "1", "--pm", "off"]) == 0
     out = capsys.readouterr().out

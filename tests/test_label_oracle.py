@@ -13,11 +13,12 @@ from collections import deque
 from itertools import product
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from standbymmap.assembler import EVENT_LABELS, assemble_all
-from standbymmap.config import CostBlock, ModelConfig
+from standbymmap.config import CostBlock, ModelConfig, example_fleet_config
 from standbymmap.ph import PhDistribution, renewal_stationary
 from standbymmap.simulator import FleetSimulator, SimState
 from standbymmap.statespace import enumerate_states
@@ -162,3 +163,20 @@ def test_every_label_matches_the_simulator_rows(config):
                 if config.pm_enabled
                 or 2 not in sim_state_of(layout, idx).queue}
     assert reached == expected
+
+
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("R", [1, 3, 4])
+def test_bundled_model_matches_the_simulator_rows_at_four_units(R, pm):
+    """The hypothesis models stop at n = 3; this checks queues of length 4."""
+    config = example_fleet_config(units=4, vacation_threshold=R, pm_enabled=pm)
+    layout = enumerate_states(config)
+    gens = assemble_all(config, layout, validate=False)
+    mats, reached = simulator_generators(config, layout)
+    rows = sorted(reached)
+    for label in EVENT_LABELS:
+        gap = abs(gens[label][rows] - mats[label][rows]).max()
+        assert gap <= ATOL, f"label {label}: max entry gap {gap:.3e}"
+    assert reached == {idx for key, start, stop in layout.queue_spans()
+                       if pm or 2 not in key.queue
+                       for idx in range(start, stop)}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from standbymmap.config import example_fleet_config
-from standbymmap.statespace import StateSpaceLayout, enumerate_states
+from standbymmap.statespace import (MacroStateKey, StateSpaceLayout,
+                                    enumerate_states)
 
 
 def hand_count(config):
@@ -99,3 +100,32 @@ def test_all_down_states_track_only_the_shock_clock():
             dims = layout.phase_dims(k, s, x, queue)
             head = config.v if x == "v" else config.z[queue[0]]
             assert dims == (config.t, head)
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (3, 2, False)])
+def test_prefix_spans_partition_each_block(n, R, pm):
+    layout = enumerate_states(example_fleet_config(n, R, pm))
+    queue_span = {key: (start, stop)
+                  for key, start, stop in layout.queue_spans()}
+    for (k, s, x) in layout.macro_keys():
+        whole = layout.span(k, s, x)
+        assert whole == layout.span(k, s, x, ())
+        for length in range(s + 1):
+            # the prefixes of one length tile the block in lexicographic order
+            pos = whole[0]
+            for prefix in layout.queues(length):
+                start, stop = layout.span(k, s, x, prefix)
+                assert start == pos and stop > start
+                pos = stop
+            assert pos == whole[1]
+        for queue in layout.queues(s):
+            key = MacroStateKey(k, s, x, queue)
+            assert layout.span(k, s, x, queue) == queue_span[key]
+            assert layout.index_of(key) == queue_span[key]
+        with pytest.raises(KeyError):
+            layout.span(k, s, x, (1,) * (s + 1))
+        if s:
+            with pytest.raises(KeyError):
+                layout.span(k, s, x, (3,))
+            with pytest.raises(KeyError):
+                layout.span(k, s, x, (0,))
