@@ -34,6 +34,8 @@ from .statespace import StateSpaceLayout, enumerate_states
 from .unit import UnitBlocks, build_unit_blocks
 
 EVENT_LABELS = ("O", "A", "B", "C", "D", "CD", "E", "F", "NS")
+# the labels that mark an event: every one but O
+ARRIVAL_LABELS = EVENT_LABELS[1:]
 
 CONSERVATION_TOL = 1e-10
 
@@ -52,10 +54,6 @@ class MmapGenerators:
 
     def __getitem__(self, label: str) -> sp.csr_matrix:
         return self.matrices[label]
-
-    @property
-    def arrival_labels(self):
-        return tuple(l for l in EVENT_LABELS if l != "O")
 
 
 def _skron(*mats) -> sp.csr_matrix:

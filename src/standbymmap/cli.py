@@ -24,9 +24,10 @@ import numpy as np
 
 from .assembler import AssemblyError, EVENT_LABELS, assemble_all
 # the model-file names stay importable from here
-from .config import (ConfigError, ModelConfig, ModelFileError,
-                     bundled_model_path, config_from_dict, config_to_dict,
-                     load_model, vacation_from_params)
+from .config import (VACATION_ALIASES, VACATION_FAMILIES, ConfigError,
+                     ModelConfig, ModelFileError, bundled_model_path,
+                     config_from_dict, config_to_dict, load_model,
+                     vacation_family, vacation_from_params)
 from .economics import profit_stationary, profit_transient
 from .measures import (availability_stationary, down_mask,
                        event_rates_stationary, occupancy)
@@ -35,9 +36,6 @@ from .simulator import simulate, validate
 from .solvers import SolverError, initial_distribution, stationary_direct, transient
 
 ENV_PREFIX = "STANDBYMMAP_"
-
-_FAMILY_ALIASES = {"exp": "exponential", "exponential": "exponential",
-                   "erlang": "erlang2", "erlang2": "erlang2"}
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +83,12 @@ def build_config(args) -> ModelConfig:
     R = _resolve(args, "R", int)
     pm = _resolve(args, "pm", _parse_switch)
     family = _resolve(args, "vacation", str)
-    if family is not None:
-        if family not in _FAMILY_ALIASES:
-            raise ModelFileError(f"unknown vacation family {family!r}")
-        family = _FAMILY_ALIASES[family]
-        # switching family resets the rates to the family default (1, ...)
-        dim = 1 if family == "exponential" else 2
-        config = config.with_policy(
-            vacation=vacation_from_params(family, [1.0] * dim))
     try:
+        if family is not None:
+            # switching family resets the rates to the family default (1, ...)
+            family = vacation_family(family)
+            config = config.with_policy(vacation=vacation_from_params(
+                family, [1.0] * VACATION_FAMILIES[family]))
         return config.with_policy(units=n, vacation_threshold=R, pm_enabled=pm)
     except ConfigError as exc:
         raise ModelFileError(str(exc)) from None
@@ -221,8 +216,7 @@ def cmd_optimize(args) -> int:
               f"pm={'on' if best.pm_enabled else 'off'} {best.family} "
               f"profit={best.profit:.4f}")
         return 0
-    family = _FAMILY_ALIASES[_resolve(args, "vacation", str, "erlang2")]
-    result = optimize(config, family)
+    result = optimize(config, _resolve(args, "vacation", str, "erlang2"))
     _write(out / "optimize.json", json.dumps(result.as_record(), indent=2))
     xs = ", ".join(f"{v:.6f}" for v in result.x)
     print(f"optimal rates: ({xs})  profit={result.profit:.4f}  "
@@ -327,7 +321,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", type=int, help="override the vacation threshold")
         p.add_argument("--pm", type=_parse_switch, metavar="on|off",
                        help="override preventive maintenance")
-        p.add_argument("--vacation", choices=sorted(_FAMILY_ALIASES),
+        p.add_argument("--vacation",
+                       choices=sorted([*VACATION_FAMILIES, *VACATION_ALIASES]),
                        help="switch the vacation family (resets its rates)")
         p.add_argument("--t-grid", type=_parse_tgrid, dest="t_grid",
                        metavar="T1,T2,...", help="time grid")

@@ -194,27 +194,33 @@ class ModelConfig:
         return replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
-def exponential_vacation(a: float) -> PhDistribution:
-    return PhDistribution(np.array([1.0]), np.array([[-a]]))
+# vacation family -> its number of rates, one per exponential stage in
+# series; the aliases name the same families
+VACATION_FAMILIES = {"exponential": 1, "erlang2": 2}
+VACATION_ALIASES = {"exp": "exponential", "erlang": "erlang2"}
 
 
-def erlang2_vacation(a: float, b: float) -> PhDistribution:
-    return PhDistribution(np.array([1.0, 0.0]), np.array([[-a, a], [0.0, -b]]))
+def vacation_family(name: str) -> str:
+    """Canonical name of a vacation family given by its name or an alias."""
+    family = VACATION_ALIASES.get(name, name)
+    if family not in VACATION_FAMILIES:
+        raise ConfigError("configuration error: unknown vacation family "
+                          f"{name!r}")
+    return family
 
 
 def vacation_from_params(family: str, params) -> PhDistribution:
+    """Vacation of the family: its stages in series with these rates,
+    entered at the first."""
+    family = vacation_family(family)
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if np.any(params <= 0):
         raise ConfigError("configuration error: vacation rates must be positive")
-    if family in ("exp", "exponential"):
-        if params.size != 1:
-            raise ConfigError("configuration error: exponential vacation takes one rate")
-        return exponential_vacation(params[0])
-    if family in ("erlang2", "erlang"):
-        if params.size != 2:
-            raise ConfigError("configuration error: erlang2 vacation takes two rates")
-        return erlang2_vacation(params[0], params[1])
-    raise ConfigError(f"configuration error: unknown vacation family {family!r}")
+    if params.size != VACATION_FAMILIES[family]:
+        raise ConfigError(f"configuration error: {family} vacation takes "
+                          f"{VACATION_FAMILIES[family]} rate(s)")
+    return PhDistribution(np.eye(params.size)[0],
+                          np.diag(-params) + np.diag(params[:-1], 1))
 
 
 # ---------------------------------------------------------------------------

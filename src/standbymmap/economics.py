@@ -3,17 +3,18 @@
 The reward vector nr charges the online unit's gross profit, the downtime
 loss, per-phase operating and damage costs and the repairperson's
 vacation/presence rates.  The cost vector nc charges the per-phase repair
-cost of the task in service.  Fixed per-event costs enter through the event
-rates.
+cost of the task in service.  Fixed costs are per event: an occupation
+vector vec (pi, or int_0^t p) pays (vec @ F) @ c, with the flow table F of
+the measures module and the per-label cost table c = event_costs(config).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import MmapGenerators
+from .assembler import ARRIVAL_LABELS, MmapGenerators
 from .config import ModelConfig
-from .measures import EventRates, event_rates_stationary
+from .measures import label_flows
 from .solvers import transient_integral
 from .statespace import StateSpaceLayout
 
@@ -58,35 +59,37 @@ class ProfitBreakdown:
     total: float
 
 
-def fixed_cost(rates: EventRates, config: ModelConfig) -> float:
-    """Event-driven fixed costs of the given event rates (or mean counts)."""
+def event_costs(config: ModelConfig) -> np.ndarray:
+    """The cost table c: the fixed cost of one event of each label, over
+    ARRIVAL_LABELS (C and F cost nothing)."""
     c = config.costs
-    return (rates.new_systems * config.units * c.new_unit
-            + rates.repairable * c.repairable_fixed
-            + rates.major_inspection * c.inspection_fixed
-            + (rates.returns + rates.returns_empty) * c.return_fixed)
+    cost = {"A": c.repairable_fixed, "B": c.inspection_fixed,
+            "D": c.return_fixed, "CD": c.return_fixed, "E": c.return_fixed,
+            "NS": config.units * c.new_unit}
+    return np.array([cost.get(label, 0.0) for label in ARRIVAL_LABELS])
+
+
+def _profit(vec: np.ndarray, flows: np.ndarray, gens: MmapGenerators,
+            config: ModelConfig) -> ProfitBreakdown:
+    """Profit of the occupation vector vec whose label flows are `flows`."""
+    phi_w = float(vec @ build_nr(config, gens.layout))
+    phi_rf = float(vec @ build_nc(config, gens.layout))
+    fixed = float(flows @ event_costs(config))
+    return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)
 
 
 def profit_stationary(pi: np.ndarray, gens: MmapGenerators,
                       config: ModelConfig) -> ProfitBreakdown:
     """Mean net total profit per unit of time in stationary regime."""
-    lay = gens.layout
-    phi_w = float(pi @ build_nr(config, lay))
-    phi_rf = float(pi @ build_nc(config, lay))
-    fixed = fixed_cost(event_rates_stationary(pi, gens), config)
-    return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)
+    return _profit(pi, pi @ label_flows(gens), gens, config)
 
 
 def profit_transient(gens: MmapGenerators, phi: np.ndarray, t: float,
                      config: ModelConfig) -> ProfitBreakdown:
     """Mean net total profit accumulated over [0, t], including the
     purchase of the initial fleet."""
-    lay = gens.layout
     ip = transient_integral(gens, phi, t)
-    phi_w = float(ip @ build_nr(config, lay))
-    phi_rf = float(ip @ build_nc(config, lay))
-    counts = event_rates_stationary(ip, gens)
+    counts = ip @ label_flows(gens)
     # the initial fleet is bought like one more fleet renewal
-    fixed = fixed_cost(replace(counts, new_systems=1.0 + counts.new_systems),
-                       config)
-    return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)
+    counts[ARRIVAL_LABELS.index("NS")] += 1.0
+    return _profit(ip, counts, gens, config)

@@ -2,8 +2,8 @@
 
 All stationary measures take the stationary row vector pi.  Transient
 availability reads the uniformized rows p(t), whose truncated mass stays in
-the result.  Event flows are linear in the row vector: rates under pi, mean
-counts over [0, t] under int_0^t p.
+the result.  Event flows read the flow table F, whose column l is D_l 1:
+vec @ F gives the rates under pi, the mean counts over [0, t] under int p.
 """
 
 import io
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import MmapGenerators
+from .assembler import ARRIVAL_LABELS, MmapGenerators
 from .solvers import transient
 from .statespace import StateSpaceLayout
 
@@ -91,14 +91,20 @@ class EventRates:
         return {name: getattr(self, name) for name in RATE_LABELS}
 
     @classmethod
-    def from_flows(cls, flows: dict) -> "EventRates":
-        """Aggregate per-label flows (label -> rate or count) by RATE_LABELS."""
-        return cls(**{name: sum(flows[l] for l in labels)
+    def from_flows(cls, flows) -> "EventRates":
+        """Aggregate label flows over ARRIVAL_LABELS (vec @ F) by RATE_LABELS."""
+        by_label = dict(zip(ARRIVAL_LABELS, map(float, flows)))
+        return cls(**{name: sum(by_label[l] for l in labels)
                       for name, labels in RATE_LABELS.items()})
+
+
+def label_flows(gens: MmapGenerators) -> np.ndarray:
+    """The flow table F: column l is D_l 1, over ARRIVAL_LABELS."""
+    return np.column_stack([np.asarray(gens[label].sum(axis=1)).ravel()
+                            for label in ARRIVAL_LABELS])
 
 
 def event_rates_stationary(vec: np.ndarray, gens: MmapGenerators) -> EventRates:
     """Labelled event flows under any row vector: the stationary rates
     under pi, the mean counts over [0, t] under int_0^t p."""
-    return EventRates.from_flows({label: float((vec @ gens[label]).sum())
-                                  for label in gens.arrival_labels})
+    return EventRates.from_flows(vec @ label_flows(gens))

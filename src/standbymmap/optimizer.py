@@ -1,11 +1,11 @@
 """Vacation-parameter optimization and the policy grid sweep.
 
 For a fixed fleet policy (n, R, PM flag) and vacation family, the generator
-depends affinely on the vacation rates, so each cell caches the constant
-part and per evaluation only rebuilds D(x) and runs the bordered stationary
-solve of the solvers module.  The profit goes through the same fixed-cost
-formula as economics.profit_stationary, and the optimum's profit,
-availability and event rates come from the cell's own final solve.
+D(x) and the flow table F(x) (column l is D_l 1) are affine in the vacation
+rates, so each cell caches both splits and per evaluation runs one bordered
+stationary solve.  The profit is pi (nr - nc) - (pi F) c with the cost
+table c of economics.event_costs, and the optimum's profit, availability
+and event rates come from the cell's own final solve.
 """
 
 import io
@@ -16,14 +16,13 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .assembler import assemble_all
-from .config import ModelConfig, vacation_from_params
-from .economics import build_nc, build_nr, fixed_cost, profit_stationary
+from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
+                     vacation_from_params)
+from .economics import build_nc, build_nr, event_costs, profit_stationary
 from .measures import (EventRates, availability_stationary, down_mask,
-                       event_rates_stationary)
+                       event_rates_stationary, label_flows)
 from .solvers import bordered_stationary, stationary_direct
 from .statespace import enumerate_states
-
-FAMILIES = ("exponential", "erlang2")
 
 GRID_CELLS = [(n, R) for n in (4, 3, 2) for R in range(n, 0, -1)]
 
@@ -52,14 +51,23 @@ class OptimizationResult:
         }
 
 
+def _affine_split(values) -> tuple:
+    """(V0, [V_i]) with V(x) = V0 + sum_i x_i V_i, from the values of V at
+    x = 1 and at x = 1 + e_i for each i."""
+    parts = [v - values[0] for v in values[1:]]
+    return values[0] - sum(parts), parts
+
+
+def _affine_at(base, parts, x):
+    return base + sum(float(xi) * part for xi, part in zip(x, parts))
+
+
 class _CellEvaluator:
-    """Evaluates Phi/A/event rates for one grid cell with the generator split
-    into its vacation-rate-independent part plus one rate-proportional part
-    per parameter: D(x) = K0 + sum_i x_i K_i.  The per-label outflow vectors
-    needed for the event rates are cached the same way."""
+    """Phi/A/event rates of one grid cell from the splits of the generator,
+    D(x) = K0 + sum_i x_i K_i, and of the flow table, F(x) likewise."""
 
     def __init__(self, config: ModelConfig, family: str):
-        self.dim = 1 if family == "exponential" else 2
+        self.dim = VACATION_FAMILIES[family]
         self.config = config.with_policy(
             vacation=vacation_from_params(family, [1.0] * self.dim))
         self.layout = enumerate_states(self.config)
@@ -69,35 +77,20 @@ class _CellEvaluator:
             x[i] = 2.0
             cfg = config.with_policy(vacation=vacation_from_params(family, x))
             snapshots.append(assemble_all(cfg, self.layout, validate=False))
-        base = snapshots[0].total
-        self.parts = [(s.total - base).tocsr() for s in snapshots[1:]]
-        self.base = (base - sum(self.parts)).tocsr()
-        labels = snapshots[0].arrival_labels
-        out0 = {l: np.asarray(snapshots[0][l].sum(axis=1)).ravel()
-                for l in labels}
-        self.outflow_parts = []
-        for s in snapshots[1:]:
-            self.outflow_parts.append(
-                {l: np.asarray(s[l].sum(axis=1)).ravel() - out0[l]
-                 for l in labels})
-        self.outflow_base = {
-            l: out0[l] - sum(p[l] for p in self.outflow_parts) for l in labels}
-        self.nr = build_nr(self.config, self.layout)
-        self.nc = build_nc(self.config, self.layout)
+        self.D = _affine_split([s.total for s in snapshots])
+        self.F = _affine_split([label_flows(s) for s in snapshots])
+        self.net = (build_nr(self.config, self.layout)
+                    - build_nc(self.config, self.layout))
+        self.costs = event_costs(self.config)
         self.up_mask = ~down_mask(self.layout)
 
     def evaluate(self, x):
         """Phi, availability and event rates at x from one stationary solve."""
-        D = self.base + sum(float(xi) * K for xi, K in zip(x, self.parts))
-        pi = bordered_stationary(D)
-        rates = EventRates.from_flows(
-            {l: float(pi @ (self.outflow_base[l]
-                            + sum(float(xi) * p[l]
-                                  for xi, p in zip(x, self.outflow_parts))))
-             for l in self.outflow_base})
-        profit = float(pi @ self.nr - pi @ self.nc
-                       - fixed_cost(rates, self.config))
-        return profit, float(pi[self.up_mask].sum()), rates
+        pi = bordered_stationary(_affine_at(*self.D, x))
+        flows = pi @ _affine_at(*self.F, x)
+        profit = float(pi @ self.net - flows @ self.costs)
+        return (profit, float(pi[self.up_mask].sum()),
+                EventRates.from_flows(flows))
 
     def profit(self, x) -> float:
         return self.evaluate(x)[0]
@@ -118,6 +111,7 @@ def evaluate(config: ModelConfig, family: str, x):
 
 def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     """Maximize stationary profit over the vacation rates (log scale)."""
+    family = vacation_family(family)
     cell = _CellEvaluator(config, family)
     evaluations = 0
 
@@ -126,7 +120,7 @@ def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
         evaluations += 1
         return -cell.profit(np.exp(log_x))
 
-    if family == "exponential":
+    if cell.dim == 1:
         res = minimize_scalar(lambda la: objective([la]),
                               bounds=(np.log(1e-3), np.log(1e2)),
                               method="bounded", options={"xatol": 1e-8})
@@ -175,7 +169,7 @@ def run_grid(config: ModelConfig) -> list:
     results = []
     for n, R in GRID_CELLS:
         for pm in (True, False):
-            for family in FAMILIES:
+            for family in VACATION_FAMILIES:
                 cfg = config.with_policy(units=n, vacation_threshold=R,
                                          pm_enabled=pm)
                 results.append(optimize(cfg, family))

@@ -70,11 +70,6 @@ def ph_mean(d: PhDistribution) -> float:
     return float(d.init @ sol)
 
 
-def kron_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with 1-D inputs treated as row vectors."""
-    return np.kron(np.atleast_2d(a), np.atleast_2d(b))
-
-
 def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker sum a (+) b = a x I + I x b for square a, b."""
     a = np.atleast_2d(a)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from standbymmap.assembler import EVENT_LABELS, assemble_all
+from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
 from standbymmap.config import example_fleet_config, vacation_from_params
 
 
@@ -27,7 +27,7 @@ def test_labels_sum_to_total(optimal_gens):
 
 
 def test_sign_structure(optimal_gens):
-    for label in optimal_gens.arrival_labels:
+    for label in ARRIVAL_LABELS:
         assert optimal_gens[label].min() >= 0.0
     O = optimal_gens["O"].toarray()
     assert np.all(np.diag(O) < 0)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from standbymmap.config import (ConfigError, erlang2_vacation,
-                                example_fleet_config, exponential_vacation,
+from standbymmap.config import (ConfigError, example_fleet_config,
                                 vacation_from_params)
 
 
@@ -67,11 +66,11 @@ def test_vacation_rejects_bad_input():
 
 
 def test_exponential_vacation_is_one_phase():
-    ph = exponential_vacation(0.25)
+    ph = vacation_from_params("exponential", [0.25])
     assert ph.subgen.item() == -0.25
 
 
 def test_erlang2_vacation_chains_the_stages():
-    ph = erlang2_vacation(0.8, 0.9)
+    ph = vacation_from_params("erlang2", [0.8, 0.9])
     np.testing.assert_allclose(ph.subgen, [[-0.8, 0.8], [0.0, -0.9]])
     np.testing.assert_allclose(ph.init, [1.0, 0.0])

@@ -1,15 +1,19 @@
-"""Exact per-label oracle: the nine assembled generators against the
-simulator's labelled transition rows.
+"""Exact per-label oracle: the nine assembled generators and the profit's
+reward vector and cost table against the simulator's labelled transition
+rows and its own event costs.
 
 Every state the simulator can reach from its initial states is visited
 breadth-first; each state's outcome distribution is turned into rows of the
 nine labelled generators and compared entry by entry with the assembled
-ones, over random valid models.  The simulator is built from the event
-semantics alone, so this checks the Kronecker blocks (the derived primed
-unit blocks included) on models other than the bundled one.
+ones, over random valid models with random positive costs.  The state's
+reward rate is compared with nr - nc, and each label's fixed cost with
+economics.event_costs.  The simulator is built from the event semantics
+alone, so this checks the Kronecker blocks (the derived primed unit blocks
+included) on models other than the bundled one.
 """
 
 from collections import deque
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -17,8 +21,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from standbymmap.assembler import EVENT_LABELS, assemble_all
+from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
 from standbymmap.config import CostBlock, ModelConfig, example_fleet_config
+from standbymmap.economics import build_nc, build_nr, event_costs
 from standbymmap.ph import PhDistribution, renewal_stationary
 from standbymmap.simulator import FleetSimulator, SimState
 from standbymmap.statespace import enumerate_states
@@ -92,9 +97,12 @@ def small_models(draw):
         units=n,
         vacation_threshold=draw(st.integers(1, n)),
         pm_enabled=draw(st.booleans()),
-        # the simulator's reward rate indexes every per-phase cost vector
-        costs=CostBlock(operational=np.zeros(m), damage=np.zeros(d),
-                        corrective=np.zeros(z1), preventive=np.zeros(z2)),
+        # every scalar cost, then every per-phase cost vector
+        costs=CostBlock(*_positive(draw, 8, 0.05, 10.0),
+                        operational=_positive(draw, m),
+                        damage=_positive(draw, d),
+                        corrective=_positive(draw, z1),
+                        preventive=_positive(draw, z2)),
     )
 
 
@@ -110,12 +118,13 @@ def initial_states(config):
                 support(config.vacation.init))]
 
 
-def simulator_generators(config, layout):
+def simulator_generators(sim, layout):
     """The nine labelled generators read off the simulator's rows, over the
-    states reachable from the initial ones; also the reached indices."""
-    sim = FleetSimulator(config)
+    states reachable from the initial ones; also the reward rate of each
+    reached index."""
     entries = {label: ([], [], []) for label in EVENT_LABELS}
     index = {}      # reached state -> global index
+    rewards = {}    # reached index -> reward rate
     todo = deque()
 
     def reach(state):
@@ -124,12 +133,13 @@ def simulator_generators(config, layout):
             todo.append(state)
         return index[state]
 
-    for state in initial_states(config):
+    for state in initial_states(sim.c):
         reach(state)
     while todo:
         state = todo.popleft()
         i = index[state]
         row = sim.row(state)
+        rewards[i] = row.reward
         rates = row.total * np.diff(row.cum, prepend=0.0)
         for rate, target, event in zip(rates, row.targets, row.events):
             rows, cols, vals = entries[event or "O"]
@@ -143,7 +153,26 @@ def simulator_generators(config, layout):
     shape = (layout.total, layout.total)
     mats = {label: sp.csr_matrix((vals, (rows, cols)), shape=shape)
             for label, (rows, cols, vals) in entries.items()}
-    return mats, set(index.values())
+    return mats, rewards
+
+
+def check_against_simulator(config, layout):
+    """Assert that every labelled generator row, the reward rate nr - nc of
+    every reached state and the fixed cost of every label agree with the
+    simulator; return the reached indices."""
+    gens = assemble_all(config, layout, validate=False)
+    sim = FleetSimulator(config)
+    mats, rewards = simulator_generators(sim, layout)
+    rows = sorted(rewards)
+    for label in EVENT_LABELS:
+        gap = abs(gens[label][rows] - mats[label][rows]).max()
+        assert gap <= ATOL, f"label {label}: max entry gap {gap:.3e}"
+    net = build_nr(config, layout) - build_nc(config, layout)
+    gap = np.max(np.abs(net[rows] - [rewards[i] for i in rows]))
+    assert gap <= ATOL, f"reward rate: max gap {gap:.3e}"
+    for label, cost in zip(ARRIVAL_LABELS, event_costs(config)):
+        assert cost == sim.event_cost(label), f"cost of label {label}"
+    return set(rows)
 
 
 @settings(max_examples=20, deadline=None,
@@ -151,12 +180,7 @@ def simulator_generators(config, layout):
 @given(small_models())
 def test_every_label_matches_the_simulator_rows(config):
     layout = enumerate_states(config)
-    gens = assemble_all(config, layout, validate=False)
-    mats, reached = simulator_generators(config, layout)
-    rows = sorted(reached)
-    for label in EVENT_LABELS:
-        gap = abs(gens[label][rows] - mats[label][rows]).max()
-        assert gap <= ATOL, f"label {label}: max entry gap {gap:.3e}"
+    reached = check_against_simulator(config, layout)
     # every layout state is reached; with PM off, no preventive repair is
     # ever queued, so only the states without one are
     expected = {idx for idx in range(layout.total)
@@ -165,18 +189,26 @@ def test_every_label_matches_the_simulator_rows(config):
     assert reached == expected
 
 
-@pytest.mark.parametrize("pm", [True, False])
-@pytest.mark.parametrize("R", [1, 3, 4])
-def test_bundled_model_matches_the_simulator_rows_at_four_units(R, pm):
+BUNDLED_CASES = [pytest.param(R, pm, None, id=f"{R}-{pm}")
+                 for pm in (True, False) for R in (1, 3, 4)]
+# The bundled corrective and preventive repairs start in the same phase, so
+# a builder that starts the wrong queue head's service only shows when the
+# preventive initial vector differs.
+BUNDLED_CASES += [pytest.param(R, True, [0.0, 0.6, 0.4],
+                               id=f"{R}-True-preventive-init")
+                  for R in (3, 4)]
+
+
+@pytest.mark.parametrize("R,pm,preventive_init", BUNDLED_CASES)
+def test_bundled_model_matches_the_simulator_rows_at_four_units(
+        R, pm, preventive_init):
     """The hypothesis models stop at n = 3; this checks queues of length 4."""
     config = example_fleet_config(units=4, vacation_threshold=R, pm_enabled=pm)
+    if preventive_init is not None:
+        config = replace(config, preventive=PhDistribution(
+            np.array(preventive_init), config.preventive.subgen))
     layout = enumerate_states(config)
-    gens = assemble_all(config, layout, validate=False)
-    mats, reached = simulator_generators(config, layout)
-    rows = sorted(reached)
-    for label in EVENT_LABELS:
-        gap = abs(gens[label][rows] - mats[label][rows]).max()
-        assert gap <= ATOL, f"label {label}: max entry gap {gap:.3e}"
+    reached = check_against_simulator(config, layout)
     assert reached == {idx for key, start, stop in layout.queue_spans()
                        if pm or 2 not in key.queue
                        for idx in range(start, stop)}

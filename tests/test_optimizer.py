@@ -73,3 +73,12 @@ def test_profit_surface_is_locally_concave_at_the_optimum():
     mid = cell.profit([x])
     assert mid >= cell.profit([x * 1.2]) - 1e-9
     assert mid >= cell.profit([x / 1.2]) - 1e-9
+
+
+@pytest.mark.parametrize("alias,family", [("exp", "exponential"),
+                                          ("erlang", "erlang2")])
+def test_family_alias_gives_the_canonical_record(alias, family):
+    config = example_fleet_config(units=2, vacation_threshold=1)
+    record = optimize(config, alias).as_record()
+    assert record == optimize(config, family).as_record()
+    assert record["family"] == family
