@@ -193,8 +193,8 @@ def cmd_profit(args) -> int:
     if grid:
         phi = initial_distribution(config, gens.layout)
         record["accumulated"] = {
-            _fmt(t): profit_transient(gens, phi, t, config).total
-            for t in grid}
+            _fmt(t): prof_t.total for t, prof_t in
+            zip(grid, profit_transient(gens, phi, grid, config))}
     out = _outdir(args)
     rows = ["component,value"]
     rows += [f"{k},{_fmt(v)}" for k, v in record.items() if k != "accumulated"]

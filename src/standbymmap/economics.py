@@ -84,12 +84,16 @@ def profit_stationary(pi: np.ndarray, gens: MmapGenerators,
     return _profit(pi, pi @ label_flows(gens), gens, config)
 
 
-def profit_transient(gens: MmapGenerators, phi: np.ndarray, t: float,
-                     config: ModelConfig) -> ProfitBreakdown:
+def profit_transient(gens: MmapGenerators, phi: np.ndarray, t,
+                     config: ModelConfig):
     """Mean net total profit accumulated over [0, t], including the
-    purchase of the initial fleet."""
-    ip = transient_integral(gens, phi, t)
-    counts = ip @ label_flows(gens)
-    # the initial fleet is bought like one more fleet renewal
-    counts[ARRIVAL_LABELS.index("NS")] += 1.0
-    return _profit(ip, counts, gens, config)
+    purchase of the initial fleet.  For a sequence of times, a list with
+    one breakdown per t, all from one uniformization sweep."""
+    flows = label_flows(gens)
+    profits = []
+    for ip in np.atleast_2d(transient_integral(gens, phi, t)):
+        counts = ip @ flows
+        # the initial fleet is bought like one more fleet renewal
+        counts[ARRIVAL_LABELS.index("NS")] += 1.0
+        profits.append(_profit(ip, counts, gens, config))
+    return profits[0] if np.ndim(t) == 0 else profits

@@ -3,9 +3,12 @@
 For a fixed fleet policy (n, R, PM flag) and vacation family, the generator
 D(x) and the flow table F(x) (column l is D_l 1) are affine in the vacation
 rates, so each cell caches both splits and per evaluation runs one bordered
-stationary solve.  The profit is pi (nr - nc) - (pi F) c with the cost
-table c of economics.event_costs, and the optimum's profit, availability
-and event rates come from the cell's own final solve.
+stationary solve.  The profit is Phi = pi r with the per-state profit rate
+r(x) = (nr - nc) - F(x) c and the cost table c of economics.event_costs.
+Its exact gradient costs one more triangular solve through the same LU
+(the adjoint of the stationary solve), so one L-BFGS-B search on log x
+serves every family.  The optimum's profit, availability and event rates
+come from the cell's own final solve.
 """
 
 import io
@@ -13,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .assembler import assemble_all
 from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
@@ -25,8 +28,6 @@ from .solvers import bordered_stationary, stationary_direct
 from .statespace import enumerate_states
 
 GRID_CELLS = [(n, R) for n in (4, 3, 2) for R in range(n, 0, -1)]
-
-NELDER_MEAD_MAXFEV = 500
 
 
 @dataclass
@@ -64,7 +65,8 @@ def _affine_at(base, parts, x):
 
 class _CellEvaluator:
     """Phi/A/event rates of one grid cell from the splits of the generator,
-    D(x) = K0 + sum_i x_i K_i, and of the flow table, F(x) likewise."""
+    D(x) = K0 + sum_i x_i K_i, of the flow table F(x) and of the profit
+    rate r(x) = (nr - nc) - F(x) c, both likewise."""
 
     def __init__(self, config: ModelConfig, family: str):
         self.dim = VACATION_FAMILIES[family]
@@ -79,18 +81,31 @@ class _CellEvaluator:
             snapshots.append(assemble_all(cfg, self.layout, validate=False))
         self.D = _affine_split([s.total for s in snapshots])
         self.F = _affine_split([label_flows(s) for s in snapshots])
-        self.net = (build_nr(self.config, self.layout)
-                    - build_nc(self.config, self.layout))
-        self.costs = event_costs(self.config)
+        net = (build_nr(self.config, self.layout)
+               - build_nc(self.config, self.layout))
+        costs = event_costs(self.config)
+        self.reward = (net - self.F[0] @ costs,
+                       [-part @ costs for part in self.F[1]])
         self.up_mask = ~down_mask(self.layout)
 
     def evaluate(self, x):
         """Phi, availability and event rates at x from one stationary solve."""
-        pi = bordered_stationary(_affine_at(*self.D, x))
-        flows = pi @ _affine_at(*self.F, x)
-        profit = float(pi @ self.net - flows @ self.costs)
-        return (profit, float(pi[self.up_mask].sum()),
-                EventRates.from_flows(flows))
+        pi, _ = bordered_stationary(_affine_at(*self.D, x))
+        return (float(pi @ _affine_at(*self.reward, x)),
+                float(pi[self.up_mask].sum()),
+                EventRates.from_flows(pi @ _affine_at(*self.F, x)))
+
+    def gradient(self, x):
+        """Phi and dPhi/dx at x from one bordered LU.  With B pi^T = e_0 and
+        dB/dx_i = (K_i^T with row 0 cleared), the adjoint g = B^-T r gives
+        dPhi/dx_i = -g[1:] (pi K_i)[1:] + pi r_i, one extra triangular
+        solve whatever the dimension."""
+        pi, lu = bordered_stationary(_affine_at(*self.D, x))
+        reward = _affine_at(*self.reward, x)
+        g = lu.solve(reward, trans="T")[1:]
+        grad = [float(pi @ r_i - g @ (pi @ K_i)[1:])
+                for K_i, r_i in zip(self.D[1], self.reward[1])]
+        return float(pi @ reward), np.array(grad)
 
     def profit(self, x) -> float:
         return self.evaluate(x)[0]
@@ -110,34 +125,26 @@ def evaluate(config: ModelConfig, family: str, x):
 
 
 def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
-    """Maximize stationary profit over the vacation rates (log scale)."""
+    """Maximize stationary profit over the vacation rates: L-BFGS-B on
+    log x in [log 1e-3, log 1e2] with the exact gradient, from x0 (clipped
+    into the box) or from x = 1."""
     family = vacation_family(family)
     cell = _CellEvaluator(config, family)
-    evaluations = 0
+    bounds = (np.log(1e-3), np.log(1e2))
 
     def objective(log_x):
-        nonlocal evaluations
-        evaluations += 1
-        return -cell.profit(np.exp(log_x))
+        x = np.exp(log_x)
+        phi, grad = cell.gradient(x)
+        return -phi, -grad * x
 
-    if cell.dim == 1:
-        res = minimize_scalar(lambda la: objective([la]),
-                              bounds=(np.log(1e-3), np.log(1e2)),
-                              method="bounded", options={"xatol": 1e-8})
-        log_x = np.array([res.x])
-        converged = res.success
-    else:
-        start = np.log(x0) if x0 is not None else np.zeros(cell.dim)
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-10,
-                                "maxfev": NELDER_MEAD_MAXFEV})
-        log_x = res.x
-        converged = bool(res.success)
-    x = np.exp(log_x)
+    start = np.zeros(cell.dim) if x0 is None else np.clip(np.log(x0), *bounds)
+    res = minimize(objective, start, jac=True, method="L-BFGS-B",
+                   bounds=[bounds] * cell.dim, options={"gtol": 1e-8})
+    x = np.exp(res.x)
     phi, avail, rates = cell.evaluate(x)
     return OptimizationResult(config.units, config.vacation_threshold,
                               config.pm_enabled, family, x, phi, avail,
-                              evaluations, converged, rates)
+                              int(res.nfev), bool(res.success), rates)
 
 
 def golden_section_scan(config: ModelConfig, lo: float = 1e-3,

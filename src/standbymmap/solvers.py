@@ -71,22 +71,26 @@ def transient(gens: MmapGenerators, phi: np.ndarray, times,
     return _uniformization(gens, phi, times, tol, integral=False)
 
 
-def transient_integral(gens: MmapGenerators, phi: np.ndarray, t: float,
+def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
                        tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
-    """Row vector int_0^t phi expm(D u) du, by uniformization."""
-    return _uniformization(gens, phi, t, tol, integral=True)[0]
+    """Row vector int_0^t phi expm(D u) du, by uniformization; for a
+    sequence of times, one such row per t from one sweep."""
+    rows = _uniformization(gens, phi, t, tol, integral=True)
+    return rows[0] if np.ndim(t) == 0 else rows
 
 
-def bordered_stationary(D: sp.spmatrix) -> np.ndarray:
+def bordered_stationary(D: sp.spmatrix) -> tuple:
     """Solve pi D = 0, pi 1 = 1: the first equation of D^T pi^T = 0 is
-    replaced by the normalisation, and the bordered matrix factored by LU."""
+    replaced by the normalisation, and the bordered matrix B factored by LU.
+    Returns pi and the factorisation of B, whose transposed solves give the
+    adjoint of the stationary solve."""
     n = D.shape[0]
     B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
                   format="csr")
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    pi = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    return _normalised(pi)
+    lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return _normalised(lu.solve(rhs)), lu
 
 
 def _normalised(pi: np.ndarray) -> np.ndarray:
@@ -99,7 +103,7 @@ def _normalised(pi: np.ndarray) -> np.ndarray:
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     """Stationary distribution of the assembled generator by one bordered
     sparse solve."""
-    return bordered_stationary(gens.total)
+    return bordered_stationary(gens.total)[0]
 
 
 def stationary_block(gens: MmapGenerators) -> np.ndarray:

@@ -98,6 +98,16 @@ def test_transient_profit_includes_the_initial_fleet(optimal_config,
     assert prof.total < 0
 
 
+def test_profit_grid_matches_the_per_time_calls(optimal_config, optimal_gens):
+    """A time grid is served by one sweep, bit for bit as one call per t."""
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    grid = [100.0, 0.0, 5.0, 100.0]
+    swept = profit_transient(optimal_gens, phi, grid, optimal_config)
+    assert len(swept) == len(grid)
+    for t, prof in zip(grid, swept):
+        assert prof == profit_transient(optimal_gens, phi, t, optimal_config)
+
+
 def test_profit_rate_converges(optimal_config, optimal_gens, optimal_pi):
     phi = initial_distribution(optimal_config, optimal_gens.layout)
     stat = profit_stationary(optimal_pi, optimal_gens, optimal_config).total

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
 from standbymmap.config import CostBlock, ModelConfig, example_fleet_config
@@ -175,7 +175,10 @@ def check_against_simulator(config, layout):
     return set(rows)
 
 
+# no shrink phase: each example re-walks the chain, so shrinking a failure
+# takes minutes; the first failing model is reported as drawn
 @settings(max_examples=20, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate),
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_models())
 def test_every_label_matches_the_simulator_rows(config):

@@ -20,6 +20,30 @@ def test_cached_evaluator_matches_full_pipeline():
             assert rates[name] == pytest.approx(value, abs=1e-12), name
 
 
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("family", ["exponential", "erlang2"])
+def test_gradient_matches_central_differences(family, pm):
+    config = example_fleet_config(units=3, vacation_threshold=2,
+                                  pm_enabled=pm)
+    cell = _CellEvaluator(config, family)
+    x = np.array([0.4, 1.7][:cell.dim])
+    phi, grad = cell.gradient(x)
+    assert phi == pytest.approx(cell.profit(x), abs=1e-12)
+    for i in range(cell.dim):
+        step = np.zeros(cell.dim)
+        step[i] = 1e-5 * x[i]
+        central = (cell.profit(x + step) - cell.profit(x - step)) / (2 * step[i])
+        assert grad[i] == pytest.approx(central, rel=1e-6), i
+
+
+def test_log_gradient_vanishes_at_an_interior_optimum():
+    config = example_fleet_config(units=3, vacation_threshold=2)
+    result = optimize(config, "erlang2")
+    assert np.all((result.x > 1e-3) & (result.x < 1e2))
+    _, grad = _CellEvaluator(config, "erlang2").gradient(result.x)
+    assert np.max(np.abs(result.x * grad)) <= 1e-6
+
+
 def test_optimum_carries_its_own_measures():
     """profit, availability and rates at x* agree with a fresh assembly."""
     config = example_fleet_config(units=2, vacation_threshold=2)
@@ -35,7 +59,7 @@ def test_exponential_optimum_matches_golden_section():
     config = example_fleet_config(units=2, vacation_threshold=2)
     result = optimize(config, "exponential")
     x_gold, phi_gold = golden_section_scan(config)
-    assert result.profit == pytest.approx(phi_gold, abs=1e-3)
+    assert result.profit >= phi_gold - 1e-9
     assert result.x[0] == pytest.approx(x_gold, rel=1e-2)
 
 
@@ -44,7 +68,7 @@ def test_restart_robustness():
     config = example_fleet_config(units=2, vacation_threshold=2)
     profits = [optimize(config, "erlang2", x0=x0).profit
                for x0 in ([0.3, 0.3], [1.0, 2.0], [3.0, 0.5])]
-    assert max(profits) - min(profits) < 0.01
+    assert max(profits) - min(profits) < 1e-8
 
 
 def test_result_record_round_trips():
@@ -53,7 +77,7 @@ def test_result_record_round_trips():
     rec = result.as_record()
     assert rec["n"] == 2 and rec["R"] == 1 and rec["family"] == "exponential"
     assert len(rec["x"]) == 1 and rec["x"][0] > 0
-    assert rec["evaluations"] > 10
+    assert rec["evaluations"] >= 1 and rec["converged"] is True
 
 
 def test_grid_csv_schema():
