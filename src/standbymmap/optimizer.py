@@ -8,7 +8,7 @@ r(x) = (nr - nc) - F(x) c and the cost table c of economics.event_costs.
 Its exact gradient costs one more triangular solve through the same LU
 (the adjoint of the stationary solve), so one L-BFGS-B search on log x
 serves every family.  The optimum's profit, availability and event rates
-come from the cell's own final solve.
+reuse the search's last solve when it was made at the optimum.
 """
 
 import io
@@ -87,10 +87,14 @@ class _CellEvaluator:
         self.reward = (net - self.F[0] @ costs,
                        [-part @ costs for part in self.F[1]])
         self.up_mask = ~down_mask(self.layout)
+        self._last = (None, None)   # (x, pi) of the last gradient solve
 
     def evaluate(self, x):
-        """Phi, availability and event rates at x from one stationary solve."""
-        pi, _ = bordered_stationary(_affine_at(*self.D, x))
+        """Phi, availability and event rates at x from one stationary solve,
+        or from none when x is the point of the last gradient call."""
+        last_x, pi = self._last
+        if not np.array_equal(last_x, x):
+            pi, _ = bordered_stationary(_affine_at(*self.D, x))
         return (float(pi @ _affine_at(*self.reward, x)),
                 float(pi[self.up_mask].sum()),
                 EventRates.from_flows(pi @ _affine_at(*self.F, x)))
@@ -101,6 +105,7 @@ class _CellEvaluator:
         dPhi/dx_i = -g[1:] (pi K_i)[1:] + pi r_i, one extra triangular
         solve whatever the dimension."""
         pi, lu = bordered_stationary(_affine_at(*self.D, x))
+        self._last = (np.array(x, dtype=float), pi)
         reward = _affine_at(*self.reward, x)
         g = lu.solve(reward, trans="T")[1:]
         grad = [float(pi @ r_i - g @ (pi @ K_i)[1:])

@@ -7,13 +7,14 @@ the full outcome distribution -- rates, successor states and event labels --
 is expanded once and cached, so the jump loop is a bisect over cumulative
 probabilities and long horizons stay cheap.
 
-Estimates carry standard errors from batch means (20 batches per
-replication by default); replication r uses seed + r.
+Estimates carry standard errors from batch means (BATCHES = 20 batches
+per replication); replication r uses seed + r.
 """
 
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +36,14 @@ RATE_GROUPS = {
 }
 
 _CHUNK = 1 << 14
+BATCHES = 20
 
 
 class SimulationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """Phase-level system state.
 
     queue holds the repair-type marks (1 corrective, 2 preventive), head
@@ -106,12 +107,26 @@ def _support(vec):
     return [(float(p), i) for i, p in enumerate(np.ravel(vec)) if p > 0.0]
 
 
+def _scale(weight, outcomes):
+    return [(weight * p, nxt, ev) for p, nxt, ev in outcomes]
+
+
+def _spread(label, st, onlines, clocks, **fields):
+    """Online phases x new clock: st with (internal, damage, inspection)
+    drawn from onlines, clock from clocks and the given fields set."""
+    return [(po * pc, st._replace(internal=i, damage=h, inspection=u,
+                                  clock=w, **fields), label)
+            for po, (i, h, u) in onlines for pc, w in clocks]
+
+
+_DOWN = [(1.0, (None, None, None))]     # no unit online
+
+
 class FleetSimulator:
     """Event-level simulator of one model configuration."""
 
     def __init__(self, config: ModelConfig):
-        self.c = config
-        c = config
+        self.c = c = config
         self._rows: dict = {}
         self.N = {k: max(k - c.vacation_threshold + 1, 0)
                   for k in range(1, c.units + 1)}
@@ -127,6 +142,11 @@ class FleetSimulator:
                        for pi, i in self._alpha
                        for ph, h in self._omega
                        for pu, u in self._eta]
+        costs = c.costs
+        self._event_costs = {
+            "A": costs.repairable_fixed, "B": costs.inspection_fixed,
+            "NS": c.units * costs.new_unit,
+            **dict.fromkeys(("D", "CD", "E"), costs.return_fixed)}
 
     # -- state construction ---------------------------------------------
 
@@ -168,80 +188,59 @@ class FleetSimulator:
     # each builder returns a list of (probability, state, event-label)
 
     def _to_queue(self, st: SimState, mark: int, label: str):
-        queue = st.queue + (mark,)
         s = st.s + 1
-        online = self._fresh if s < st.k else [(1.0, (None, None, None))]
-        if not st.on_vacation and st.s == 0:
-            clocks = self._beta[mark]
-        else:
-            clocks = [(1.0, st.clock)]
-        return [(po * pc,
-                 SimState(st.k, s, queue, st.on_vacation, i, st.shock, h, u, w),
-                 label)
-                for po, (i, h, u) in online for pc, w in clocks]
+        online = self._fresh if s < st.k else _DOWN
+        clocks = (self._beta[mark] if not st.on_vacation and st.s == 0
+                  else [(1.0, st.clock)])
+        return _spread(label, st, online, clocks,
+                       s=s, queue=st.queue + (mark,))
 
-    def _drop_unit(self, st: SimState, shock: int):
+    def _drop_unit(self, st: SimState):
         """The online unit is lost for good (shock phase already resolved)."""
         c = self.c
         if st.k == 1:
-            return [(po * pw,
-                     SimState(c.units, 0, (), True, i, shock, h, u, w), "NS")
-                    for po, (i, h, u) in self._fresh
-                    for pw, w in self._upsilon]
+            return _spread("NS", st, self._fresh, self._upsilon,
+                           k=c.units, s=0, queue=(), on_vacation=True)
         k = st.k - 1
-        online = self._fresh if st.s < k else [(1.0, (None, None, None))]
+        online = self._fresh if st.s < k else _DOWN
         if st.on_vacation and st.k == c.vacation_threshold:
             # dropping below the threshold recalls the repairperson
             clocks = self._beta[st.queue[0]] if st.s >= 1 else [(1.0, None)]
-            return [(po * pc,
-                     SimState(k, st.s, st.queue, False, i, shock, h, u, w),
-                     "CD")
-                    for po, (i, h, u) in online for pc, w in clocks]
-        return [(po,
-                 SimState(k, st.s, st.queue, st.on_vacation, i, shock, h, u,
-                          st.clock), "C")
-                for po, (i, h, u) in online]
+            return _spread("CD", st, online, clocks,
+                           k=k, on_vacation=False)
+        return _spread("C", st, online, [(1.0, st.clock)], k=k)
 
     def _shock_outcomes(self, st: SimState):
         """Shock arrival: clock renews, then total failure / damage / effect."""
         c = self.c
         out = []
         for pg, j2 in self._gamma:
-            renewed = SimState(st.k, st.s, st.queue, st.on_vacation,
-                               st.internal, j2, st.damage, st.inspection,
-                               st.clock)
+            renewed = st._replace(shock=j2)
             if st.s == st.k:
                 # no unit online to harm: phase renewal only
                 out.append((pg, renewed, None))
                 continue
             w0 = c.total_failure_prob
             if w0 > 0:
-                out += [(pg * w0 * p, nxt, ev)
-                        for p, nxt, ev in self._drop_unit(renewed, j2)]
+                out += _scale(pg * w0, self._drop_unit(renewed))
             rest = pg * (1.0 - w0)
             if rest == 0:
                 continue
             h = st.damage
             if c.damage_exit[h] > 0:
-                out += [(rest * c.damage_exit[h] * p, nxt, ev)
-                        for p, nxt, ev in self._drop_unit(renewed, j2)]
+                out += _scale(rest * c.damage_exit[h],
+                              self._drop_unit(renewed))
             for ph, h2 in _support(c.damage_matrix[h]):
-                moved = SimState(st.k, st.s, st.queue, st.on_vacation,
-                                 st.internal, j2, h2, st.inspection, st.clock)
+                moved = renewed._replace(damage=h2)
                 base = rest * ph
                 for pw, i2 in _support(c.shock_effect[st.internal]):
-                    out.append((base * pw,
-                                SimState(st.k, st.s, st.queue, st.on_vacation,
-                                         i2, j2, h2, st.inspection, st.clock),
-                                None))
+                    out.append((base * pw, moved._replace(internal=i2), None))
                 pr = c.shock_repairable[st.internal]
                 if pr > 0:
-                    out += [(base * pr * p, nxt, ev)
-                            for p, nxt, ev in self._to_queue(moved, 1, "A")]
+                    out += _scale(base * pr, self._to_queue(moved, 1, "A"))
                 pnr = c.shock_nonrepairable[st.internal]
                 if pnr > 0:
-                    out += [(base * pnr * p, nxt, ev)
-                            for p, nxt, ev in self._drop_unit(moved, j2)]
+                    out += _scale(base * pnr, self._drop_unit(moved))
         return out
 
     def _inspection_outcomes(self, st: SimState):
@@ -250,10 +249,7 @@ class FleetSimulator:
                  or st.damage >= c.minor_damage)
         if major and c.pm_enabled:
             return self._to_queue(st, 2, "B")
-        return [(pe, SimState(st.k, st.s, st.queue, st.on_vacation,
-                              st.internal, st.shock, st.damage, u2, st.clock),
-                 None)
-                for pe, u2 in self._eta]
+        return [(pe, st._replace(inspection=u2), None) for pe, u2 in self._eta]
 
     def _service_outcomes(self, st: SimState):
         c = self.c
@@ -262,95 +258,70 @@ class FleetSimulator:
         online = (self._fresh if st.s == st.k
                   else [(1.0, (st.internal, st.damage, st.inspection))])
         if st.k >= c.vacation_threshold and s == self.N[st.k] - 1:
-            return [(po * pw,
-                     SimState(st.k, s, queue, True, i, st.shock, h, u, w), "F")
-                    for po, (i, h, u) in online for pw, w in self._upsilon]
+            return _spread("F", st, online, self._upsilon,
+                           s=s, queue=queue, on_vacation=True)
         clocks = self._beta[queue[0]] if s >= 1 else [(1.0, None)]
-        return [(po * pc,
-                 SimState(st.k, s, queue, False, i, st.shock, h, u, w), None)
-                for po, (i, h, u) in online for pc, w in clocks]
+        return _spread(None, st, online, clocks, s=s, queue=queue)
 
     def _vacation_outcomes(self, st: SimState):
         if st.s >= self.N[st.k] and st.s >= 1:
-            return [(pc, SimState(st.k, st.s, st.queue, False, st.internal,
-                                  st.shock, st.damage, st.inspection, w), "D")
+            return [(pc, st._replace(on_vacation=False, clock=w), "D")
                     for pc, w in self._beta[st.queue[0]]]
-        return [(pw, SimState(st.k, st.s, st.queue, True, st.internal,
-                              st.shock, st.damage, st.inspection, w), "E")
-                for pw, w in self._upsilon]
+        return [(pw, st._replace(clock=w), "E") for pw, w in self._upsilon]
 
     # -- transition rows --------------------------------------------------
 
     def row(self, st: SimState) -> _Row:
         cached = self._rows.get(st)
         if cached is None:
-            cached = self._build_row(st)
-            self._rows[st] = cached
+            cached = self._rows[st] = self._build_row(st)
         return cached
 
-    def _build_row(self, st: SimState) -> _Row:
+    def _clocks(self, st: SimState) -> list:
+        """(field, sub-generator, [(exit rate, outcome builder)]) of each
+        running clock; the order fixes the cumulative row."""
         c = self.c
-        entries = []
-
-        def add(rate, outcomes):
-            entries.extend((rate * p, nxt, ev) for p, nxt, ev in outcomes)
-
+        clocks = []
         if st.s < st.k:
-            i = st.internal
-            for i2, q in enumerate(c.internal.subgen[i]):
-                if i2 != i and q > 0:
-                    add(q, [(1.0, SimState(st.k, st.s, st.queue,
-                                           st.on_vacation, i2, st.shock,
-                                           st.damage, st.inspection,
-                                           st.clock), None)])
-            if c.internal_exit_repairable[i] > 0:
-                add(c.internal_exit_repairable[i], self._to_queue(st, 1, "A"))
-            if c.internal_exit_nonrepairable[i] > 0:
-                add(c.internal_exit_nonrepairable[i],
-                    self._drop_unit(st, st.shock))
-            u = st.inspection
-            for u2, q in enumerate(c.inspection.subgen[u]):
-                if u2 != u and q > 0:
-                    add(q, [(1.0, SimState(st.k, st.s, st.queue,
-                                           st.on_vacation, st.internal,
-                                           st.shock, st.damage, u2,
-                                           st.clock), None)])
-            if c.inspection.exit_vector[u] > 0:
-                add(c.inspection.exit_vector[u], self._inspection_outcomes(st))
-        j = st.shock
-        for j2, q in enumerate(c.shock.subgen[j]):
-            if j2 != j and q > 0:
-                add(q, [(1.0, SimState(st.k, st.s, st.queue, st.on_vacation,
-                                       st.internal, j2, st.damage,
-                                       st.inspection, st.clock), None)])
-        if c.shock.exit_vector[j] > 0:
-            add(c.shock.exit_vector[j], self._shock_outcomes(st))
+            i, u = st.internal, st.inspection
+            clocks += [
+                ("internal", c.internal.subgen,
+                 [(c.internal_exit_repairable[i],
+                   lambda: self._to_queue(st, 1, "A")),
+                  (c.internal_exit_nonrepairable[i],
+                   lambda: self._drop_unit(st))]),
+                ("inspection", c.inspection.subgen,
+                 [(c.inspection.exit_vector[u],
+                   lambda: self._inspection_outcomes(st))])]
+        clocks.append(("shock", c.shock.subgen,
+                       [(c.shock.exit_vector[st.shock],
+                         lambda: self._shock_outcomes(st))]))
         if st.on_vacation:
-            w = st.clock
-            for w2, q in enumerate(c.vacation.subgen[w]):
-                if w2 != w and q > 0:
-                    add(q, [(1.0, SimState(st.k, st.s, st.queue, True,
-                                           st.internal, st.shock, st.damage,
-                                           st.inspection, w2), None)])
-            if c.vacation.exit_vector[w] > 0:
-                add(c.vacation.exit_vector[w], self._vacation_outcomes(st))
+            clocks.append(("clock", c.vacation.subgen,
+                           [(c.vacation.exit_vector[st.clock],
+                             lambda: self._vacation_outcomes(st))]))
         elif st.s >= 1:
             S = self.S[st.queue[0]]
-            r = st.clock
-            for r2, q in enumerate(S.subgen[r]):
-                if r2 != r and q > 0:
-                    add(q, [(1.0, SimState(st.k, st.s, st.queue, False,
-                                           st.internal, st.shock, st.damage,
-                                           st.inspection, r2), None)])
-            if S.exit_vector[r] > 0:
-                add(S.exit_vector[r], self._service_outcomes(st))
+            clocks.append(("clock", S.subgen,
+                           [(S.exit_vector[st.clock],
+                             lambda: self._service_outcomes(st))]))
+        return clocks
 
-        rates = np.array([e[0] for e in entries])
+    def _build_row(self, st: SimState) -> _Row:
+        entries = []
+        for field, subgen, exits in self._clocks(st):
+            phase = getattr(st, field)
+            entries += [(q, st._replace(**{field: p2}), None)
+                        for p2, q in enumerate(subgen[phase])
+                        if p2 != phase and q > 0]
+            for rate, outcomes in exits:
+                if rate > 0:
+                    entries += _scale(rate, outcomes())
+        rates, targets, events = zip(*entries)
+        rates = np.array(rates)
         total = float(rates.sum())
         if total <= 0:
             raise SimulationError(f"absorbing simulator state {st}")
-        targets = [e[1] for e in entries]
-        events = [e[2] for e in entries]
         for nxt, ev in zip(targets, events):
             self.assert_valid(nxt)
             # pathwise event identities
@@ -379,28 +350,19 @@ class FleetSimulator:
         return float(rate)
 
     def event_cost(self, ev: str) -> float:
-        c = self.c.costs
-        if ev == "A":
-            return c.repairable_fixed
-        if ev == "B":
-            return c.inspection_fixed
-        if ev == "NS":
-            return self.c.units * c.new_unit
-        if ev in ("D", "CD", "E"):
-            return c.return_fixed
-        return 0.0
+        return self._event_costs.get(ev, 0.0)
 
     # -- trajectory -----------------------------------------------------------
 
-    def run(self, horizon: float, rng, batches: int = 20) -> list:
+    def run(self, horizon: float, rng) -> list:
         """One replication: per-batch time-averages over [0, horizon]."""
-        per = horizon / batches
+        per = horizon / BATCHES
         row = self.row(self.initial_state(rng))
         exps = rng.standard_exponential(_CHUNK)
         unis = rng.random(_CHUNK)
         ptr = 0
         out = []
-        for _ in range(batches):
+        for _ in range(BATCHES):
             remaining = per
             up = 0.0
             occ: dict = {}
@@ -446,66 +408,49 @@ class FleetSimulator:
         return out
 
 
-def _combine(samples, pad_to=None) -> SimEstimate:
+def _combine(samples) -> SimEstimate:
     arr = np.asarray(samples, dtype=float)
-    if pad_to is not None and arr.size < pad_to:
-        arr = np.concatenate([arr, np.zeros(pad_to - arr.size)])
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return SimEstimate(mean, se, arr.size)
 
 
-def _replication(config, horizon, seed, batches):
-    sim = FleetSimulator(config)
-    return sim.run(horizon, np.random.default_rng(seed), batches=batches)
+def _replication(config, horizon, seed):
+    return FleetSimulator(config).run(horizon, np.random.default_rng(seed))
 
 
 def simulate(config: ModelConfig, horizon: float = 1e6,
              replications: int = 20, seed: int = 0,
-             batches_per_rep: int = 20, threads: int = 1) -> SimReport:
+             threads: int = 1) -> SimReport:
     """Monte Carlo estimates with batch-means standard errors."""
-    if horizon <= 0:
-        raise ValueError("simulation horizon must be positive")
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ValueError("simulation horizon must be positive and finite")
     if replications < 1:
         raise ValueError("need at least one replication")
+    if threads < 1:
+        raise ValueError("need at least one thread")
+    seeds = [seed + r for r in range(replications)]
+    threads = min(threads, replications)    # no idle workers
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             runs = list(pool.map(_replication, [config] * replications,
-                                 [horizon] * replications,
-                                 [seed + r for r in range(replications)],
-                                 [batches_per_rep] * replications))
+                                 [horizon] * replications, seeds))
     else:
         sim = FleetSimulator(config)
-        runs = [sim.run(horizon, np.random.default_rng(seed + rep),
-                        batches=batches_per_rep)
-                for rep in range(replications)]
-    up, profit = [], []
-    occ: dict = {}
-    counts: dict = {e: [] for e in EVENT_NAMES}
-    for run in runs:
-        for batch in run:
-            up.append(batch["up"])
-            profit.append(batch["profit"])
-            for key, val in batch["occ"].items():
-                occ.setdefault(key, []).append(val)
-            for e in EVENT_NAMES:
-                counts[e].append(batch["counts"][e])
-    nsamp = replications * batches_per_rep
-    raw = {e: _combine(v) for e, v in counts.items()}
-    grouped = {}
-    for name, labels in RATE_GROUPS.items():
-        sums = np.zeros(nsamp)
-        for label in labels:
-            sums += np.asarray(counts[label])
-        grouped[name] = _combine(sums)
+        runs = [sim.run(horizon, np.random.default_rng(s)) for s in seeds]
+    batches = [batch for run in runs for batch in run]
+    counts = {e: np.array([b["counts"][e] for b in batches])
+              for e in EVENT_NAMES}
+    occ_keys = dict.fromkeys(key for b in batches for key in b["occ"])
     return SimReport(
-        availability=_combine(up),
-        occupancy={key: _combine(vals, pad_to=nsamp)
-                   for key, vals in occ.items()},
-        rates=grouped,
-        event_rates=raw,
-        profit=_combine(profit),
+        availability=_combine([b["up"] for b in batches]),
+        occupancy={key: _combine([b["occ"].get(key, 0.0) for b in batches])
+                   for key in occ_keys},
+        rates={name: _combine(sum(counts[e] for e in labels))
+               for name, labels in RATE_GROUPS.items()},
+        event_rates={e: _combine(v) for e, v in counts.items()},
+        profit=_combine([b["profit"] for b in batches]),
         horizon=horizon,
         replications=replications,
         seed=seed,
@@ -550,18 +495,13 @@ def validate(analytic: dict, sim: SimReport, width: float = 3.0) -> ValidationRe
     analytic maps quantity names to values; recognised names are
     "availability", "profit" and the aggregated rate names.
     """
+    estimates = {**sim.event_rates, **sim.rates,
+                 "availability": sim.availability, "profit": sim.profit}
     rows = []
     for name, value in analytic.items():
-        if name == "availability":
-            est = sim.availability
-        elif name == "profit":
-            est = sim.profit
-        elif name in sim.rates:
-            est = sim.rates[name]
-        elif name in sim.event_rates:
-            est = sim.event_rates[name]
-        else:
+        if name not in estimates:
             raise KeyError(f"unknown validation quantity {name!r}")
+        est = estimates[name]
         rows.append(ValidationRow(name, float(value), est.mean, est.stderr,
                                   est.covers(value, width)))
     if not rows:

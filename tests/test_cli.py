@@ -167,6 +167,12 @@ def test_simulate_is_deterministic(tmp_path):
     assert (a / "simulate.csv").read_text() == (b / "simulate.csv").read_text()
 
 
+def test_simulate_rejects_an_infinite_horizon(tmp_path, capsys):
+    assert main(["simulate", "--horizon", "inf", "--reps", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_optimize_single_cell(tmp_path, capsys):
     assert run(["optimize", "--vacation", "exp", "--n", "2", "--R", "2"],
                tmp_path) == 0

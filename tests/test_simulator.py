@@ -57,10 +57,28 @@ def test_different_seeds_differ():
 
 
 def test_zero_horizon_is_an_error():
-    with pytest.raises(ValueError):
-        simulate(example_fleet_config(), horizon=0.0)
+    # a batch of infinite or NaN length would never end
+    for horizon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            simulate(example_fleet_config(), horizon=horizon)
     with pytest.raises(ValueError):
         simulate(example_fleet_config(), horizon=1000.0, replications=0)
+    with pytest.raises(ValueError):
+        simulate(example_fleet_config(), horizon=1000.0, threads=0)
+
+
+def test_seeded_run_is_pinned():
+    """A reordered row or RNG stream moves these figures."""
+    report = simulate(example_fleet_config(2, 1), horizon=2000.0,
+                      replications=2, seed=5)
+    pinned = {"A": 0.036750000000000005, "B": 0.00575, "C": 0.01125,
+              "D": 0.042499999999999996, "CD": 0.0, "E": 0.26675,
+              "F": 0.042499999999999996, "NS": 0.010750000000000001}
+    assert report.availability.mean == pytest.approx(0.6558578513543669,
+                                                     rel=1e-12)
+    assert report.profit.mean == pytest.approx(-3.566679273189328, rel=1e-12)
+    assert {e: est.mean for e, est in report.event_rates.items()} == (
+        pytest.approx(pinned, rel=1e-12, abs=0.0))
 
 
 def test_no_nonrepairable_channel_means_no_renewals():
