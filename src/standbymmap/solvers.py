@@ -3,9 +3,12 @@
 Transient quantities use one uniformization sweep over the whole time grid.
 Its truncated mass stays in the result: p(t) 1 falls short of 1, and
 int_0^t p 1 short of t, by the truncation defect, which callers can check.
-The stationary distribution is available both through a block
-back-substitution sweep over the unit-count levels and through a direct
-bordered solve, which serve as cross-checks.
+The stationary distribution is available through two sparse routes that
+share no factorisation and serve as cross-checks: one bordered solve of the
+whole generator, and a level cycle that solves the chain censored on the
+full fleet and sweeps down the unit-count levels.  Both factor with a
+threshold-pivoted LU that keeps the fill-reducing order, and both reject a
+result whose balance residual ||pi D||_inf is not at rounding level.
 """
 
 import numpy as np
@@ -18,6 +21,8 @@ from .config import ModelConfig
 from .statespace import StateSpaceLayout
 
 UNIFORMIZATION_TOL = 1e-10
+PIVOT_THRESH = 0.1
+RESIDUAL_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -79,6 +84,17 @@ def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
     return rows[0] if np.ndim(t) == 0 else rows
 
 
+def _factor(A: sp.spmatrix):
+    """Sparse LU in the symmetric fill-reducing order MMD_AT_PLUS_A, keeping
+    a diagonal pivot while it is at least PIVOT_THRESH of its column's
+    largest entry.  Generator blocks and the bordered transposed generator
+    are diagonally dominant by rows or columns, so the diagonal almost
+    always qualifies; partial pivoting (threshold 1) would give up the
+    order for no safer pivots and fill the factors up to three times over."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=PIVOT_THRESH)
+
+
 def bordered_stationary(D: sp.spmatrix) -> tuple:
     """Solve pi D = 0, pi 1 = 1: the first equation of D^T pi^T = 0 is
     replaced by the normalisation, and the bordered matrix B factored by LU.
@@ -89,7 +105,7 @@ def bordered_stationary(D: sp.spmatrix) -> tuple:
                   format="csr")
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = _factor(B)
     return _normalised(lu.solve(rhs)), lu
 
 
@@ -100,42 +116,75 @@ def _normalised(pi: np.ndarray) -> np.ndarray:
     return np.clip(pi, 0.0, None) / pi.sum()
 
 
+def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
+    """pi, once its balance residual ||pi D||_inf is at most RESIDUAL_TOL
+    times the largest exit rate max |D_ii|; an inaccurate solve raises."""
+    residual = float(np.max(np.abs(pi @ D)))
+    bound = RESIDUAL_TOL * float(np.max(np.abs(D.diagonal())))
+    if not residual <= bound:
+        raise SolverError(f"stationary residual ||pi D||_inf = {residual:.3e}"
+                          f" exceeds {bound:.3e}")
+    return pi
+
+
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     """Stationary distribution of the assembled generator by one bordered
     sparse solve."""
-    return bordered_stationary(gens.total)[0]
+    D = gens.total
+    return _checked(bordered_stationary(D)[0], D)
+
+
+def _check_levels(D: sp.spmatrix, layout: StateSpaceLayout) -> None:
+    """Raise unless every transition stays in its level k, drops to k - 1,
+    or is the fleet renewal from level 1 to level n."""
+    n = layout.n
+    level = np.empty(layout.total, dtype=int)
+    for k in range(1, n + 1):
+        lo, hi = layout.k_span(k)
+        level[lo:hi] = k
+    coo = D.tocoo()
+    src, dst = level[coo.row], level[coo.col]
+    bad = ((dst != src) & (dst != src - 1) & ~((src == 1) & (dst == n))
+           & (coo.data != 0))
+    if bad.any():
+        i = np.argmax(bad)
+        raise SolverError(f"the level cycle needs a zero block from level "
+                          f"{src[i]} to level {dst[i]}")
 
 
 def stationary_block(gens: MmapGenerators) -> np.ndarray:
-    """Stationary distribution via back-substitution over the unit levels.
+    """Stationary distribution by the level cycle (stochastic
+    complementation, Meyer 1989).
 
-    The generator is block lower-Hessenberg in k (transitions only decrease
-    the unit count, except the fleet renewal back to level n), so each
-    level's sub-vector is proportional to the level-n one.
+    The levels are the unit counts k = n..1.  A transition lowers k by at
+    most one, except the fleet renewal (NS) from level 1 back to level n, so
+    the balance of level k < n gives pi_k = -pi_{k+1} D_{k+1,k} D_kk^-1.
+    The chain censored on level n has the generator D_nn + W E^T: E^T picks
+    the renewal block's nonzero columns, and W carries those columns up
+    from level 1 by W <- -D_{k+1,k} D_kk^-1 W.  One bordered solve of it
+    gives pi_n, and a sweep down the levels by transposed solves the rest.
+    At n = 1 there is one level, the renewal lies inside it, and the route
+    is the bordered solve of D itself.  Raises SolverError if any other
+    block breaks that structure.
     """
-    lay = gens.layout
-    D = gens.total
-    spans = [lay.k_span(k) for k in range(lay.n, 0, -1)]  # level order n..1
-    L = len(spans)
+    lay, D, n = gens.layout, gens.total.tocsr(), gens.layout.n
+    _check_levels(D, lay)
 
     def blk(i, j):
-        (r0, r1), (c0, c1) = spans[i], spans[j]
-        return D[r0:r1, c0:c1].toarray()
+        (r0, r1), (c0, c1) = lay.k_span(i), lay.k_span(j)
+        return D[r0:r1, c0:c1]
 
-    # pi_k = pi_n M_k with M_n = I; the renewal feedback into level n is
-    # folded into the closing balance equation for pi_n.
-    mult = [None] * L
-    mult[0] = np.eye(spans[0][1] - spans[0][0])
-    for j in range(1, L):
-        # inflow to level j comes only from level j-1 (and j itself)
-        mult[j] = -mult[j - 1] @ blk(j - 1, j) @ np.linalg.inv(blk(j, j))
-    closing = blk(0, 0).copy()
-    if L > 1:
-        closing = closing + mult[-1] @ blk(L - 1, 0)
-    total_mass = sum(m.sum(axis=1) for m in mult)
-    closing[:, 0] = total_mass
-    rhs = np.zeros(closing.shape[0])
-    rhs[0] = 1.0
-    pin = np.linalg.solve(closing.T, rhs)
-    pieces = [pin @ m for m in mult]
-    return _normalised(np.concatenate(pieces))
+    lus = {k: _factor(blk(k, k)) for k in range(1, n)}
+    closed = blk(n, n)
+    if n > 1:
+        renewal = blk(1, n).tocsc()
+        cols = np.flatnonzero(np.diff(renewal.indptr))
+        W = renewal[:, cols].toarray()
+        for k in range(1, n):
+            W = -(blk(k + 1, k) @ lus[k].solve(W))
+        pick = sp.identity(closed.shape[1], format="csr")[cols]   # E^T
+        closed = closed + sp.csr_matrix(W) @ pick
+    pieces = [bordered_stationary(closed)[0]]
+    for k in range(n - 1, 0, -1):
+        pieces.append(-lus[k].solve(pieces[-1] @ blk(k + 1, k), trans="T"))
+    return _checked(_normalised(np.concatenate(pieces)), D)

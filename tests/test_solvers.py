@@ -1,16 +1,22 @@
 """Solvers: uniformized transients and the two stationary routes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
 from scipy.sparse.linalg import expm_multiply
 
 from standbymmap.assembler import assemble_all
 from standbymmap.config import example_fleet_config
 from standbymmap.measures import availability_stationary, availability_transient
-from standbymmap.solvers import (SolverError, initial_distribution,
-                                 stationary_block, stationary_direct,
-                                 transient, transient_integral)
+from standbymmap.solvers import (SolverError, _checked, bordered_stationary,
+                                 initial_distribution, stationary_block,
+                                 stationary_direct, transient,
+                                 transient_integral)
+
+from random_models import small_models
 
 
 def test_initial_distribution_lives_in_the_fresh_block(optimal_config, optimal_gens):
@@ -21,12 +27,59 @@ def test_initial_distribution_lives_in_the_fresh_block(optimal_config, optimal_g
     assert np.all(phi >= 0)
 
 
-@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 1, True), (2, 2, False)])
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 1, True), (2, 2, False),
+                                    (6, 3, False), (5, 3, True), (1, 1, True)])
 def test_stationary_routes_agree(n, R, pm):
     gens = assemble_all(example_fleet_config(n, R, pm), validate=False)
     direct = stationary_direct(gens)
     block = stationary_block(gens)
     assert np.abs(direct - block).sum() < 1e-8
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_stationary_routes_agree_on_random_models(config):
+    """The level cycle and the bordered solve share no factorisation."""
+    gens = assemble_all(config, validate=False)
+    direct = stationary_direct(gens)
+    block = stationary_block(gens)
+    assert np.abs(direct - block).sum() <= 1e-10
+    for pi in (direct, block):
+        assert np.max(np.abs(pi @ gens.total)) <= 1e-12
+
+
+def test_residual_guard_rejects_a_perturbed_pi(optimal_gens, optimal_pi):
+    D = optimal_gens.total
+    assert _checked(optimal_pi, D) is optimal_pi
+    bent = optimal_pi.copy()
+    bent[0] += 1e-6
+    with pytest.raises(SolverError, match="residual"):
+        _checked(bent / bent.sum(), D)
+
+
+def test_level_cycle_rejects_an_extra_upward_block(optimal_gens):
+    """One conservative entry from level n-1 up to level n breaks the
+    lower-Hessenberg structure the level cycle relies on."""
+    lay = optimal_gens.layout
+    row, col = lay.k_span(lay.n - 1)[0], lay.k_span(lay.n)[0]
+    D = optimal_gens.total.tolil()
+    D[row, col] += 0.5
+    D[row, row] -= 0.5
+    gens = replace(optimal_gens, total=D.tocsr())
+    with pytest.raises(SolverError, match=f"from level {lay.n - 1} to level "
+                                          f"{lay.n}"):
+        stationary_block(gens)
+
+
+@pytest.mark.parametrize("pm,bound", [(False, 1.5e6), (True, 2.8e6)])
+def test_bordered_lu_fill_stays_low(pm, bound):
+    """Threshold pivoting keeps the symmetric fill-reducing order: at n=6
+    the LU holds 1.05M (PM off) and 2.43M (PM on) entries, against 2.95M
+    and 3.19M under partial pivoting."""
+    gens = assemble_all(example_fleet_config(6, 3, pm), validate=False)
+    _, lu = bordered_stationary(gens.total)
+    assert lu.L.nnz + lu.U.nnz < bound
 
 
 def test_stationary_is_a_left_null_vector(optimal_gens, optimal_pi):
