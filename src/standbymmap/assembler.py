@@ -56,9 +56,8 @@ class MmapGenerators:
         return self.matrices[label]
 
 
-def _skron(*mats) -> sp.csr_matrix:
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"),
-                  map(sp.csr_matrix, mats))
+def _kron(*mats) -> np.ndarray:
+    return reduce(np.kron, mats)
 
 
 class _Assembly:
@@ -91,10 +90,9 @@ class _Assembly:
                    2: c.preventive.exit_vector[:, None]}
         self.entries: dict[str, list] = {l: [] for l in EVENT_LABELS}
 
-    @staticmethod
-    def heads(s: int):
+    def heads(self, s: int):
         """(head mark, queue prefix) pairs that split E_s by the head."""
-        return [(None, ())] if s == 0 else [(1, (1,)), (2, (2,))]
+        return [(None, ())] if s == 0 else [(i, (i,)) for i in self.lay.marks]
 
     def clock(self, x: str, head) -> np.ndarray:
         """Generator of the clock of a v or nv state with this head."""
@@ -106,13 +104,12 @@ class _Assembly:
 
     def place(self, label: str, src: tuple, dst: tuple, inner):
         """Add `inner` once per queue of src = (k, s, x, prefix): the i-th
-        of its 2**(s - len(prefix)) queues maps into the i-th equal share
-        of the queues of dst."""
+        of its queues maps into the i-th equal share of the span of dst."""
         inner = sp.coo_matrix(inner)
         if not inner.nnz:
             return
         (r0, r1), (c0, c1) = self.lay.span(*src), self.lay.span(*dst)
-        reps = 2 ** (src[1] - len(src[3]))
+        reps = (r1 - r0) // inner.shape[0]
         if (reps * inner.shape[0], reps * inner.shape[1]) != (r1 - r0, c1 - c0):
             raise AssemblyError(f"{label} block {inner.shape} does not tile "
                                 f"{src} -> {dst}")
@@ -147,12 +144,12 @@ class _Assembly:
                 if s == 0:
                     start = self.beta[mark] if x == "nv" else self.keep(x, None)
                     self.place(label, (k, 0, x, ()), (k, 1, x, (mark,)),
-                               _skron(H, start))
+                               _kron(H, start))
                     continue
-                sel = np.eye(1, 2, mark - 1)
+                sel = np.eye(1, len(self.lay.marks), mark - 1)
                 for head, prefix in self.heads(s):
                     self.place(label, (k, s, x, prefix), (k, s + 1, x, prefix),
-                               _skron(sel, H, self.keep(x, head)))
+                               _kron(sel, H, self.keep(x, head)))
 
     def unit_losses(self):
         """C and CD: a non-repairable failure with k > 1 discards the online
@@ -170,7 +167,7 @@ class _Assembly:
                 else:
                     label, clock = "CD", (self.ones_v, self.beta[head])
                 self.place(label, (k, s, x, prefix), (k - 1, s, to, prefix),
-                           _skron(H, *clock))
+                           _kron(H, *clock))
 
     def vacation_ends(self):
         """D and E: the vacation ends.  With at least N = k - R + 1 units
@@ -182,11 +179,11 @@ class _Assembly:
             online = np.eye(self.P if s < k else self.c.t)
             if s < k - self.lay.R + 1:
                 self.place("E", (k, s, x, ()), (k, s, x, ()),
-                           _skron(online, self.V0 @ self.upsilon))
+                           _kron(online, self.V0 @ self.upsilon))
                 continue
             for head, prefix in self.heads(s):
                 self.place("D", (k, s, x, prefix), (k, s, "nv", prefix),
-                           _skron(online, self.V0, self.beta[head]))
+                           _kron(online, self.V0, self.beta[head]))
 
     def service_completions(self):
         """O and F: the head's repair ends (s -> s - 1), the unit goes
@@ -200,11 +197,11 @@ class _Assembly:
             for head, prefix in self.heads(s):
                 if s == k - self.lay.R + 1:
                     self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),
-                               _skron(G, self.upsilon, self.S0[head]))
+                               _kron(G, self.upsilon, self.S0[head]))
                     continue
                 for new, rest in self.heads(s - 1):
                     self.place("O", (k, s, x, prefix + rest), (k, s - 1, x, rest),
-                               _skron(G, self.S0[head], self.beta[new]))
+                               _kron(G, self.S0[head], self.beta[new]))
 
     def fleet_renewal(self):
         """NS: non-repairable failure of the last unit, whole fleet renewed
@@ -212,7 +209,7 @@ class _Assembly:
         x = "v" if self.lay.R == 1 else "nv"    # the one block E_0^{1,x}
         end = self.ones_v @ self.upsilon if x == "v" else self.upsilon
         self.place("NS", (1, 0, x, ()), (self.lay.n, 0, "v", ()),
-                   _skron(self.b.HC, end))
+                   _kron(self.b.HC, end))
 
     def phase_moves(self):
         """O: phase moves of the online unit and the clock, harmless shocks

@@ -70,10 +70,13 @@ def _parse_switch(text: str) -> bool:
 
 def _parse_tgrid(text: str):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
+        grid = []
+    if not grid:
         raise argparse.ArgumentTypeError("--t-grid takes a comma-separated "
-                                         "list of times") from None
+                                         "list of times")
+    return grid
 
 
 def build_config(args) -> ModelConfig:

@@ -181,6 +181,12 @@ class ModelConfig:
             raise ConfigError("configuration error: damage rows plus exit must sum to 1")
         if abs(self.damage_init.sum() - 1) > atol or np.any(self.damage_init < -VALIDATION_ATOL):
             raise ConfigError("configuration error: damage_init must be a distribution")
+        for name in ("internal_exit_repairable", "internal_exit_nonrepairable",
+                     "shock_effect", "shock_repairable", "shock_nonrepairable",
+                     "damage_matrix", "damage_exit"):
+            if np.any(getattr(self, name) < -VALIDATION_ATOL):
+                raise ConfigError(f"configuration error: {name} has a "
+                                  "negative entry")
         for name, (size, symbol) in self._phase_cost_sizes().items():
             if getattr(self.costs, name).size != size:
                 raise ConfigError(f"configuration error: {name} cost length "

@@ -49,8 +49,9 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
     each t sums its own weights up to its own point, and the mass beyond it
     is left out of the result, not rescaled back in."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise SolverError(f"uniformization needs finite times t >= 0: {times}")
+    if not times.size or not np.all(np.isfinite(times) & (times >= 0)):
+        raise SolverError("uniformization needs a nonempty grid of finite "
+                          f"times t >= 0: {times}")
     D = gens.total
     lam = 1.01 * np.max(np.abs(D.diagonal()))
     PT = (sp.identity(D.shape[0], format="csr") + D / lam).T.tocsr()
@@ -98,22 +99,19 @@ def _factor(A: sp.spmatrix):
 def bordered_stationary(D: sp.spmatrix) -> tuple:
     """Solve pi D = 0, pi 1 = 1: the first equation of D^T pi^T = 0 is
     replaced by the normalisation, and the bordered matrix B factored by LU.
-    Returns pi and the factorisation of B, whose transposed solves give the
-    adjoint of the stationary solve."""
+    Returns pi as solved, neither clipped nor rescaled, and the
+    factorisation of B, whose transposed solves give the adjoint of the
+    stationary solve.  Negative mass beyond rounding raises."""
     n = D.shape[0]
     B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
                   format="csr")
     rhs = np.zeros(n)
     rhs[0] = 1.0
     lu = _factor(B)
-    return _normalised(lu.solve(rhs)), lu
-
-
-def _normalised(pi: np.ndarray) -> np.ndarray:
-    """Reject negative mass beyond rounding, then clip it and rescale."""
+    pi = lu.solve(rhs)
     if np.min(pi) < -1e-9:
         raise SolverError("stationary solve produced negative probabilities")
-    return np.clip(pi, 0.0, None) / pi.sum()
+    return pi, lu
 
 
 def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
@@ -187,4 +185,5 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
     pieces = [bordered_stationary(closed)[0]]
     for k in range(n - 1, 0, -1):
         pieces.append(-lus[k].solve(pieces[-1] @ blk(k + 1, k), trans="T"))
-    return _checked(_normalised(np.concatenate(pieces)), D)
+    pi = np.concatenate(pieces)
+    return _checked(pi / pi.sum(), D)

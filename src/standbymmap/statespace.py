@@ -4,9 +4,10 @@ Ordering: the unit count k runs from n down to 1.  For k >= R the vacation
 macro-states E_s^{k,v} come first (s = 0..k), then the at-work states
 E_s^{k,nv} for s = N..k with N = k - R + 1.  For k < R only E_s^{k,nv} with
 s = 0..k exist.  Within a second-level macro-state the repair queues
-(i_1, ..., i_s) are enumerated lexicographically with corrective (1) before
-preventive (2); within a queue the phase tuple is lexicographic with the
-rightmost index fastest.
+(i_1, ..., i_s) are enumerated lexicographically over the marks that can be
+queued: corrective (1) before preventive (2) with PM on, corrective alone
+with PM off, where no inspection sends a unit to preventive repair.  Within
+a queue the phase tuple is lexicographic with the rightmost index fastest.
 
 Prefix addressing: because the queues are lexicographic, the queues of
 E_s^{k,x} that start with a given prefix (i_1, ..., i_p) are contiguous, and
@@ -34,7 +35,7 @@ class MacroStateKey:
     k: int
     s: int
     x: str          # "v" or "nv"
-    queue: tuple    # (i_1, ..., i_s), entries in {1, 2}, i_1 in service
+    queue: tuple    # (i_1, ..., i_s) over the layout marks, i_1 in service
 
 
 class StateSpaceLayout:
@@ -44,7 +45,9 @@ class StateSpaceLayout:
         self.config = config
         self.n = config.units
         self.R = config.vacation_threshold
-        # (k, s, x) -> global boundaries of its 2**s queues, 2**s + 1 entries
+        # repair marks that can be queued: preventive only with PM on
+        self.marks = (1, 2) if config.pm_enabled else (1,)
+        # (k, s, x) -> global boundaries of its queues, one entry more
         self._bounds: dict[tuple, tuple] = {}
         self._k_spans: dict[int, tuple] = {}
         spans = []
@@ -74,10 +77,9 @@ class StateSpaceLayout:
                     + [(s, "nv") for s in range(n_min, k + 1)])
         return [(s, "nv") for s in range(k + 1)]
 
-    @staticmethod
-    def queues(s: int):
-        """Repair queues of length s, lexicographic with 1 < 2."""
-        return list(product((1, 2), repeat=s))
+    def queues(self, s: int):
+        """Repair queues of length s over the marks, lexicographic."""
+        return list(product(self.marks, repeat=s))
 
     def phase_count(self, k: int, s: int, x: str, queue: tuple) -> int:
         return prod(self.phase_dims(k, s, x, queue))
@@ -91,12 +93,12 @@ class StateSpaceLayout:
             bounds = self._bounds[(k, s, x)]
         except KeyError:
             raise KeyError(f"no macro-state E_{s}^{{{k},{x}}} in this layout") from None
-        if len(prefix) > s or any(i not in (1, 2) for i in prefix):
+        if len(prefix) > s or any(i not in self.marks for i in prefix):
             raise KeyError(f"invalid queue prefix {prefix} for s={s}")
-        first = 0
+        base, first = len(self.marks), 0
         for i in prefix:
-            first = 2 * first + (i - 1)
-        width = 2 ** (s - len(prefix))
+            first = base * first + (i - 1)
+        width = base ** (s - len(prefix))
         return bounds[first * width], bounds[(first + 1) * width]
 
     def k_span(self, k: int) -> tuple:

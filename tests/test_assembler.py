@@ -1,10 +1,13 @@
 """Assembled generator: conservation, sign structure, event placement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
 from standbymmap.config import example_fleet_config, vacation_from_params
+from standbymmap.ph import PhDistribution
 
 
 def small(n=2, R=1, pm=True, family="exponential"):
@@ -96,28 +99,41 @@ def test_arrivals_keep_the_level(optimal_gens):
         assert np.array_equal(kr, kc)
 
 
-# (n, R, PM) -> label -> (nnz, entry sum) of the bundled model
+# (n, R, PM[, preventive init]) -> label -> (nnz, entry sum) of the bundled
+# model.  The PM-off values are those of the layout over every queue of
+# {corrective, preventive} restricted to the states without a preventive
+# mark, entry for entry the generator of the PM-off layout.
 PINNED = {
     (4, 3, True): {
         "O": (22292, -2265.7178448), "A": (4240, 561.376), "B": (2544, 190.8),
         "C": (4368, 582.4), "D": (624, 517.7389776), "CD": (672, 89.6),
         "E": (128, 106.2028672), "F": (576, 211.2), "NS": (48, 6.4)},
-    (4, 3, False): {
-        "O": (22292, -2074.9178448), "A": (4240, 561.376), "B": (0, 0.0),
-        "C": (4368, 582.4), "D": (624, 517.7389776), "CD": (672, 89.6),
+    # the bundled repairs both start in phase 1; a preventive repair that
+    # starts elsewhere shows a builder that starts the wrong head's service
+    (4, 3, True, (0.0, 0.6, 0.4)): {
+        "O": (22952, -2265.7178448), "A": (4240, 561.376), "B": (2592, 190.8),
+        "C": (4368, 582.4), "D": (936, 517.7389776), "CD": (960, 89.6),
         "E": (128, 106.2028672), "F": (576, 211.2), "NS": (48, 6.4)},
+    (4, 3, False): {
+        "O": (6076, -577.3498572), "A": (1240, 164.176), "B": (0, 0.0),
+        "C": (1152, 153.6), "D": (132, 109.5217068), "CD": (288, 38.4),
+        "E": (96, 79.6521504), "F": (192, 25.6), "NS": (48, 6.4)},
     (6, 3, False): {
-        "O": (105748, -10299.9735248), "A": (20400, 2700.96), "B": (0, 0.0),
-        "C": (23760, 3168.0), "D": (3120, 2588.694888), "CD": (672, 89.6),
-        "E": (832, 690.3186368), "F": (2880, 1056.0), "NS": (48, 6.4)},
+        "O": (12364, -1295.9905816), "A": (2600, 344.24), "B": (0, 0.0),
+        "C": (2784, 371.2), "D": (264, 219.0434136), "CD": (288, 38.4),
+        "E": (320, 265.507168), "F": (384, 51.2), "NS": (48, 6.4)},
 }
 
 
 @pytest.mark.parametrize("policy", list(PINNED))
 def test_label_structure_is_pinned(policy):
-    """Every row, reached or not: with PM off the simulator oracle sees
-    only the states without a preventive mark."""
-    gens = assemble_all(example_fleet_config(*policy), validate=False)
+    """Every row of the layout, each of them reached (see the label
+    oracle)."""
+    config = example_fleet_config(*policy[:3])
+    if len(policy) > 3:
+        config = replace(config, preventive=PhDistribution(
+            np.array(policy[3]), config.preventive.subgen))
+    gens = assemble_all(config, validate=False)
     for label, (nnz, total) in PINNED[policy].items():
         assert gens[label].nnz == nnz, label
         assert gens[label].sum() == pytest.approx(total, rel=1e-12, abs=0.0), label

@@ -126,6 +126,20 @@ def test_profit_rejects_a_negative_time(tmp_path, capsys):
     assert not (tmp_path / "profit.json").exists()
 
 
+@pytest.mark.parametrize("command", ["transient", "profit"])
+def test_empty_time_grid_is_rejected(command, tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--t-grid", ","], tmp_path)
+    assert exc.value.code == 2
+    assert "--t-grid takes a comma-separated list" in capsys.readouterr().err
+    monkeypatch.setenv("STANDBYMMAP_T_GRID", ",")
+    assert run([command], tmp_path) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ArgumentTypeError"
+    assert "STANDBYMMAP_T_GRID" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_policy_flags_override_the_model(capsys):
     assert main(["build", "--n", "2", "--R", "1", "--pm", "off"]) == 0
     out = capsys.readouterr().out

@@ -36,6 +36,30 @@ def test_internal_exit_split_checked():
         replace(c, internal_exit_repairable=bad)
 
 
+# (field, its entry set to -0.1, the field and entry that take up the
+# difference so that every row sum still holds)
+NEGATIVE_EDITS = [
+    ("internal_exit_repairable", (3,), "internal_exit_nonrepairable", (3,)),
+    ("internal_exit_nonrepairable", (3,), "internal_exit_repairable", (3,)),
+    ("shock_effect", (3, 2), "shock_repairable", (3,)),
+    ("shock_repairable", (3,), "shock_effect", (3, 3)),
+    ("shock_nonrepairable", (3,), "shock_effect", (3, 3)),
+    ("damage_matrix", (0, 0), "damage_exit", (0,)),
+    ("damage_exit", (0,), "damage_matrix", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("field,at,partner,partner_at", NEGATIVE_EDITS)
+def test_negative_probabilities_are_rejected(field, at, partner, partner_at):
+    from dataclasses import replace
+    c = example_fleet_config()
+    edited = {name: getattr(c, name).copy() for name in (field, partner)}
+    edited[partner][partner_at] += edited[field][at] + 0.1
+    edited[field][at] = -0.1
+    with pytest.raises(ConfigError, match=f"{field} has a negative entry"):
+        replace(c, **edited)
+
+
 def test_shock_outcome_rows_checked():
     from dataclasses import replace
     c = example_fleet_config()

@@ -29,7 +29,7 @@ from standbymmap.simulator import FleetSimulator, SimState
 from standbymmap.statespace import enumerate_states
 
 from random_models import small_models
-from simstates import global_index, sim_state_of
+from simstates import global_index
 
 ATOL = 1e-12
 
@@ -112,12 +112,8 @@ def check_against_simulator(config, layout):
 def test_every_label_matches_the_simulator_rows(config):
     layout = enumerate_states(config)
     reached = check_against_simulator(config, layout)
-    # every layout state is reached; with PM off, no preventive repair is
-    # ever queued, so only the states without one are
-    expected = {idx for idx in range(layout.total)
-                if config.pm_enabled
-                or 2 not in sim_state_of(layout, idx).queue}
-    assert reached == expected
+    # every layout state is reached, with PM on or off
+    assert reached == set(range(layout.total))
 
 
 BUNDLED_CASES = [pytest.param(R, pm, None, id=f"{R}-{pm}")
@@ -140,6 +136,4 @@ def test_bundled_model_matches_the_simulator_rows_at_four_units(
             np.array(preventive_init), config.preventive.subgen))
     layout = enumerate_states(config)
     reached = check_against_simulator(config, layout)
-    assert reached == {idx for key, start, stop in layout.queue_spans()
-                       if pm or 2 not in key.queue
-                       for idx in range(start, stop)}
+    assert reached == set(range(layout.total))

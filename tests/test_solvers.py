@@ -72,11 +72,11 @@ def test_level_cycle_rejects_an_extra_upward_block(optimal_gens):
         stationary_block(gens)
 
 
-@pytest.mark.parametrize("pm,bound", [(False, 1.5e6), (True, 2.8e6)])
+@pytest.mark.parametrize("pm,bound", [(False, 1.3e5), (True, 2.8e6)])
 def test_bordered_lu_fill_stays_low(pm, bound):
     """Threshold pivoting keeps the symmetric fill-reducing order: at n=6
-    the LU holds 1.05M (PM off) and 2.43M (PM on) entries, against 2.95M
-    and 3.19M under partial pivoting."""
+    the LU holds 99.5k (PM off, 2,132 states) and 2.43M (PM on, 17,556
+    states) entries, against 157k and 3.19M under partial pivoting."""
     gens = assemble_all(example_fleet_config(6, 3, pm), validate=False)
     _, lu = bordered_stationary(gens.total)
     assert lu.L.nnz + lu.U.nnz < bound
@@ -152,6 +152,13 @@ def test_bad_time_is_an_error(optimal_config, optimal_gens, t):
     phi = initial_distribution(optimal_config, optimal_gens.layout)
     with pytest.raises(SolverError, match="finite times"):
         transient(optimal_gens, phi, [10.0, t])
+
+
+def test_empty_time_grid_is_an_error(optimal_config, optimal_gens):
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    for solve in (transient, transient_integral):
+        with pytest.raises(SolverError, match="nonempty grid"):
+            solve(optimal_gens, phi, [])
 
 
 def test_availability_settles_monotonically(optimal_config, optimal_gens, optimal_pi):

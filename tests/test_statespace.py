@@ -12,32 +12,43 @@ def hand_count(config):
     """Macro-state sizes written out from the construction rules."""
     c = config
     full = c.m * c.t * c.d * c.eps
-    zsum = c.z[1] + c.z[2]
+    # PM on: 2**s queues, head z1 or z2; PM off: 1**s queues, head z1
+    marks, zsum = (2, c.z[1] + c.z[2]) if c.pm_enabled else (1, c.z[1])
     total = 0
     for k in range(1, c.units + 1):
         if k >= c.vacation_threshold:
             N = k - c.vacation_threshold + 1
             for s in range(k + 1):  # on vacation
-                total += (2 ** s) * (full if s < k else c.t) * c.v
+                total += (marks ** s) * (full if s < k else c.t) * c.v
             for s in range(N, k + 1):  # at the facility
-                total += 2 ** (s - 1) * zsum * (full if s < k else c.t)
+                total += marks ** (s - 1) * zsum * (full if s < k else c.t)
         else:
             total += full  # s = 0, idle
             for s in range(1, k + 1):
-                total += 2 ** (s - 1) * zsum * (full if s < k else c.t)
+                total += marks ** (s - 1) * zsum * (full if s < k else c.t)
     return total
 
 
 @pytest.mark.parametrize("n,R", [(4, 3), (4, 4), (4, 1), (3, 2), (2, 1), (1, 1)])
 def test_total_matches_hand_count(n, R):
-    config = example_fleet_config(units=n, vacation_threshold=R)
-    layout = enumerate_states(config)
-    assert layout.total == hand_count(config)
+    for pm in (True, False):
+        config = example_fleet_config(units=n, vacation_threshold=R,
+                                      pm_enabled=pm)
+        assert enumerate_states(config).total == hand_count(config), pm
 
 
 def test_reference_dimension():
     # four units, threshold three, Erlang vacation: the worked example size
     assert enumerate_states(example_fleet_config()).total == 3668
+
+
+@pytest.mark.parametrize("n,pm,total", [
+    (4, True, 3668), (5, True, 8276), (6, True, 17556),
+    (4, False, 1024), (5, False, 1546), (6, False, 2132)])
+def test_state_counts_at_threshold_three(n, pm, total):
+    # with PM off only the queues without a preventive mark are counted
+    config = example_fleet_config(units=n, vacation_threshold=3, pm_enabled=pm)
+    assert enumerate_states(config).total == total
 
 
 def test_levels_partition_the_space():
@@ -74,8 +85,13 @@ def test_vacation_blocks_only_at_or_above_threshold():
 
 
 def test_queue_order_is_lexicographic():
-    assert StateSpaceLayout.queues(2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert StateSpaceLayout.queues(0) == [()]
+    on = StateSpaceLayout(example_fleet_config(pm_enabled=True))
+    off = StateSpaceLayout(example_fleet_config(pm_enabled=False))
+    assert on.marks == (1, 2) and off.marks == (1,)
+    assert on.queues(2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    # with PM off no preventive repair is ever queued
+    assert off.queues(2) == [(1, 1)]
+    assert on.queues(0) == off.queues(0) == [()]
 
 
 def test_decode_round_trip():
@@ -125,7 +141,6 @@ def test_prefix_spans_partition_each_block(n, R, pm):
         with pytest.raises(KeyError):
             layout.span(k, s, x, (1,) * (s + 1))
         if s:
-            with pytest.raises(KeyError):
-                layout.span(k, s, x, (3,))
-            with pytest.raises(KeyError):
-                layout.span(k, s, x, (0,))
+            for mark in (0, 3) if pm else (0, 2, 3):
+                with pytest.raises(KeyError):
+                    layout.span(k, s, x, (mark,))
