@@ -74,11 +74,6 @@ class _Assembly:
         self.lay = layout
         self.b = blocks
         c = config
-        self.P = c.m * c.t * c.d * c.eps
-        self.theta = np.kron(np.kron(np.kron(c.internal.init, np.eye(c.t)),
-                                     c.damage_init), c.inspection.init)
-        self.shock_renewal = c.shock.subgen + np.outer(c.shock.exit_vector,
-                                                       c.shock.init)
         self.V0 = c.vacation.exit_vector[:, None]
         self.upsilon = c.vacation.init[None, :]
         self.ones_v = np.ones((c.v, 1))
@@ -97,6 +92,11 @@ class _Assembly:
     def clock(self, x: str, head) -> np.ndarray:
         """Generator of the clock of a v or nv state with this head."""
         return self.c.vacation.subgen if x == "v" else self.S[head]
+
+    def core(self, k: int, s: int) -> np.ndarray:
+        """No-event core of the unit phases: H0 while a unit is online, the
+        shock renewal L + L0 gamma while every unit is down."""
+        return self.b.H0 if s < k else self.b.shock_renewal
 
     def keep(self, x: str, head) -> np.ndarray:
         """Identity on the clock: the event leaves it running."""
@@ -176,7 +176,7 @@ class _Assembly:
         for k, s, x in self.lay.macro_keys():
             if x != "v":
                 continue
-            online = np.eye(self.P if s < k else self.c.t)
+            online = np.eye(len(self.core(k, s)))
             if s < k - self.lay.R + 1:
                 self.place("E", (k, s, x, ()), (k, s, x, ()),
                            _kron(online, self.V0 @ self.upsilon))
@@ -193,7 +193,7 @@ class _Assembly:
         for k, s, x in self.lay.macro_keys():
             if x != "nv" or s == 0:
                 continue
-            G = np.eye(self.P) if s < k else self.theta
+            G = np.eye(len(self.b.H0)) if s < k else self.b.theta
             for head, prefix in self.heads(s):
                 if s == k - self.lay.R + 1:
                     self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),
@@ -216,10 +216,9 @@ class _Assembly:
         and negative inspections; with every unit down only the shock clock
         runs."""
         for k, s, x in self.lay.macro_keys():
-            core = self.b.H0 if s < k else self.shock_renewal
             for head, prefix in self.heads(s):
                 self.place("O", (k, s, x, prefix), (k, s, x, prefix),
-                           kron_sum(core, self.clock(x, head)))
+                           kron_sum(self.core(k, s), self.clock(x, head)))
 
 
 def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,

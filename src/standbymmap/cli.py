@@ -132,9 +132,9 @@ def cmd_steady(args) -> int:
     pi = stationary_direct(gens)
     lay = gens.layout
     rows = ["index,k,s,regime,probability"]
-    for idx, p in enumerate(pi):
-        key, _ = lay.decode(idx)
-        rows.append(f"{idx},{key.k},{key.s},{key.x},{_fmt(p)}")
+    for key, start, stop in lay.queue_spans():
+        rows.extend(f"{idx},{key.k},{key.s},{key.x},{_fmt(pi[idx])}"
+                    for idx in range(start, stop))
     out = _outdir(args)
     _write(out / "steady.csv", "\n".join(rows) + "\n")
     summary = {"states": lay.total, "mass": float(pi.sum()),

@@ -14,6 +14,7 @@ per replication); replication r uses seed + r.
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -415,8 +416,10 @@ def _combine(samples) -> SimEstimate:
     return SimEstimate(mean, se, arr.size)
 
 
-def _replication(config, horizon, seed):
-    return FleetSimulator(config).run(horizon, np.random.default_rng(seed))
+def _replications(config, horizon, seeds) -> list:
+    """One run per seed on one simulator, whose row cache later runs reuse."""
+    sim = FleetSimulator(config)
+    return [sim.run(horizon, np.random.default_rng(s)) for s in seeds]
 
 
 def simulate(config: ModelConfig, horizon: float = 1e6,
@@ -434,11 +437,12 @@ def simulate(config: ModelConfig, horizon: float = 1e6,
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(_replication, [config] * replications,
-                                 [horizon] * replications, seeds))
+            # worker w runs seeds w, w + threads, ...; back in seed order below
+            shares = list(pool.map(partial(_replications, config, horizon),
+                                   [seeds[w::threads] for w in range(threads)]))
+        runs = [shares[r % threads][r // threads] for r in range(replications)]
     else:
-        sim = FleetSimulator(config)
-        runs = [sim.run(horizon, np.random.default_rng(s)) for s in seeds]
+        runs = _replications(config, horizon, seeds)
     batches = [batch for run in runs for batch in run]
     counts = {e: np.array([b["counts"][e] for b in batches])
               for e in EVENT_NAMES}

@@ -101,7 +101,8 @@ def bordered_stationary(D: sp.spmatrix) -> tuple:
     replaced by the normalisation, and the bordered matrix B factored by LU.
     Returns pi as solved, neither clipped nor rescaled, and the
     factorisation of B, whose transposed solves give the adjoint of the
-    stationary solve.  Negative mass beyond rounding raises."""
+    stationary solve.  Negative mass beyond rounding raises, and so does a
+    balance residual that `_checked` rejects."""
     n = D.shape[0]
     B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
                   format="csr")
@@ -111,7 +112,7 @@ def bordered_stationary(D: sp.spmatrix) -> tuple:
     pi = lu.solve(rhs)
     if np.min(pi) < -1e-9:
         raise SolverError("stationary solve produced negative probabilities")
-    return pi, lu
+    return _checked(pi, D), lu
 
 
 def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
@@ -128,8 +129,7 @@ def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     """Stationary distribution of the assembled generator by one bordered
     sparse solve."""
-    D = gens.total
-    return _checked(bordered_stationary(D)[0], D)
+    return bordered_stationary(gens.total)[0]
 
 
 def _check_levels(D: sp.spmatrix, layout: StateSpaceLayout) -> None:

@@ -3,24 +3,30 @@
 The online unit lives on the phase grid (internal, shock, damage, inspection).
 Its outflow splits into four labelled channels: repairable failure (A),
 positive inspection sending the unit to preventive maintenance (B),
-non-repairable failure (C) and everything else (O, block H0).  The primed
-variants of A/B/C apply when the failing unit is the last operational one,
-so no fresh unit is re-initialised and only the shock clock survives: each
-is derived from its unprimed block by summing the target columns over every
-phase but the shock clock, H' = H (1_m (x) I_t (x) 1_d (x) 1_eps).
+non-repairable failure (C) and everything else (O, block H0).  Each channel
+is one list of Kronecker terms with one factor per clock, (internal, shock,
+damage, inspection), and its block is the sum of the terms' products.  With
+every unit down only the shock clock runs: its core is L + L0 gamma, and the
+repair that ends the outage brings a fresh unit online through theta =
+alpha (x) I_t (x) omega (x) eta.  The primed variants of A/B/C apply when
+the failing unit is the last operational one, so no fresh unit is
+re-initialised and only the shock clock survives: each is derived from its
+unprimed block by summing the target columns over every phase but the
+shock clock, H' = H (1_m (x) I_t (x) 1_d (x) 1_eps).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .config import ModelConfig
-from .ph import kron_sum
 
 
 @dataclass(frozen=True)
 class UnitBlocks:
-    """Event blocks of the online unit on the (i, j, h, u) phase grid."""
+    """Event blocks of the online unit on the (i, j, h, u) phase grid, and
+    the blocks of the all-down fleet on the shock clock j."""
 
     H0: np.ndarray
     HA: np.ndarray
@@ -29,111 +35,62 @@ class UnitBlocks:
     HA_p: np.ndarray   # primed variants: columns collapse to the shock clock
     HB_p: np.ndarray
     HC_p: np.ndarray
+    theta: np.ndarray           # all down -> one fresh unit online, j kept
+    shock_renewal: np.ndarray   # all down: L + L0 gamma
 
 
-def build_selectors(config: ModelConfig):
-    """Minor/major diagonal selectors for internal (U1, U2) and damage (V1, V2).
-
-    Minor phases are 1..minor_internal (resp. 1..minor_damage); the selectors
-    partition the diagonal, so U1 + U2 = I and V1 + V2 = I.
-    """
-    m, d = config.m, config.d
-    u1 = np.zeros(m)
-    u1[:config.minor_internal] = 1.0
-    v1 = np.zeros(d)
-    v1[:config.minor_damage] = 1.0
-    return np.diag(u1), np.diag(1.0 - u1), np.diag(v1), np.diag(1.0 - v1)
-
-
-def _shock_pieces(config: ModelConfig):
-    """Shock-arrival factors shared by all event blocks."""
-    L0 = config.shock.exit_vector
-    gamma = config.shock.init
-    renew = np.outer(L0, gamma)                     # L0 gamma
-    return renew * (1 - config.total_failure_prob), renew * config.total_failure_prob
-
-
-def build_HC(config: ModelConfig) -> np.ndarray:
-    """Non-repairable failure channel of the online unit."""
-    t, d = config.t, config.d
-    alpha = config.internal.init
-    omega = config.damage_init
-    eta = config.inspection.init
-    shock_sub, shock_total = _shock_pieces(config)
-    dam_stay = config.damage_matrix.sum(axis=1)     # D 1
-    internal_f = np.outer(config.internal_exit_nonrepairable, alpha)
-    wnr_f = np.outer(config.shock_nonrepairable, alpha)
-    any_f = np.outer(np.ones(config.m), alpha)
-    dam_restart = np.outer(np.ones(d), omega)
-    core = (np.kron(np.kron(internal_f, np.eye(t)), dam_restart)
-            + np.kron(np.kron(wnr_f, shock_sub), np.outer(dam_stay, omega))
-            + np.kron(np.kron(any_f, shock_sub), np.outer(config.damage_exit, omega))
-            + np.kron(np.kron(any_f, shock_total), dam_restart))
-    return np.kron(core, np.outer(np.ones(config.eps), eta))
-
-
-def build_HA(config: ModelConfig) -> np.ndarray:
-    """Repairable failure channel of the online unit."""
-    t, d = config.t, config.d
-    alpha = config.internal.init
-    omega = config.damage_init
-    eta = config.inspection.init
-    shock_sub, _ = _shock_pieces(config)
-    dam_stay = config.damage_matrix.sum(axis=1)
-    core = (np.kron(np.kron(np.outer(config.internal_exit_repairable, alpha),
-                            np.eye(t)),
-                    np.outer(np.ones(d), omega))
-            + np.kron(np.kron(np.outer(config.shock_repairable, alpha), shock_sub),
-                      np.outer(dam_stay, omega)))
-    return np.kron(core, np.outer(np.ones(config.eps), eta))
+def _terms(c: ModelConfig) -> dict:
+    """Kronecker terms of every block on the grid, keyed by its UnitBlocks
+    field, and `keep_shock` = 1_m (x) I_t (x) 1_d (x) 1_eps."""
+    I_m, I_t, I_d, I_e = (np.eye(k) for k in (c.m, c.t, c.d, c.eps))
+    one = np.ones((1, 1))
+    alpha, omega, eta = c.internal.init, c.damage_init, c.inspection.init
+    renew = np.outer(c.shock.exit_vector, c.shock.init)        # L0 gamma
+    sub = renew * (1 - c.total_failure_prob)
+    new_m, new_d = np.outer(np.ones(c.m), alpha), np.outer(np.ones(c.d), omega)
+    new_e = np.outer(np.ones(c.eps), eta)
+    stay_d = np.outer(c.damage_matrix.sum(axis=1), omega)      # D 1 omega
+    insp = np.outer(c.inspection.exit_vector, eta)
+    minor_i = (np.arange(c.m) < c.minor_internal).astype(float)
+    minor_d = (np.arange(c.d) < c.minor_damage).astype(float)
+    # A major finding (major internal phase, or minor with major damage) sends
+    # the unit to PM (B) with PM on; with PM off its phases persist (O).
+    pm = float(c.pm_enabled)
+    majors = ((1 - minor_i, np.ones(c.d)), (minor_i, 1 - minor_d))
+    return {
+        "H0": [(c.internal.subgen, I_t, I_d, I_e),
+               (I_m, c.shock.subgen, I_d, I_e),
+               (I_m, I_t, I_d, c.inspection.subgen),
+               (c.shock_effect, sub, c.damage_matrix, I_e),
+               (np.diag(minor_i), I_t, np.diag(minor_d), insp)]
+              + [(np.diag(u * (1 - pm)), I_t, np.diag(v), insp)
+                 for u, v in majors],
+        "HA": [(np.outer(c.internal_exit_repairable, alpha), I_t, new_d, new_e),
+               (np.outer(c.shock_repairable, alpha), sub, stay_d, new_e)],
+        "HB": [(np.outer(u * pm, alpha), I_t, np.outer(v, omega), insp)
+               for u, v in majors],
+        "HC": [(np.outer(c.internal_exit_nonrepairable, alpha), I_t, new_d, new_e),
+               (np.outer(c.shock_nonrepairable, alpha), sub, stay_d, new_e),
+               (new_m, sub, np.outer(c.damage_exit, omega), new_e),
+               (new_m, renew * c.total_failure_prob, new_d, new_e)],
+        "theta": [(alpha, I_t, omega, eta)],
+        "shock_renewal": [(one, c.shock.subgen, one, one), (one, renew, one, one)],
+        "keep_shock": [(np.ones((c.m, 1)), I_t, np.ones((c.d, 1)),
+                        np.ones((c.eps, 1)))],
+    }
 
 
-def build_HB(config: ModelConfig) -> np.ndarray:
-    """Major-inspection channel (preventive maintenance trigger)."""
-    m, t, d, eps = config.m, config.t, config.d, config.eps
-    if not config.pm_enabled:
-        return np.zeros((m * t * d * eps, m * t * d * eps))
-    U1, U2, _, V2 = build_selectors(config)
-    alpha = config.internal.init
-    omega = config.damage_init
-    insp = np.outer(config.inspection.exit_vector, config.inspection.init)
-    return (np.kron(np.kron(np.kron(np.outer(U2 @ np.ones(m), alpha), np.eye(t)),
-                            np.outer(np.ones(d), omega)), insp)
-            + np.kron(np.kron(np.kron(np.outer(U1 @ np.ones(m), alpha), np.eye(t)),
-                              np.outer(V2 @ np.ones(d), omega)), insp))
-
-
-def build_H0(config: ModelConfig) -> np.ndarray:
-    """No-event block: internal/shock/inspection phase moves, harmless shocks
-    and negative inspections."""
-    t, d, eps = config.t, config.d, config.eps
-    U1, U2, V1, V2 = build_selectors(config)
-    shock_sub, _ = _shock_pieces(config)
-    insp = np.outer(config.inspection.exit_vector, config.inspection.init)
-
-    h0 = (np.kron(np.kron(kron_sum(config.internal.subgen, config.shock.subgen),
-                          np.eye(d)), np.eye(eps))
-          + np.kron(np.eye(config.m * t * d), config.inspection.subgen)
-          + np.kron(np.kron(np.kron(config.shock_effect, shock_sub),
-                            config.damage_matrix), np.eye(eps))
-          + np.kron(np.kron(np.kron(U1, np.eye(t)), V1), insp))
-    if not config.pm_enabled:
-        # Major findings are ignored: the inspection renews, phases persist.
-        h0 = h0 + (np.kron(np.kron(np.kron(U2, np.eye(t)), np.eye(d)), insp)
-                   + np.kron(np.kron(np.kron(U1, np.eye(t)), V2), insp))
-    return h0
+def _fold(terms: list) -> np.ndarray:
+    """Sum of the terms' Kronecker products."""
+    return reduce(np.add, (reduce(np.kron, term) for term in terms))
 
 
 def build_unit_blocks(config: ModelConfig) -> UnitBlocks:
-    HA, HB, HC = build_HA(config), build_HB(config), build_HC(config)
-    # 1_m (x) I_t (x) 1_d (x) 1_eps: sums each target (i, j, h, u) over every
-    # phase but the shock clock j, which alone survives the loss of the last
-    # operational unit
-    keep_shock = np.kron(np.kron(np.kron(np.ones((config.m, 1)), np.eye(config.t)),
-                                 np.ones((config.d, 1))), np.ones((config.eps, 1)))
-    blocks = UnitBlocks(H0=build_H0(config), HA=HA, HB=HB, HC=HC,
-                        HA_p=HA @ keep_shock, HB_p=HB @ keep_shock,
-                        HC_p=HC @ keep_shock)
+    H = {name: _fold(terms) for name, terms in _terms(config).items()}
+    keep_shock = H.pop("keep_shock")
+    for label in "ABC":
+        H[f"H{label}_p"] = H[f"H{label}"] @ keep_shock
+    blocks = UnitBlocks(**H)
     residual = (blocks.H0 + blocks.HA + blocks.HB + blocks.HC).sum(axis=1)
     if np.max(np.abs(residual)) > 1e-10:
         raise ValueError(

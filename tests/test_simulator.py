@@ -109,9 +109,11 @@ def test_occupancy_estimates_sum_to_one():
 
 
 def test_threaded_run_matches_sequential():
+    """With three replications one worker runs two seeds in turn on one
+    simulator, and the runs must come back in seed order."""
     config = example_fleet_config(units=2, vacation_threshold=1)
-    seq = simulate(config, horizon=1500.0, replications=2, seed=4)
-    par = simulate(config, horizon=1500.0, replications=2, seed=4, threads=2)
+    seq = simulate(config, horizon=1500.0, replications=3, seed=4)
+    par = simulate(config, horizon=1500.0, replications=3, seed=4, threads=2)
     assert seq == par
 
 

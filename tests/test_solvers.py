@@ -58,6 +58,16 @@ def test_residual_guard_rejects_a_perturbed_pi(optimal_gens, optimal_pi):
         _checked(bent / bent.sum(), D)
 
 
+def test_bordered_solve_rejects_an_unbalanced_generator(optimal_gens):
+    """The bordered solve drops the first balance equation, so a change to
+    D[0, 0] leaves pi as it was and shows only in ||pi D||_inf (2.3e-4
+    here); the optimizer's solves go through the same check."""
+    D = optimal_gens.total.tolil()
+    D[0, 0] *= 1.01
+    with pytest.raises(SolverError, match="residual"):
+        bordered_stationary(D.tocsr())
+
+
 def test_level_cycle_rejects_an_extra_upward_block(optimal_gens):
     """One conservative entry from level n-1 up to level n breaks the
     lower-Hessenberg structure the level cycle relies on."""
