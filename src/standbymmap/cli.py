@@ -131,10 +131,11 @@ def cmd_steady(args) -> int:
     gens = assemble_all(config, validate=False)
     pi = stationary_direct(gens)
     lay = gens.layout
+    regime = np.where(lay.states["vacation"], "v", "nv")
     rows = ["index,k,s,regime,probability"]
-    for key, start, stop in lay.queue_spans():
-        rows.extend(f"{idx},{key.k},{key.s},{key.x},{_fmt(pi[idx])}"
-                    for idx in range(start, stop))
+    rows += [f"{idx},{k},{s},{x},{_fmt(p)}" for idx, (k, s, x, p) in enumerate(
+        zip(lay.states["k"].tolist(), lay.states["s"].tolist(),
+            regime.tolist(), pi.tolist()))]
     out = _outdir(args)
     _write(out / "steady.csv", "\n".join(rows) + "\n")
     summary = {"states": lay.total, "mass": float(pi.sum()),

@@ -20,34 +20,26 @@ from .statespace import StateSpaceLayout
 
 
 def build_nr(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
-    """Net reward vector of the online unit (and repairperson time rates).
-
-    An online unit's phases (i, j, h, u) lead each phase tuple, so within a
-    queue the reward B - presence - c0[i] - cd[h] repeats over the phases
-    that follow them."""
-    c = config.costs
-    per_i = np.repeat(c.operational, config.t * config.d * config.eps)
-    cd = np.tile(np.repeat(c.damage, config.eps), config.m * config.t)
-    nr = np.empty(layout.total)
-    for key, start, stop in layout.queue_spans():
-        presence = c.vacation if key.x == "v" else c.repair_present
-        if key.s == key.k:
-            nr[start:stop] = -(c.downtime_loss + presence)
-        else:
-            nr[start:stop] = np.repeat(c.gross_profit - presence - per_i - cd,
-                                       (stop - start) // per_i.size)
+    """Net reward vector of the online unit (and repairperson time rates):
+    B - presence - c0[i] - cd[h] while a unit is online, -(C + presence)
+    when every unit is down."""
+    c, st = config.costs, layout.states
+    presence = np.where(st["vacation"], c.vacation, c.repair_present)
+    # the -1 phases of the all-down states pick an entry that is replaced
+    nr = c.gross_profit - presence - c.operational[st["i"]] - c.damage[st["h"]]
+    down = st["s"] == st["k"]
+    nr[down] = -(c.downtime_loss + presence[down])
     return nr
 
 
 def build_nc(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
-    """Repair-task cost vector: cr per service phase of the queue head while
-    at work (the service phase is the fastest index)."""
-    cr = (None, config.costs.corrective, config.costs.preventive)
+    """Repair-task cost vector: cr[w] of the queue head's service phase
+    while the repairperson is at work."""
+    c, st = config.costs, layout.states
     nc = np.zeros(layout.total)
-    for key, start, stop in layout.queue_spans():
-        if key.x == "nv" and key.s:
-            head = cr[key.queue[0]]
-            nc[start:stop] = np.tile(head, (stop - start) // head.size)
+    for mark, cr in ((1, c.corrective), (2, c.preventive)):
+        at_work = (st["head"] == mark) & ~st["vacation"]
+        nc[at_work] = cr[st["w"][at_work]]
     return nc
 
 
@@ -69,19 +61,25 @@ def event_costs(config: ModelConfig) -> np.ndarray:
     return np.array([cost.get(label, 0.0) for label in ARRIVAL_LABELS])
 
 
-def _profit(vec: np.ndarray, flows: np.ndarray, gens: MmapGenerators,
-            config: ModelConfig) -> ProfitBreakdown:
+def _profit(vec: np.ndarray, flows: np.ndarray, nr: np.ndarray,
+            nc: np.ndarray, costs: np.ndarray) -> ProfitBreakdown:
     """Profit of the occupation vector vec whose label flows are `flows`."""
-    phi_w = float(vec @ build_nr(config, gens.layout))
-    phi_rf = float(vec @ build_nc(config, gens.layout))
-    fixed = float(flows @ event_costs(config))
+    phi_w = float(vec @ nr)
+    phi_rf = float(vec @ nc)
+    fixed = float(flows @ costs)
     return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)
+
+
+def _charges(config: ModelConfig, layout: StateSpaceLayout) -> tuple:
+    """nr, nc and the cost table c of a model on its layout."""
+    return (build_nr(config, layout), build_nc(config, layout),
+            event_costs(config))
 
 
 def profit_stationary(pi: np.ndarray, gens: MmapGenerators,
                       config: ModelConfig) -> ProfitBreakdown:
     """Mean net total profit per unit of time in stationary regime."""
-    return _profit(pi, pi @ label_flows(gens), gens, config)
+    return _profit(pi, pi @ label_flows(gens), *_charges(config, gens.layout))
 
 
 def profit_transient(gens: MmapGenerators, phi: np.ndarray, t,
@@ -90,10 +88,11 @@ def profit_transient(gens: MmapGenerators, phi: np.ndarray, t,
     purchase of the initial fleet.  For a sequence of times, a list with
     one breakdown per t, all from one uniformization sweep."""
     flows = label_flows(gens)
+    charges = _charges(config, gens.layout)
     profits = []
     for ip in np.atleast_2d(transient_integral(gens, phi, t)):
         counts = ip @ flows
         # the initial fleet is bought like one more fleet renewal
         counts[ARRIVAL_LABELS.index("NS")] += 1.0
-        profits.append(_profit(ip, counts, gens, config))
+        profits.append(_profit(ip, counts, *charges))
     return profits[0] if np.ndim(t) == 0 else profits

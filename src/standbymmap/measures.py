@@ -29,12 +29,7 @@ RATE_LABELS = {
 
 def down_mask(layout: StateSpaceLayout) -> np.ndarray:
     """Boolean mask of the states with no operational unit (s = k)."""
-    mask = np.zeros(layout.total, dtype=bool)
-    for (k, s, x) in layout.macro_keys():
-        if s == k:
-            start, stop = layout.span(k, s, x)
-            mask[start:stop] = True
-    return mask
+    return layout.states["s"] == layout.states["k"]
 
 
 def availability_stationary(pi: np.ndarray, layout: StateSpaceLayout) -> float:
@@ -51,13 +46,6 @@ class OccupancyTable:
     """Proportions of time per second-level macro-state."""
 
     psi: dict   # (k, s, x) -> value
-
-    def by_units(self) -> dict:
-        """Psi_k aggregated over s and x."""
-        out = {}
-        for (k, s, x), val in self.psi.items():
-            out[k] = out.get(k, 0.0) + val
-        return out
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -112,12 +112,6 @@ class _CellEvaluator:
                 for K_i, r_i in zip(self.D[1], self.reward[1])]
         return float(pi @ reward), np.array(grad)
 
-    def profit(self, x) -> float:
-        return self.evaluate(x)[0]
-
-    def availability(self, x) -> float:
-        return self.evaluate(x)[1]
-
 
 def evaluate(config: ModelConfig, family: str, x):
     """Phi, availability and event rates for one parameter vector."""
@@ -150,30 +144,6 @@ def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     return OptimizationResult(config.units, config.vacation_threshold,
                               config.pm_enabled, family, x, phi, avail,
                               int(res.nfev), bool(res.success), rates)
-
-
-def golden_section_scan(config: ModelConfig, lo: float = 1e-3,
-                        hi: float = 10.0, tol: float = 1e-6) -> tuple:
-    """1-D golden-section maximization of Phi over the exponential rate.
-    Independent cross-check for the exponential branch of optimize()."""
-    cell = _CellEvaluator(config, "exponential")
-    inv_phi = (np.sqrt(5) - 1) / 2
-    a, b = np.log(lo), np.log(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = cell.profit([np.exp(c)])
-    fd = cell.profit([np.exp(d)])
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = cell.profit([np.exp(c)])
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = cell.profit([np.exp(d)])
-    x = np.exp((a + b) / 2)
-    return x, cell.profit([x])
 
 
 def run_grid(config: ModelConfig) -> list:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ModelConfig
-from .ph import PhDistribution, renewal_stationary
+from .ph import renewal_stationary
 
 EVENT_NAMES = ("A", "B", "C", "D", "CD", "E", "F", "NS")
 
@@ -511,31 +511,3 @@ def validate(analytic: dict, sim: SimReport, width: float = 3.0) -> ValidationRe
     if not rows:
         raise ValueError("nothing to validate")
     return ValidationReport(tuple(rows), width)
-
-
-# -- plain PH sampling (used to cross-check ph_mean) ---------------------------
-
-def sample_ph_mean(ph: PhDistribution, samples: int = 10 ** 6,
-                   seed: int = 0) -> SimEstimate:
-    """Monte Carlo mean of a PH distribution via phase-level races."""
-    rng = np.random.default_rng(seed)
-    order = ph.order
-    rates = -np.diag(ph.subgen)
-    jump = np.hstack([ph.subgen / rates[:, None],
-                      (ph.exit_vector / rates)[:, None]])
-    np.fill_diagonal(jump, 0.0)
-    cum = np.cumsum(jump, axis=1)
-    phase = np.searchsorted(np.cumsum(ph.init), rng.random(samples),
-                            side="right")
-    times = np.zeros(samples)
-    alive = np.flatnonzero(phase < order)
-    while alive.size:
-        cur = phase[alive]
-        times[alive] += rng.standard_exponential(alive.size) / rates[cur]
-        u = rng.random(alive.size)
-        nxt = (cum[cur] < u[:, None]).sum(axis=1)
-        phase[alive] = nxt
-        alive = alive[nxt < order]
-    return SimEstimate(float(times.mean()),
-                       float(times.std(ddof=1) / math.sqrt(samples)),
-                       samples)

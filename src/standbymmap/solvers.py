@@ -35,9 +35,12 @@ def initial_distribution(config: ModelConfig, layout: StateSpaceLayout) -> np.nd
     from .ph import renewal_stationary
     phi = np.zeros(layout.total)
     start, stop = layout.span(layout.n, 0, "v")
-    head = np.kron(config.internal.init, renewal_stationary(config.shock))
-    head = np.kron(np.kron(head, config.damage_init), config.inspection.init)
-    phi[start:stop] = np.kron(head, config.vacation.init)
+    st = layout.states[start:stop]
+    phi[start:stop] = (config.internal.init[st["i"]]
+                       * renewal_stationary(config.shock)[st["j"]]
+                       * config.damage_init[st["h"]]
+                       * config.inspection.init[st["u"]]
+                       * config.vacation.init[st["w"]])
     return phi
 
 
@@ -135,11 +138,7 @@ def stationary_direct(gens: MmapGenerators) -> np.ndarray:
 def _check_levels(D: sp.spmatrix, layout: StateSpaceLayout) -> None:
     """Raise unless every transition stays in its level k, drops to k - 1,
     or is the fleet renewal from level 1 to level n."""
-    n = layout.n
-    level = np.empty(layout.total, dtype=int)
-    for k in range(1, n + 1):
-        lo, hi = layout.k_span(k)
-        level[lo:hi] = k
+    n, level = layout.n, layout.states["k"]
     coo = D.tocoo()
     src, dst = level[coo.row], level[coo.col]
     bad = ((dst != src) & (dst != src - 1) & ~((src == 1) & (dst == n))

@@ -19,11 +19,21 @@ Phase tuples: (i, j, h, u[, w | r]) while an online unit exists (s < k) and
 (j[, w | r]) when all units are down (the inspection clock is suspended).
 The service phase r is carried only in nv states with s >= 1 and belongs to
 the queue head i_1.
+
+State table: `states` has one row per global index, with the integer
+columns queue (the position of the state's queue in `queue_spans()`), k,
+s, vacation (x == "v"), head (i_1), the online unit's phases i, j, h, u and
+the clock phase w (the vacation phase w or the service phase r).  Phases
+are 0-based; a column that a state does not carry reads -1.  Per-state
+quantities read the phases they need by name, so only this module knows
+the order of the phase tuple.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import prod
+
+import numpy as np
 
 from .config import ModelConfig
 
@@ -66,6 +76,42 @@ class StateSpaceLayout:
             self._k_spans[k] = (k_start, offset)
         self._queue_spans = tuple(spans)
         self.total = offset
+        self.states = self._state_table()
+
+    def _state_table(self) -> np.ndarray:
+        """The state table: the macro-state columns repeat over each queue,
+        and the phase grid of a (k, s, x, head) span over its queues."""
+        c = self.config
+        small = np.min_scalar_type(-max(self.n, c.m, c.t, c.d, c.eps, c.v,
+                                        *c.z[1:]))
+        keys = [key for key, _, _ in self._queue_spans]
+        sizes = np.array([hi - lo for _, lo, hi in self._queue_spans])
+        table = np.empty(self.total, dtype=[
+            ("queue", np.min_scalar_type(-len(keys))), ("k", small),
+            ("s", small), ("vacation", bool), ("head", small),
+            *((name, small) for name in "ijhuw")])
+        table["queue"] = np.repeat(np.arange(len(keys)), sizes)
+        for name, per_queue in (
+                ("k", [key.k for key in keys]), ("s", [key.s for key in keys]),
+                ("vacation", [key.x == "v" for key in keys]),
+                ("head", [key.queue[0] if key.s else -1 for key in keys])):
+            table[name] = np.repeat(per_queue, sizes)
+        phases = np.full((5, self.total), -1, dtype=small)   # i, j, h, u, w
+        grids = {}   # phase dims -> their coordinates, one row per factor
+        for k, s, x in self._bounds:
+            rows = [0, 1, 2, 3, 4] if s < k else [1, 4]
+            for head in self.queues(min(s, 1)):
+                start, stop = self.span(k, s, x, head)
+                dims = self.phase_dims(k, s, x, head)
+                if dims not in grids:
+                    grids[dims] = np.indices(dims).reshape(len(dims), -1)
+                grid = grids[dims]
+                queues = phases[:, start:stop].reshape(5, -1, grid.shape[1])
+                queues[rows[:len(dims)]] = grid[:, None]
+        for name, column in zip("ijhuw", phases):
+            table[name] = column
+        table.flags.writeable = False
+        return table
 
     # -- structure ---------------------------------------------------------
 
@@ -114,10 +160,7 @@ class StateSpaceLayout:
         """Third-level macro-state containing a global index."""
         if not 0 <= index < self.total:
             raise KeyError(f"index {index} out of range 0..{self.total - 1}")
-        for key, start, stop in self.queue_spans():
-            if start <= index < stop:
-                return key
-        raise KeyError(f"index {index} not covered")  # pragma: no cover
+        return self._queue_spans[self.states["queue"][index]][0]
 
     def phase_dims(self, k: int, s: int, x: str, queue: tuple) -> tuple:
         """Factor sizes of the phase tuple, rightmost fastest."""
@@ -131,15 +174,9 @@ class StateSpaceLayout:
 
     def decode(self, index: int):
         """(key, phase tuple) of a global index; phases are 1-based."""
-        key = self.key_of(index)
-        start, _ = self.index_of(key)
-        rem = index - start
-        dims = self.phase_dims(key.k, key.s, key.x, key.queue)
-        tup = []
-        for size in reversed(dims):
-            tup.append(rem % size + 1)
-            rem //= size
-        return key, tuple(reversed(tup))
+        key, row = self.key_of(index), self.states[index]
+        return key, tuple(int(row[name]) + 1 for name in "ijhuw"
+                          if row[name] >= 0)
 
     def queue_spans(self) -> tuple:
         """(MacroStateKey, start, stop) of every repair queue, in layout

@@ -26,14 +26,9 @@ def global_index(layout, st):
 
 
 def sim_state_of(layout, index):
-    """Inverse of global_index, for sampling arbitrary rows."""
-    key, phases = layout.decode(index)      # decode is 1-based
-    phases = [p - 1 for p in phases]
-    if key.s < key.k:
-        i, j, h, u = phases[:4]
-        rest = phases[4:]
-    else:
-        (j,), rest = phases[:1], phases[1:]
-        i = h = u = None
-    clock = rest[0] if rest else None
+    """Inverse of global_index, read off the layout's state table (0-based
+    phases, -1 for a phase the state does not carry)."""
+    key, row = layout.key_of(index), layout.states[index]
+    i, j, h, u, clock = (None if row[name] < 0 else int(row[name])
+                         for name in "ijhuw")
     return SimState(key.k, key.s, key.queue, key.x == "v", i, j, h, u, clock)

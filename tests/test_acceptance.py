@@ -22,10 +22,12 @@ from standbymmap.measures import (availability_stationary,
                                   event_rates_stationary, occupancy)
 from standbymmap.optimizer import run_grid
 from standbymmap.ph import ph_mean
-from standbymmap.simulator import sample_ph_mean, simulate, validate
+from standbymmap.simulator import simulate, validate
 from standbymmap.solvers import (initial_distribution, stationary_block,
                                  stationary_direct, transient,
                                  transient_integral)
+
+from ph_sampling import sample_ph_mean
 
 # grid cells in the published column order
 CELLS = [(4, 4), (4, 3), (4, 2), (4, 1), (3, 3), (3, 2), (3, 1), (2, 2), (2, 1)]

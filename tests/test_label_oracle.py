@@ -7,9 +7,12 @@ breadth-first; each state's outcome distribution is turned into rows of the
 nine labelled generators and compared entry by entry with the assembled
 ones, over random valid models with random positive costs.  The state's
 reward rate is compared with nr - nc, and each label's fixed cost with
-economics.event_costs.  The simulator is built from the event semantics
-alone, so this checks the Kronecker blocks (the derived primed unit blocks
-included) on models other than the bundled one.
+economics.event_costs.  Each reached state's row of the layout's state
+table is compared with the state itself, and the initial distribution with
+the product of the clocks' start vectors on the simulator's initial states.
+The simulator is built from the event semantics alone, so this checks the
+Kronecker blocks (the derived primed unit blocks included) on models other
+than the bundled one.
 """
 
 from collections import deque
@@ -26,6 +29,7 @@ from standbymmap.config import example_fleet_config
 from standbymmap.economics import build_nc, build_nr, event_costs
 from standbymmap.ph import PhDistribution, renewal_stationary
 from standbymmap.simulator import FleetSimulator, SimState
+from standbymmap.solvers import initial_distribution
 from standbymmap.statespace import enumerate_states
 
 from random_models import small_models
@@ -48,8 +52,8 @@ def initial_states(config):
 
 def simulator_generators(sim, layout):
     """The nine labelled generators read off the simulator's rows, over the
-    states reachable from the initial ones; also the reward rate of each
-    reached index."""
+    states reachable from the initial ones; also the global index of each
+    reached state and the reward rate of each reached index."""
     entries = {label: ([], [], []) for label in EVENT_LABELS}
     index = {}      # reached state -> global index
     rewards = {}    # reached index -> reward rate
@@ -81,16 +85,44 @@ def simulator_generators(sim, layout):
     shape = (layout.total, layout.total)
     mats = {label: sp.csr_matrix((vals, (rows, cols)), shape=shape)
             for label, (rows, cols, vals) in entries.items()}
-    return mats, rewards
+    return mats, index, rewards
+
+
+def check_state_table(config, layout, index):
+    """Assert that the state table row of every reached state reads the
+    state's macro-state and phases (-1 where it carries none), and that
+    the initial distribution is alpha_i pi_j omega_h eta_u upsilon_w on
+    the initial states and 0 elsewhere."""
+    names = ("k", "s", "vacation", "head", "i", "j", "h", "u", "w")
+    for state, i in index.items():
+        row = layout.states[i]
+        head = state.queue[0] if state.queue else -1
+        phases = [-1 if p is None else p for p in state[4:]]
+        assert tuple(row[name] for name in names) == (
+            state.k, state.s, state.on_vacation, head, *phases), state
+        assert layout.key_of(i).queue == state.queue, state
+    c = config
+    pi_shock = renewal_stationary(c.shock)
+    expected = np.zeros(layout.total)
+    for st in initial_states(config):
+        expected[index[st]] = (c.internal.init[st.internal]
+                               * pi_shock[st.shock]
+                               * c.damage_init[st.damage]
+                               * c.inspection.init[st.inspection]
+                               * c.vacation.init[st.clock])
+    np.testing.assert_allclose(initial_distribution(config, layout),
+                               expected, rtol=1e-14, atol=0)
 
 
 def check_against_simulator(config, layout):
     """Assert that every labelled generator row, the reward rate nr - nc of
     every reached state and the fixed cost of every label agree with the
-    simulator; return the reached indices."""
+    simulator, and check the state table and the initial distribution;
+    return the reached indices."""
     gens = assemble_all(config, layout, validate=False)
     sim = FleetSimulator(config)
-    mats, rewards = simulator_generators(sim, layout)
+    mats, index, rewards = simulator_generators(sim, layout)
+    check_state_table(config, layout, index)
     rows = sorted(rewards)
     for label in EVENT_LABELS:
         gap = abs(gens[label][rows] - mats[label][rows]).max()

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from standbymmap.config import example_fleet_config
-from standbymmap.optimizer import (_CellEvaluator, evaluate, golden_section_scan,
-                                   grid_to_csv, optimize)
+from standbymmap.optimizer import (_CellEvaluator, evaluate, grid_to_csv,
+                                   optimize)
 
 
 def test_cached_evaluator_matches_full_pipeline():
@@ -13,9 +14,10 @@ def test_cached_evaluator_matches_full_pipeline():
     cell = _CellEvaluator(config, "erlang2")
     for x in ([0.7, 1.3], [1.0, 1.0], [2.5, 0.4]):
         full_phi, full_a, full_rates = evaluate(config, "erlang2", x)
-        assert cell.profit(x) == pytest.approx(full_phi, abs=1e-9)
-        assert cell.availability(x) == pytest.approx(full_a, abs=1e-12)
-        rates = cell.evaluate(x)[2].as_dict()
+        phi, avail, rates = cell.evaluate(x)
+        assert phi == pytest.approx(full_phi, abs=1e-9)
+        assert avail == pytest.approx(full_a, abs=1e-12)
+        rates = rates.as_dict()
         for name, value in full_rates.as_dict().items():
             assert rates[name] == pytest.approx(value, abs=1e-12), name
 
@@ -28,11 +30,12 @@ def test_gradient_matches_central_differences(family, pm):
     cell = _CellEvaluator(config, family)
     x = np.array([0.4, 1.7][:cell.dim])
     phi, grad = cell.gradient(x)
-    assert phi == pytest.approx(cell.profit(x), abs=1e-12)
+    assert phi == pytest.approx(cell.evaluate(x)[0], abs=1e-12)
     for i in range(cell.dim):
         step = np.zeros(cell.dim)
         step[i] = 1e-5 * x[i]
-        central = (cell.profit(x + step) - cell.profit(x - step)) / (2 * step[i])
+        central = (cell.evaluate(x + step)[0]
+                   - cell.evaluate(x - step)[0]) / (2 * step[i])
         assert grad[i] == pytest.approx(central, rel=1e-6), i
 
 
@@ -56,9 +59,16 @@ def test_optimum_carries_its_own_measures():
 
 
 def test_exponential_optimum_matches_golden_section():
+    """The reference is scipy's bounded scalar search (golden section with
+    parabolic steps) on log x over [1e-3, 10], independent of the
+    gradient."""
     config = example_fleet_config(units=2, vacation_threshold=2)
     result = optimize(config, "exponential")
-    x_gold, phi_gold = golden_section_scan(config)
+    cell = _CellEvaluator(config, "exponential")
+    gold = minimize_scalar(lambda log_x: -cell.evaluate([np.exp(log_x)])[0],
+                           bounds=(np.log(1e-3), np.log(10.0)),
+                           method="bounded", options={"xatol": 1e-6})
+    x_gold, phi_gold = np.exp(gold.x), -gold.fun
     assert result.profit >= phi_gold - 1e-9
     assert result.x[0] == pytest.approx(x_gold, rel=1e-2)
 
@@ -94,9 +104,9 @@ def test_profit_surface_is_locally_concave_at_the_optimum():
     cell = _CellEvaluator(config, "exponential")
     result = optimize(config, "exponential")
     x = result.x[0]
-    mid = cell.profit([x])
-    assert mid >= cell.profit([x * 1.2]) - 1e-9
-    assert mid >= cell.profit([x / 1.2]) - 1e-9
+    mid = cell.evaluate([x])[0]
+    assert mid >= cell.evaluate([x * 1.2])[0] - 1e-9
+    assert mid >= cell.evaluate([x / 1.2])[0] - 1e-9
 
 
 @pytest.mark.parametrize("alias,family", [("exp", "exponential"),

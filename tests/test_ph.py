@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from standbymmap.config import example_fleet_config
 from standbymmap.ph import (PhDistribution, kron_sum, ph_mean,
                             renewal_stationary)
-from standbymmap.simulator import sample_ph_mean
+
+from ph_sampling import sample_ph_mean
 
 
 def random_subgen(draw, order):

@@ -106,6 +106,23 @@ def test_decode_round_trip():
         assert all(1 <= p <= dim for p, dim in zip(phases, dims))  # 1-based
 
 
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (3, 2, False)])
+def test_state_table_reads_each_queue_and_phase(n, R, pm):
+    """The queue column gives key_of, the phase columns are compact and
+    read -1 where a state carries no such phase."""
+    layout = enumerate_states(example_fleet_config(n, R, pm))
+    st = layout.states
+    assert all(st[name].dtype == np.int8 for name in "ijhuw")
+    for q, (key, start, stop) in enumerate(layout.queue_spans()):
+        assert np.all(st["queue"][start:stop] == q)
+        assert layout.key_of(start) == layout.key_of(stop - 1) == key
+    down = st["s"] == st["k"]
+    for name in "ihu":
+        assert np.all((st[name] == -1) == down)
+    assert np.all((st["w"] == -1) == (~st["vacation"] & (st["s"] == 0)))
+    assert np.all((st["head"] == -1) == (st["s"] == 0))
+
+
 def test_all_down_states_track_only_the_shock_clock():
     config = example_fleet_config()
     layout = enumerate_states(config)
