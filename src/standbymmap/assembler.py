@@ -18,8 +18,11 @@ and emits the labels that one physical event can produce:
 - phase_moves: O (phase moves without a change of macro-state)
 
 A builder addresses the source and target blocks as (k, s, x, prefix), the
-queues of E_s^{k,x} that start with the prefix, and gives the matrix of one
-source queue; `_Assembly.place` repeats it over all of them.
+queues of E_s^{k,x} that start with the prefix, and gives the dense matrix of
+one source queue.  `_Assembly.place` repeats its nonzero entries over all of
+them by index arithmetic, the i-th copy shifted by i times the block's shape,
+and each label becomes one CSR matrix built from the concatenated triplets:
+no sparse matrix is made per block.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import ModelConfig
-from .ph import kron_sum
+from .ph import kron, kron_sum
 from .statespace import StateSpaceLayout, enumerate_states
 from .unit import UnitBlocks, build_unit_blocks
 
@@ -57,7 +60,7 @@ class MmapGenerators:
 
 
 def _kron(*mats) -> np.ndarray:
-    return reduce(np.kron, mats)
+    return reduce(kron, mats)
 
 
 class _Assembly:
@@ -102,31 +105,31 @@ class _Assembly:
         """Identity on the clock: the event leaves it running."""
         return np.eye(self.clock(x, head).shape[0])
 
-    def place(self, label: str, src: tuple, dst: tuple, inner):
+    def place(self, label: str, src: tuple, dst: tuple, inner: np.ndarray):
         """Add `inner` once per queue of src = (k, s, x, prefix): the i-th
-        of its queues maps into the i-th equal share of the span of dst."""
-        inner = sp.coo_matrix(inner)
-        if not inner.nnz:
+        of its queues maps into the i-th equal share of the span of dst.
+        The entries are addressed by offset arithmetic, in the order of
+        kron(I_reps, inner)."""
+        row, col = np.nonzero(inner)
+        if not row.size:
             return
         (r0, r1), (c0, c1) = self.lay.span(*src), self.lay.span(*dst)
-        reps = (r1 - r0) // inner.shape[0]
-        if (reps * inner.shape[0], reps * inner.shape[1]) != (r1 - r0, c1 - c0):
+        h, w = inner.shape
+        reps = (r1 - r0) // h
+        if (reps * h, reps * w) != (r1 - r0, c1 - c0):
             raise AssemblyError(f"{label} block {inner.shape} does not tile "
                                 f"{src} -> {dst}")
+        shift = np.arange(reps)[:, None]
         self.entries[label].append(
-            (r0, c0, sp.kron(sp.identity(reps), inner, format="coo")))
+            ((r0 + shift * h + row).ravel(), (c0 + shift * w + col).ravel(),
+             np.tile(inner[row, col], reps)))
 
     def matrix(self, label: str) -> sp.csr_matrix:
-        rows, cols, data = [], [], []
-        for row0, col0, mat in self.entries[label]:
-            rows.append(mat.row + row0)
-            cols.append(mat.col + col0)
-            data.append(mat.data)
-        if not rows:
-            return sp.csr_matrix((self.lay.total, self.lay.total))
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.lay.total, self.lay.total))
+        shape = (self.lay.total, self.lay.total)
+        if not self.entries[label]:
+            return sp.csr_matrix(shape)
+        rows, cols, data = map(np.concatenate, zip(*self.entries[label]))
+        return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
     # -- event builders: each walks the second-level blocks ---------------
 

@@ -26,6 +26,7 @@ from .measures import (EventRates, availability_stationary, down_mask,
                        event_rates_stationary, label_flows)
 from .solvers import bordered_stationary, stationary_direct
 from .statespace import enumerate_states
+from .unit import build_unit_blocks
 
 GRID_CELLS = [(n, R) for n in (4, 3, 2) for R in range(n, 0, -1)]
 
@@ -73,12 +74,16 @@ class _CellEvaluator:
         self.config = config.with_policy(
             vacation=vacation_from_params(family, [1.0] * self.dim))
         self.layout = enumerate_states(self.config)
-        snapshots = [assemble_all(self.config, self.layout, validate=False)]
+        # the vacation does not enter the online unit's blocks
+        blocks = build_unit_blocks(self.config)
+        snapshots = [assemble_all(self.config, self.layout, blocks,
+                                  validate=False)]
         for i in range(self.dim):
             x = np.ones(self.dim)
             x[i] = 2.0
             cfg = config.with_policy(vacation=vacation_from_params(family, x))
-            snapshots.append(assemble_all(cfg, self.layout, validate=False))
+            snapshots.append(assemble_all(cfg, self.layout, blocks,
+                                          validate=False))
         self.D = _affine_split([s.total for s in snapshots])
         self.F = _affine_split([label_flows(s) for s in snapshots])
         net = (build_nr(self.config, self.layout)

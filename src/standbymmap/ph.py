@@ -70,13 +70,19 @@ def ph_mean(d: PhDistribution) -> float:
     return float(d.init @ sol)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, entry for entry that of np.kron."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker sum a (+) b = a x I + I x b for square a, b."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("kron_sum requires square matrices")
-    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
+    return kron(a, np.eye(b.shape[0])) + kron(np.eye(a.shape[0]), b)
 
 
 def renewal_stationary(d: PhDistribution) -> np.ndarray:

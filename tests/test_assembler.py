@@ -4,10 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
+from standbymmap.assembler import (ARRIVAL_LABELS, EVENT_LABELS,
+                                   AssemblyError, MmapGenerators, _Assembly,
+                                   _validate, assemble_all)
 from standbymmap.config import example_fleet_config, vacation_from_params
 from standbymmap.ph import PhDistribution
+from standbymmap.statespace import enumerate_states
+from standbymmap.unit import build_unit_blocks
 
 
 def small(n=2, R=1, pm=True, family="exponential"):
@@ -137,3 +142,107 @@ def test_label_structure_is_pinned(policy):
     for label, (nnz, total) in PINNED[policy].items():
         assert gens[label].nnz == nnz, label
         assert gens[label].sum() == pytest.approx(total, rel=1e-12, abs=0.0), label
+
+
+def _assembly(config):
+    return _Assembly(config, enumerate_states(config), build_unit_blocks(config))
+
+
+def _share(asm, src, dst):
+    """(reps, rows, cols) of the block that one queue of src places."""
+    (r0, r1), (c0, c1) = asm.lay.span(*src), asm.lay.span(*dst)
+    reps = len(asm.lay.marks) ** (src[1] - len(src[3]))
+    return reps, (r1 - r0) // reps, (c1 - c0) // reps
+
+
+# (src, dst) as (k, s, x, prefix) on the (4, 3, PM on) layout: a phase move
+# over two queues, an arrival into the longer queues, a loss to a level
+# below and a completion into one queue
+PLACEMENTS = [((3, 1, "v", ()), (3, 1, "v", ())),
+              ((4, 2, "nv", (1,)), (4, 3, "nv", (1,))),
+              ((4, 2, "nv", (2,)), (3, 2, "nv", (2,))),
+              ((4, 3, "nv", (2, 1, 2)), (4, 2, "nv", (1, 2)))]
+
+
+@pytest.mark.parametrize("src,dst", PLACEMENTS)
+def test_place_repeats_the_block_like_kron_of_the_identity(src, dst):
+    asm = _assembly(example_fleet_config())
+    reps, h, w = _share(asm, src, dst)
+    rng = np.random.default_rng(7)
+    inner = rng.random((h, w)) * (rng.random((h, w)) < 0.3)
+    assert 0 < np.count_nonzero(inner) < inner.size
+    asm.place("A", src, dst, inner)
+
+    expected = sp.kron(sp.identity(reps), sp.coo_matrix(inner), format="coo")
+    r0, c0 = asm.lay.span(*src)[0], asm.lay.span(*dst)[0]
+    (rows, cols, data), = asm.entries["A"]
+    assert np.array_equal(rows, expected.row + r0)
+    assert np.array_equal(cols, expected.col + c0)
+    assert data.tobytes() == expected.data.tobytes()
+    shifted = sp.csr_matrix((expected.data, (expected.row + r0,
+                                             expected.col + c0)),
+                            shape=(asm.lay.total,) * 2)
+    assert (asm.matrix("A") != shifted).nnz == 0
+
+
+def test_place_skips_an_empty_block():
+    asm = _assembly(example_fleet_config())
+    src, dst = PLACEMENTS[0]
+    _, h, w = _share(asm, src, dst)
+    asm.place("O", src, dst, np.zeros((h, w)))
+    assert asm.entries["O"] == []
+    assert asm.matrix("O").nnz == 0
+
+
+@pytest.mark.parametrize("extra_rows,extra_cols", [(1, 0), (0, 1)])
+def test_place_rejects_a_block_that_does_not_tile(extra_rows, extra_cols):
+    asm = _assembly(example_fleet_config())
+    src, dst = PLACEMENTS[1]
+    _, h, w = _share(asm, src, dst)
+    with pytest.raises(AssemblyError, match="does not tile"):
+        asm.place("A", src, dst, np.ones((h + extra_rows, w + extra_cols)))
+
+
+def _tampered(gens, **labels):
+    """gens with some labels replaced and the total summed again."""
+    matrices = {**gens.matrices,
+                **{label: sp.csr_matrix(m) for label, m in labels.items()}}
+    total = sum(matrices.values(), sp.csr_matrix(gens.total.shape))
+    return MmapGenerators(gens.layout, matrices, sp.csr_matrix(total))
+
+
+@pytest.fixture(scope="module")
+def small_gens():
+    gens = assemble_all(small(n=2, R=1), validate=False)
+    _validate(gens)
+    return gens
+
+
+def test_validate_rejects_a_non_conservative_row(small_gens):
+    O = small_gens["O"].tolil()
+    O[5, 5] += 1e-6
+    with pytest.raises(AssemblyError,
+                       match=r"generator row 5 .* residual 1\.000e-06"):
+        _validate(_tampered(small_gens, O=O))
+
+
+def test_validate_rejects_a_negative_off_diagonal_entry_of_O(small_gens):
+    coo = small_gens["O"].tocoo()
+    i, j, v = next((i, j, v) for i, j, v in zip(coo.row, coo.col, coo.data)
+                   if i != j and v > 0)
+    O = small_gens["O"].tolil()
+    O[i, j] = -v
+    O[i, i] += 2 * v     # the row still sums to zero
+    with pytest.raises(AssemblyError, match="negative off-diagonal"):
+        _validate(_tampered(small_gens, O=O))
+
+
+@pytest.mark.parametrize("label", ["A", "NS"])
+def test_validate_rejects_a_negative_event_entry(small_gens, label):
+    coo = small_gens[label].tocoo()
+    i, j, v = coo.row[0], coo.col[0], coo.data[0]
+    D, O = small_gens[label].tolil(), small_gens["O"].tolil()
+    D[i, j] = -v
+    O[i, i] += 2 * v     # the row still sums to zero
+    with pytest.raises(AssemblyError, match=f"negative entry in {label} "):
+        _validate(_tampered(small_gens, O=O, **{label: D}))

@@ -1,11 +1,14 @@
 """PH distribution helpers: moments, Kronecker algebra, renewal vectors."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from standbymmap.config import example_fleet_config
-from standbymmap.ph import (PhDistribution, kron_sum, ph_mean,
+from standbymmap.ph import (PhDistribution, kron, kron_sum, ph_mean,
                             renewal_stationary)
 
 from ph_sampling import sample_ph_mean
@@ -60,6 +63,24 @@ def test_means_agree_with_monte_carlo(name):
     ph = getattr(config, name)
     est = sample_ph_mean(ph, samples=10 ** 6, seed=42)
     assert est.covers(ph_mean(ph), width=3.0)
+
+
+# matrices of 1 to 3 rows and columns: 1 x 1, rows, columns and full ones
+matrices = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(
+        -1e3, 1e3, allow_subnormal=True) | st.just(0.0)))
+
+
+@given(st.lists(matrices, min_size=2, max_size=3))
+@example([np.ones((1, 1)), np.arange(3.0)[None, :], np.arange(3.0)[:, None]])
+@example([np.arange(3.0)[:, None], np.full((1, 1), -0.0),
+          np.arange(4.0)[None, :]])
+@settings(max_examples=100, deadline=None)
+def test_kron_is_bit_identical_to_numpy(mats):
+    """Two- and three-factor folds, entry for entry and bit for bit."""
+    ours, theirs = reduce(kron, mats), reduce(np.kron, mats)
+    assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+    assert ours.tobytes() == theirs.tobytes()
 
 
 @given(ph_dists(), ph_dists())
