@@ -331,8 +331,8 @@ class FleetSimulator:
             if ev == "F" and nxt.s != self.N[nxt.k] - 1:
                 raise SimulationError("vacation start does not leave N - 1 "
                                       "units in the facility")
-        return _Row(total, np.cumsum(rates) / total, targets, events,
-                    st.s < st.k,
+        return _Row(total, (np.cumsum(rates) / total).tolist(), targets,
+                    events, st.s < st.k,
                     (st.k, st.s, "v" if st.on_vacation else "nv"),
                     self._reward_rate(st))
 
@@ -359,8 +359,9 @@ class FleetSimulator:
         """One replication: per-batch time-averages over [0, horizon]."""
         per = horizon / BATCHES
         row = self.row(self.initial_state(rng))
-        exps = rng.standard_exponential(_CHUNK)
-        unis = rng.random(_CHUNK)
+        costs = self._event_costs
+        exps = memoryview(rng.standard_exponential(_CHUNK))
+        unis = memoryview(rng.random(_CHUNK))
         ptr = 0
         out = []
         for _ in range(BATCHES):
@@ -372,8 +373,8 @@ class FleetSimulator:
             fixed = 0.0
             while True:
                 if ptr == _CHUNK:
-                    exps = rng.standard_exponential(_CHUNK)
-                    unis = rng.random(_CHUNK)
+                    exps = memoryview(rng.standard_exponential(_CHUNK))
+                    unis = memoryview(rng.random(_CHUNK))
                     ptr = 0
                 dwell = exps[ptr] / row.total
                 if dwell >= remaining:
@@ -394,7 +395,7 @@ class FleetSimulator:
                 ev = row.events[idx]
                 if ev is not None:
                     counts[ev] += 1
-                    fixed += self.event_cost(ev)
+                    fixed += costs.get(ev, 0.0)
                 nxt = row.rows[idx]
                 if nxt is None:
                     nxt = self.row(row.targets[idx])
