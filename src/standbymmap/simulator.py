@@ -5,7 +5,10 @@ semantics (failures, shocks, damage, inspections, vacations, services),
 without touching the assembled generator matrices.  For every visited state
 the full outcome distribution -- rates, successor states and event labels --
 is expanded once and cached, so the jump loop is a bisect over cumulative
-probabilities and long horizons stay cheap.
+probabilities and long horizons stay cheap.  Each jump only adds its dwell
+time to the row it leaves; availability, occupancy and reward are folded
+from those per-row totals once per batch, in state order, and fixed costs
+are charged from the batch's event counts.
 
 Estimates carry standard errors from batch means (BATCHES = 20 batches
 per replication); replication r uses seed + r.
@@ -91,7 +94,7 @@ class _Row:
     """Cached transition row of one state."""
 
     __slots__ = ("total", "cum", "targets", "events", "rows",
-                 "up", "occ_key", "reward")
+                 "up", "occ_key", "reward", "time")
 
     def __init__(self, total, cum, targets, events, up, occ_key, reward):
         self.total = total
@@ -102,6 +105,7 @@ class _Row:
         self.up = up
         self.occ_key = occ_key
         self.reward = reward
+        self.time = 0.0         # dwell in the current batch, not yet folded
 
 
 def _support(vec):
@@ -123,12 +127,18 @@ def _spread(label, st, onlines, clocks, **fields):
 _DOWN = [(1.0, (None, None, None))]     # no unit online
 
 
+def _state_order(st: SimState) -> tuple:
+    """Sort key of a state: None (no unit online, idle clock) reads -1."""
+    return tuple(-1 if v is None else v for v in st)
+
+
 class FleetSimulator:
     """Event-level simulator of one model configuration."""
 
     def __init__(self, config: ModelConfig):
         self.c = c = config
         self._rows: dict = {}
+        self._order: list = []      # (state order, row), kept sorted
         self.N = {k: max(k - c.vacation_threshold + 1, 0)
                   for k in range(1, c.units + 1)}
         self.S = (None, c.corrective, c.preventive)
@@ -276,6 +286,7 @@ class FleetSimulator:
         cached = self._rows.get(st)
         if cached is None:
             cached = self._rows[st] = self._build_row(st)
+            bisect.insort(self._order, (_state_order(st), cached))
         return cached
 
     def _clocks(self, st: SimState) -> list:
@@ -359,18 +370,13 @@ class FleetSimulator:
         """One replication: per-batch time-averages over [0, horizon]."""
         per = horizon / BATCHES
         row = self.row(self.initial_state(rng))
-        costs = self._event_costs
         exps = memoryview(rng.standard_exponential(_CHUNK))
         unis = memoryview(rng.random(_CHUNK))
         ptr = 0
         out = []
         for _ in range(BATCHES):
             remaining = per
-            up = 0.0
-            occ: dict = {}
             counts = dict.fromkeys(EVENT_NAMES, 0)
-            reward = 0.0
-            fixed = 0.0
             while True:
                 if ptr == _CHUNK:
                     exps = memoryview(rng.standard_exponential(_CHUNK))
@@ -379,35 +385,48 @@ class FleetSimulator:
                 dwell = exps[ptr] / row.total
                 if dwell >= remaining:
                     # batch ends mid-sojourn; the residual is memoryless
-                    if row.up:
-                        up += remaining
-                    occ[row.occ_key] = occ.get(row.occ_key, 0.0) + remaining
-                    reward += remaining * row.reward
+                    row.time += remaining
                     ptr += 1
                     break
-                if row.up:
-                    up += dwell
-                occ[row.occ_key] = occ.get(row.occ_key, 0.0) + dwell
-                reward += dwell * row.reward
+                row.time += dwell
                 remaining -= dwell
                 idx = bisect.bisect(row.cum, unis[ptr])
                 ptr += 1
                 ev = row.events[idx]
                 if ev is not None:
                     counts[ev] += 1
-                    fixed += costs.get(ev, 0.0)
                 nxt = row.rows[idx]
                 if nxt is None:
                     nxt = self.row(row.targets[idx])
                     row.rows[idx] = nxt
                 row = nxt
-            out.append({
-                "up": up / per,
-                "occ": {key: val / per for key, val in occ.items()},
-                "counts": {e: counts[e] / per for e in EVENT_NAMES},
-                "profit": (reward - fixed) / per,
-            })
+            out.append(self._fold(per, counts))
         return out
+
+    def _fold(self, per: float, counts: dict) -> dict:
+        """Batch time-averages from the dwell times the rows collected.
+
+        Rows are summed in state order, never in cache order, so a run
+        gives the same figures whatever earlier runs left in the cache.
+        Each row's dwell time is reset for the next batch.
+        """
+        up = reward = 0.0
+        occ: dict = {}
+        for _, row in self._order:
+            t = row.time
+            if t:
+                row.time = 0.0
+                if row.up:
+                    up += t
+                occ[row.occ_key] = occ.get(row.occ_key, 0.0) + t
+                reward += t * row.reward
+        fixed = sum(counts[e] * cost for e, cost in self._event_costs.items())
+        return {
+            "up": up / per,
+            "occ": {key: val / per for key, val in occ.items()},
+            "counts": {e: counts[e] / per for e in EVENT_NAMES},
+            "profit": (reward - fixed) / per,
+        }
 
 
 def _combine(samples) -> SimEstimate:

@@ -81,6 +81,44 @@ def test_seeded_run_is_pinned():
         pytest.approx(pinned, rel=1e-12, abs=0.0))
 
 
+def test_seeded_bundled_run_is_pinned():
+    """The bundled fleet caches about 2k rows, so the batch-end fold sums
+    many of them; these figures were taken with per-jump accumulation."""
+    report = simulate(example_fleet_config(), horizon=2e4,
+                      replications=2, seed=5)
+    pinned = {"A": 0.0487, "B": 0.006075, "C": 0.016325, "D": 0.0161,
+              "CD": 0.003875, "E": 0.0959, "F": 0.013225, "NS": 0.006725}
+    assert report.availability.mean == pytest.approx(0.8139705917681459,
+                                                     rel=1e-12)
+    assert report.profit.mean == pytest.approx(7.245328177171089, rel=1e-12)
+    assert {e: est.mean for e, est in report.event_rates.items()} == (
+        pytest.approx(pinned, rel=1e-12, abs=0.0))
+    assert len(report.occupancy) == 20
+
+
+def test_run_does_not_depend_on_cache_history():
+    """A cache warmed by another seed holds its rows in another order; the
+    batch fold must not see it."""
+    config = example_fleet_config()
+    warm = FleetSimulator(config)
+    warm.run(5000.0, np.random.default_rng(8))
+    fresh = FleetSimulator(config)
+    assert (warm.run(5000.0, np.random.default_rng(3))
+            == fresh.run(5000.0, np.random.default_rng(3)))
+
+
+def test_each_batch_folds_exactly_its_own_time():
+    """Occupancy covers each batch once: no dwell carried over from the
+    batch before, no residual sojourn lost at the batch end."""
+    batches = FleetSimulator(example_fleet_config()).run(
+        2e4, np.random.default_rng(5))
+    for batch in batches:
+        occ = batch["occ"]
+        assert sum(occ.values()) == pytest.approx(1.0, abs=1e-12)
+        up = sum(v for (k, s, _), v in occ.items() if s < k)
+        assert batch["up"] == pytest.approx(up, abs=1e-12)
+
+
 def test_no_nonrepairable_channel_means_no_renewals():
     """Closing every non-repairable path keeps the fleet alive forever."""
     c = example_fleet_config()
