@@ -439,7 +439,12 @@ def _combine(samples) -> SimEstimate:
 def _replications(config, horizon, seeds) -> list:
     """One run per seed on one simulator, whose row cache later runs reuse."""
     sim = FleetSimulator(config)
-    return [sim.run(horizon, np.random.default_rng(s)) for s in seeds]
+    runs = [sim.run(horizon, np.random.default_rng(s)) for s in seeds]
+    # cached rows link to their successors; unlinked, the cache is freed
+    # here and not left as cyclic garbage for a later full collection
+    for row in sim._rows.values():
+        row.rows = None
+    return runs
 
 
 def simulate(config: ModelConfig, horizon: float = 1e6,

@@ -1,5 +1,6 @@
 """Simulation oracle: reproducibility, semantics, generator equivalence."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,19 @@ def test_threaded_run_matches_sequential():
     seq = simulate(config, horizon=1500.0, replications=3, seed=4)
     par = simulate(config, horizon=1500.0, replications=3, seed=4, threads=2)
     assert seq == par
+
+
+def test_simulate_frees_its_row_cache():
+    """Cached rows link to each other; left linked, every call would leave
+    its cache as cyclic garbage until a full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(example_fleet_config(), horizon=2000.0, replications=2,
+                 seed=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_validate_flags_a_shifted_quantity():
