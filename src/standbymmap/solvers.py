@@ -1,8 +1,13 @@
 """Transient and stationary solvers for the assembled generator.
 
 Transient quantities use one uniformization sweep over the whole time grid.
-Its truncated mass stays in the result: p(t) 1 falls short of 1, and
-int_0^t p 1 short of t, by the truncation defect, which callers can check.
+The sweep detects stationarity (Sericola 1999; Malhotra, Muppala and
+Trivedi 1994): once successive iterates agree to the tolerance it solves pi,
+and once phi P^k is within the tolerance of pi it replaces the rest of each
+long time's sum by a stationary tail whose weight has a closed form, so a
+horizon costs no more steps than the mixing time.  Its truncated mass stays
+in the result: p(t) 1 falls short of 1, and int_0^t p 1 short of t, by the
+truncation defect, which callers can check.
 The stationary distribution is available through two sparse routes that
 share no factorisation and serve as cross-checks: one bordered solve of the
 whole generator, and a level cycle that solves the chain censored on the
@@ -21,6 +26,7 @@ from .config import ModelConfig
 from .statespace import StateSpaceLayout
 
 UNIFORMIZATION_TOL = 1e-10
+WEIGHT_BLOCK = 512       # sweep steps whose Poisson weights are formed at once
 PIVOT_THRESH = 0.1
 RESIDUAL_TOL = 1e-9
 
@@ -44,33 +50,96 @@ def initial_distribution(config: ModelConfig, layout: StateSpaceLayout) -> np.nd
     return phi
 
 
+def _truncation(lamt: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Smallest k with P(N >= k) <= q for N ~ Poisson(lamt), elementwise,
+    by doubling and bisection on poisson.sf.  Valid for any q in (0, 1):
+    poisson.isf works through 1 - q, which rounds to 1 once q is below
+    about 1e-16, and then returns NaN."""
+    lo = np.zeros(lamt.shape, dtype=np.int64)   # P(N >= lo) > q
+    hi = np.ceil(lamt).astype(np.int64) + 1     # P(N >= hi) <= q once doubled
+    while np.any(high := poisson.sf(hi - 1, lamt) > q):
+        lo, hi = np.where(high, hi, lo), np.where(high, 2 * hi, hi)
+    while np.any(wide := hi - lo > 1):
+        mid = (lo + hi) // 2
+        low = poisson.sf(mid - 1, lamt) <= q
+        lo = np.where(wide & ~low, mid, lo)
+        hi = np.where(wide & low, mid, hi)
+    return hi
+
+
+def _tail_weights(K: int, kmax: np.ndarray, lamt: np.ndarray, lam: float,
+                  integral: bool) -> np.ndarray:
+    """The sweep's weights summed over k = K..kmax in closed form:
+    P(K <= N <= kmax) for p(t), and (E[(N - K)+] - E[(N - kmax - 1)+]) / lam
+    for int_0^t p, with E[(N - a)+] = lam t P(N >= a) - a P(N > a)."""
+    if not integral:
+        return poisson.sf(K - 1, lamt) - poisson.sf(kmax, lamt)
+
+    def excess(a):
+        return lamt * poisson.sf(a - 1, lamt) - a * poisson.sf(a, lamt)
+    return (excess(K) - excess(kmax + 1)) / lam
+
+
 def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                     integral: bool) -> np.ndarray:
     """Rows sum_k w_k(t) phi P^k, one per t, with P = I + D / lam and w_k
     the Poisson(lam t) pmf (for p(t)) or its survival function over lam (for
-    int_0^t p).  One sweep forms phi P^k up to the largest truncation point;
-    each t sums its own weights up to its own point, and the mass beyond it
-    is left out of the result, not rescaled back in."""
+    int_0^t p).  Each t sums up to its own truncation point kmax(t), the
+    smallest k with P(N >= k) <= tol / max(lam t, 1); the mass beyond it is
+    left out of the result, not rescaled back in.
+
+    One sweep forms v_k = phi P^k for the whole grid, with the weights
+    formed WEIGHT_BLOCK steps at a time, and stops once the chain has mixed.
+    Trigger: when ||v_k - v_(k-1)||_1 <= tol, pi is solved once by
+    `bordered_stationary`.  Certificate: from then on the first step K with
+    ||v_K - pi||_1 <= tol is the tail point; a trigger without it (a nearly
+    decomposable chain) costs only that solve.  Every t with kmax(t) > 2K,
+    whose sweep would be more than twice the one already run, adds
+    (sum_{k=K}^{kmax} w_k) pi in closed form in place of its steps from K
+    on.  P is stochastic, so ||v_j - pi||_1 <= tol for every j >= K, and
+    the tail is off by at most tol times its weight: tol for p(t), tol t
+    for int_0^t p.  The other times sum exactly, so which rule a t takes,
+    and its row, depend on t alone and not on the rest of the grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not times.size or not np.all(np.isfinite(times) & (times >= 0)):
         raise SolverError("uniformization needs a nonempty grid of finite "
                           f"times t >= 0: {times}")
+    if not 0.0 < tol < 1.0:
+        raise SolverError(f"uniformization needs 0 < tol < 1: {tol}")
     D = gens.total
     lam = 1.01 * np.max(np.abs(D.diagonal()))
     PT = (sp.identity(D.shape[0], format="csr") + D / lam).T.tocsr()
     # longest sum first, so the times still summing at step k are a prefix
     order = np.argsort(-times, kind="stable")
     lamt = lam * times[order]
-    kmax = poisson.isf(tol / np.maximum(lamt, 1.0), lamt).astype(int) + 1
-    steps = np.arange(kmax[0] + 1)[:, None]
-    weights = (poisson.sf(steps, lamt) / lam if integral
-               else poisson.pmf(steps, lamt))
-    live = (steps <= kmax).sum(axis=1)
+    if not lamt[0] < 2.0 ** 61:
+        raise SolverError("uniformization needs lam t < 2**61 for its step "
+                          f"counts: lam = {lam}, t = {times[order[0]]}")
+    kmax = _truncation(lamt, tol / np.maximum(lamt, 1.0))
     acc = np.zeros((times.size, phi.size))
-    vec = phi
-    for w, n in zip(weights, live):
-        acc[:n] += w[:n, None] * vec
-        vec = PT @ vec
+    vec, prev, pi = phi, None, None
+    k = done = 0                    # rows [0, done) took the stationary tail
+    while done < times.size and k <= kmax[done]:
+        steps = np.arange(k, min(k + WEIGHT_BLOCK, kmax[done] + 1))
+        live = np.searchsorted(-kmax, -steps, side="right")
+        steps, rows = steps[:, None], lamt[done:live[0]]
+        weights = (poisson.sf(steps, rows) / lam if integral
+                   else poisson.pmf(steps, rows))
+        for w, n in zip(weights, live):
+            # a tail taken at step k serves only the times with kmax > 2k
+            if not done and 2 * k < kmax[0]:
+                if (pi is None and prev is not None
+                        and np.abs(vec - prev).sum() <= tol):
+                    pi = bordered_stationary(D)[0]
+                if pi is not None and np.abs(vec - pi).sum() <= tol:
+                    done = np.count_nonzero(kmax > 2 * k)
+                    tail = _tail_weights(k, kmax[:done], lamt[:done], lam,
+                                         integral)
+                    acc[:done] += tail[:, None] * pi
+                    break
+            acc[done:n] += w[:n - done, None] * vec
+            prev, vec = vec, PT @ vec
+            k += 1
     return acc[np.argsort(order)]
 
 

@@ -111,6 +111,18 @@ def test_transient_at_zero_equals_the_start(tmp_path):
     np.testing.assert_allclose(at_zero, phi, atol=1e-6)
 
 
+def test_transient_at_a_long_horizon_is_stationary(tmp_path):
+    assert run(["transient", "--t-grid", "0,1e6"], tmp_path) == 0
+    from standbymmap.assembler import assemble_all
+    from standbymmap.measures import availability_stationary
+    from standbymmap.solvers import stationary_direct
+    gens = assemble_all(example_fleet_config(), validate=False)
+    steady = availability_stationary(stationary_direct(gens), gens.layout)
+    doc = json.loads((tmp_path / "transient.json").read_text())
+    assert doc["t"] == [0.0, 1e6]
+    assert doc["availability"][1] == pytest.approx(steady, abs=1e-9)
+
+
 def test_profit_at_zero_is_the_initial_fleet_purchase(tmp_path):
     assert run(["profit", "--t-grid", "0,100"], tmp_path) == 0
     accumulated = json.loads((tmp_path / "profit.json").read_text())["accumulated"]

@@ -1,6 +1,8 @@
 """Solvers: uniformized transients and the two stationary routes."""
 
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from standbymmap.assembler import assemble_all
 from standbymmap.config import example_fleet_config
+from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
 from standbymmap.solvers import (SolverError, _checked, bordered_stationary,
                                  initial_distribution, stationary_block,
@@ -157,11 +160,105 @@ def test_truncation_defect_is_reported(optimal_config, optimal_gens):
     assert 1e-12 < gap <= tol * t
 
 
+@pytest.mark.parametrize("t", [1e6, 1e7])
+def test_long_horizons_reach_the_stationary_distribution(
+        optimal_config, optimal_gens, optimal_pi, t):
+    """Past the mixing time the sweep stops and adds a certified stationary
+    tail: rows of mass 1, never a silent zero row."""
+    tol = 1e-10
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    p = transient(optimal_gens, phi, [t], tol=tol)[0]
+    assert np.abs(p - optimal_pi).sum() <= tol
+    assert abs(p.sum() - 1.0) <= 1e-12
+    mass = transient_integral(optimal_gens, phi, t, tol=tol).sum()
+    assert abs(mass - t) <= tol * t
+
+
+def test_tolerance_below_rounding_still_sums(optimal_config, optimal_gens):
+    """The truncation point comes from poisson.sf, which stays valid where
+    poisson.isf(q) gives NaN (q below about 1e-16)."""
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    grid = [10.0, 100.0]
+    tight = transient(optimal_gens, phi, grid, tol=1e-17)
+    assert np.max(np.abs(tight.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(tight - transient(optimal_gens, phi, grid))) <= 1e-9
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, 2.0, np.nan])
+def test_tolerance_outside_the_unit_interval_is_an_error(
+        optimal_config, optimal_gens, tol):
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    for solve in (transient, transient_integral):
+        with pytest.raises(SolverError, match="0 < tol < 1"):
+            solve(optimal_gens, phi, [10.0], tol=tol)
+
+
+def test_nearly_decomposable_chain_is_not_cut_short():
+    """Two 2-state blocks coupled at 1e-11: the iterates settle inside the
+    first block long before the chain mixes, so successive iterates agree
+    to tol while ||v_k - pi||_1 is still about 1.  The stationary tail must
+    wait for the certificate; taken on the trigger alone it misses p(t) by
+    about 0.3."""
+    eps = 1e-11
+    D = np.array([[-1.0, 1.0, 0.0, 0.0],
+                  [0.5, -0.5 - eps, eps, 0.0],
+                  [0.0, 0.0, -1.0, 1.0],
+                  [eps, 0.0, 0.5, -0.5 - eps]])
+    gens = SimpleNamespace(total=sp.csr_matrix(D))
+    phi = np.array([1.0, 0.0, 0.0, 0.0])
+    for t in (100.0, 1000.0):
+        exact = expm_multiply(D.T * t, phi)
+        row = transient(gens, phi, [t])[0]
+        assert np.max(np.abs(row - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (2, 1, False), (3, 2, True)])
+def test_grid_rows_equal_single_calls_across_the_tail(n, R, pm):
+    """Whether a t takes the stationary tail depends on t alone, so one
+    sweep gives each row bit for bit as the call for that t does, on both
+    sides of the detection step."""
+    config = example_fleet_config(n, R, pm)
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+    grid = [1000.0, 5000.0, 1e4, 50.0, 2000.0, 3000.0, 1e6]
+    rows = transient(gens, phi, grid)
+    integrals = transient_integral(gens, phi, grid)
+    profits = profit_transient(gens, phi, grid, config)
+    for i, t in enumerate(grid):
+        np.testing.assert_array_equal(rows[i], transient(gens, phi, [t])[0])
+        np.testing.assert_array_equal(integrals[i],
+                                      transient_integral(gens, phi, t))
+        assert profits[i] == profit_transient(gens, phi, t, config)
+
+
+def test_long_sweep_memory_does_not_grow_with_the_horizon():
+    """Poisson weights are formed block by block: at lam t = 2e7 the full
+    weight column alone would take about 190 MB."""
+    config = example_fleet_config(2, 1, False)
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+    tracemalloc.start()
+    try:
+        row = transient(gens, phi, [1e7])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(row.sum() - 1.0) <= 1e-12
+    assert peak < 20e6
+
+
 @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
 def test_bad_time_is_an_error(optimal_config, optimal_gens, t):
     phi = initial_distribution(optimal_config, optimal_gens.layout)
     with pytest.raises(SolverError, match="finite times"):
         transient(optimal_gens, phi, [10.0, t])
+
+
+def test_time_beyond_the_step_counter_is_an_error(optimal_config,
+                                                  optimal_gens):
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    with pytest.raises(SolverError, match="lam t < 2"):
+        transient(optimal_gens, phi, [10.0, 1e300])
 
 
 def test_empty_time_grid_is_an_error(optimal_config, optimal_gens):
