@@ -93,10 +93,11 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
     Trigger: when ||v_k - v_(k-1)||_1 <= tol, pi is solved once by
     `bordered_stationary`.  Certificate: from then on the first step K with
     ||v_K - pi||_1 <= tol is the tail point; a trigger without it (a nearly
-    decomposable chain) costs only that solve.  Every t with kmax(t) > 2K,
-    whose sweep would be more than twice the one already run, adds
-    (sum_{k=K}^{kmax} w_k) pi in closed form in place of its steps from K
-    on.  P is stochastic, so ||v_j - pi||_1 <= tol for every j >= K, and
+    decomposable chain, or several closed classes, where the solve fails)
+    costs only that solve.  Every t with kmax(t) > 2K, whose sweep would be
+    more than twice the one already run, adds (sum_{k=K}^{kmax} w_k) pi in
+    closed form in place of its steps from K on.  P is stochastic, so
+    ||v_j - pi||_1 <= tol for every j >= K, and
     the tail is off by at most tol times its weight: tol for p(t), tol t
     for int_0^t p.  The other times sum exactly, so which rule a t takes,
     and its row, depend on t alone and not on the rest of the grid."""
@@ -130,7 +131,10 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
             if not done and 2 * k < kmax[0]:
                 if (pi is None and prev is not None
                         and np.abs(vec - prev).sum() <= tol):
-                    pi = bordered_stationary(D)[0]
+                    try:
+                        pi = bordered_stationary(D)[0]
+                    except RuntimeError:    # no unique pi: nothing to certify
+                        pi = np.full(phi.size, np.nan)
                 if pi is not None and np.abs(vec - pi).sum() <= tol:
                     done = np.count_nonzero(kmax > 2 * k)
                     tail = _tail_weights(k, kmax[:done], lamt[:done], lam,
