@@ -21,8 +21,8 @@ A builder addresses the source and target blocks as (k, s, x, prefix), the
 queues of E_s^{k,x} that start with the prefix, and gives the dense matrix of
 one source queue.  `_Assembly.place` repeats its nonzero entries over all of
 them by index arithmetic, the i-th copy shifted by i times the block's shape,
-and each label becomes one CSR matrix built from the concatenated triplets:
-no sparse matrix is made per block.
+and each label, like the total of all nine, becomes one CSR matrix built from
+the concatenated triplets: no sparse matrix is made per block or per label sum.
 """
 
 from dataclasses import dataclass
@@ -124,11 +124,14 @@ class _Assembly:
             ((r0 + shift * h + row).ravel(), (c0 + shift * w + col).ravel(),
              np.tile(inner[row, col], reps)))
 
-    def matrix(self, label: str) -> sp.csr_matrix:
+    def matrix(self, *labels: str) -> sp.csr_matrix:
+        """The sum of the labels' generators, built in one pass from their
+        concatenated triplets."""
         shape = (self.lay.total, self.lay.total)
-        if not self.entries[label]:
+        entries = [e for label in labels for e in self.entries[label]]
+        if not entries:
             return sp.csr_matrix(shape)
-        rows, cols, data = map(np.concatenate, zip(*self.entries[label]))
+        rows, cols, data = map(np.concatenate, zip(*entries))
         return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
     # -- event builders: each walks the second-level blocks ---------------
@@ -237,10 +240,10 @@ def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,
     asm.vacation_ends()
     asm.service_completions()
     asm.fleet_renewal()
-    matrices = {label: asm.matrix(label) for label in EVENT_LABELS}
-    total = sum(matrices.values(), sp.csr_matrix((layout.total, layout.total)))
-    gens = MmapGenerators(layout=layout, matrices=matrices,
-                          total=sp.csr_matrix(total))
+    gens = MmapGenerators(layout=layout,
+                          matrices={label: asm.matrix(label)
+                                    for label in EVENT_LABELS},
+                          total=asm.matrix(*EVENT_LABELS))
     if validate:
         _validate(gens)
     return gens

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .assembler import assemble_all
 from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
@@ -132,6 +131,10 @@ def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     """Maximize stationary profit over the vacation rates: L-BFGS-B on
     log x in [log 1e-3, log 1e2] with the exact gradient, from x0 (clipped
     into the box) or from x = 1."""
+    # imported here, not at module level: every CLI command imports this
+    # module, and only optimizing needs scipy.optimize's start-up cost
+    from scipy.optimize import minimize
+
     family = vacation_family(family)
     cell = _CellEvaluator(config, family)
     bounds = (np.log(1e-3), np.log(1e2))

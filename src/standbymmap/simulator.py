@@ -361,9 +361,6 @@ class FleetSimulator:
             rate -= (None, c.corrective, c.preventive)[st.queue[0]][st.clock]
         return float(rate)
 
-    def event_cost(self, ev: str) -> float:
-        return self._event_costs.get(ev, 0.0)
-
     # -- trajectory -----------------------------------------------------------
 
     def run(self, horizon: float, rng) -> list:

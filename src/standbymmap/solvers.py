@@ -19,7 +19,7 @@ result whose balance residual ||pi D||_inf is not at rounding level.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .assembler import MmapGenerators
 from .config import ModelConfig
@@ -50,18 +50,32 @@ def initial_distribution(config: ModelConfig, layout: StateSpaceLayout) -> np.nd
     return phi
 
 
+def _poisson_sf(k, m):
+    """P(N > k) for N ~ Poisson(m), elementwise: the special function that
+    scipy.stats.poisson.sf calls, with the same result bit for bit, without
+    the start-up cost of scipy.stats.  k < 0 gives 1, where pdtrc is NaN."""
+    return np.where(k < 0, 1.0, pdtrc(k, m))
+
+
+def _poisson_pmf(k, m):
+    """P(N = k) for N ~ Poisson(m) and k >= 0, elementwise: the log-pmf that
+    scipy.stats.poisson.pmf exponentiates, with the same result bit for bit."""
+    return np.exp(xlogy(k, m) - gammaln(k + 1) - m)
+
+
 def _truncation(lamt: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Smallest k with P(N >= k) <= q for N ~ Poisson(lamt), elementwise,
-    by doubling and bisection on poisson.sf.  Valid for any q in (0, 1):
-    poisson.isf works through 1 - q, which rounds to 1 once q is below
-    about 1e-16, and then returns NaN."""
+    by doubling and bisection on the survival function `_poisson_sf`.
+    Valid for any q in (0, 1): an inverse survival function that works
+    through 1 - q, as scipy.stats.poisson.isf does, rounds it to 1 once q is
+    below about 1e-16, and then returns NaN."""
     lo = np.zeros(lamt.shape, dtype=np.int64)   # P(N >= lo) > q
     hi = np.ceil(lamt).astype(np.int64) + 1     # P(N >= hi) <= q once doubled
-    while np.any(high := poisson.sf(hi - 1, lamt) > q):
+    while np.any(high := _poisson_sf(hi - 1, lamt) > q):
         lo, hi = np.where(high, hi, lo), np.where(high, 2 * hi, hi)
     while np.any(wide := hi - lo > 1):
         mid = (lo + hi) // 2
-        low = poisson.sf(mid - 1, lamt) <= q
+        low = _poisson_sf(mid - 1, lamt) <= q
         lo = np.where(wide & ~low, mid, lo)
         hi = np.where(wide & low, mid, hi)
     return hi
@@ -73,10 +87,10 @@ def _tail_weights(K: int, kmax: np.ndarray, lamt: np.ndarray, lam: float,
     P(K <= N <= kmax) for p(t), and (E[(N - K)+] - E[(N - kmax - 1)+]) / lam
     for int_0^t p, with E[(N - a)+] = lam t P(N >= a) - a P(N > a)."""
     if not integral:
-        return poisson.sf(K - 1, lamt) - poisson.sf(kmax, lamt)
+        return _poisson_sf(K - 1, lamt) - _poisson_sf(kmax, lamt)
 
     def excess(a):
-        return lamt * poisson.sf(a - 1, lamt) - a * poisson.sf(a, lamt)
+        return lamt * _poisson_sf(a - 1, lamt) - a * _poisson_sf(a, lamt)
     return (excess(K) - excess(kmax + 1)) / lam
 
 
@@ -124,8 +138,8 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
         steps = np.arange(k, min(k + WEIGHT_BLOCK, kmax[done] + 1))
         live = np.searchsorted(-kmax, -steps, side="right")
         steps, rows = steps[:, None], lamt[done:live[0]]
-        weights = (poisson.sf(steps, rows) / lam if integral
-                   else poisson.pmf(steps, rows))
+        weights = (_poisson_sf(steps, rows) / lam if integral
+                   else _poisson_pmf(steps, rows))
         for w, n in zip(weights, live):
             # a tail taken at step k serves only the times with kmax > 2k
             if not done and 2 * k < kmax[0]:

@@ -150,12 +150,6 @@ class StateSpaceLayout:
     def k_span(self, k: int) -> tuple:
         return self._k_spans[k]
 
-    def index_of(self, key: MacroStateKey) -> tuple:
-        """Contiguous global index range of a third-level macro-state."""
-        if len(key.queue) != key.s:
-            raise KeyError(f"invalid queue {key.queue} for s={key.s}")
-        return self.span(key.k, key.s, key.x, key.queue)
-
     def key_of(self, index: int) -> MacroStateKey:
         """Third-level macro-state containing a global index."""
         if not 0 <= index < self.total:

@@ -11,7 +11,8 @@ from standbymmap.statespace import MacroStateKey
 def global_index(layout, st):
     """Map a simulator state onto the generator's row index."""
     key = MacroStateKey(st.k, st.s, "v" if st.on_vacation else "nv", st.queue)
-    lo, _ = layout.index_of(key)
+    assert len(st.queue) == st.s, f"queue {st.queue} for s={st.s}"
+    lo, _ = layout.span(key.k, key.s, key.x, key.queue)
     if st.s < st.k:
         phases = [st.internal, st.shock, st.damage, st.inspection]
     else:

@@ -34,6 +34,20 @@ def test_labels_sum_to_total(optimal_gens):
     assert abs(diff).max() < 1e-12
 
 
+@pytest.mark.parametrize("pm", [True, False])
+def test_total_is_the_label_sum_bit_for_bit(pm):
+    """The one-pass total equals the sum of the nine label matrices added
+    one after another, entry for entry and in the same sparse structure."""
+    gens = assemble_all(example_fleet_config(pm_enabled=pm))
+    shape = gens.total.shape
+    added = sum(gens.matrices.values(), sp.csr_matrix(shape))
+    total = gens.total.copy()
+    for mat in (added, total):
+        mat.sort_indices()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(total, part), getattr(added, part)), part
+
+
 def test_sign_structure(optimal_gens):
     for label in ARRIVAL_LABELS:
         assert optimal_gens[label].min() >= 0.0

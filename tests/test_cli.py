@@ -1,10 +1,15 @@
 """Command-line interface: dispatch, model files, output artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import standbymmap.cli
 from standbymmap.cli import (ModelFileError, bundled_model_path,
                              config_from_dict, config_to_dict, load_model,
                              main)
@@ -19,6 +24,25 @@ def test_bundled_model_loads():
     config = load_model(bundled_model_path())
     assert config.units == 4 and config.vacation_threshold == 3
     assert config.v == 2  # two-stage vacation
+
+
+# the modules a CLI start-up must not load: together they were half of it
+START_UP = """
+import sys
+from standbymmap.cli import bundled_model_path, load_model
+load_model(bundled_model_path())
+print(*(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_start_up_loads_neither_scipy_stats_nor_scipy_optimize():
+    """In a fresh interpreter, as every CLI command starts."""
+    package_root = str(Path(standbymmap.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", START_UP], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_model_round_trip():

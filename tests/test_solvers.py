@@ -9,12 +9,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from scipy.sparse.linalg import expm_multiply
+from scipy.stats import poisson
 
 from standbymmap.assembler import assemble_all
 from standbymmap.config import example_fleet_config
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
-from standbymmap.solvers import (SolverError, _checked, bordered_stationary,
+from standbymmap.solvers import (SolverError, _checked, _poisson_pmf,
+                                 _poisson_sf, _truncation, bordered_stationary,
                                  initial_distribution, stationary_block,
                                  stationary_direct, transient,
                                  transient_integral)
@@ -175,13 +177,41 @@ def test_long_horizons_reach_the_stationary_distribution(
 
 
 def test_tolerance_below_rounding_still_sums(optimal_config, optimal_gens):
-    """The truncation point comes from poisson.sf, which stays valid where
-    poisson.isf(q) gives NaN (q below about 1e-16)."""
+    """The truncation point comes from the Poisson survival function, which
+    stays valid where an inverse through 1 - q, as scipy.stats.poisson.isf,
+    gives NaN (q below about 1e-16)."""
     phi = initial_distribution(optimal_config, optimal_gens.layout)
     grid = [10.0, 100.0]
     tight = transient(optimal_gens, phi, grid, tol=1e-17)
     assert np.max(np.abs(tight.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(tight - transient(optimal_gens, phi, grid))) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-3, 1.0, 2.4e3, 1e6, 1e12])
+def test_poisson_helpers_equal_scipy_stats(m):
+    """Bit for bit scipy.stats.poisson, which the package does not import;
+    the survival function is 1 below the support, as poisson.sf is."""
+    k = np.arange(-3, 4000)
+    sf = _poisson_sf(k, m)
+    assert np.array_equal(sf, poisson.sf(k, m))
+    assert np.all(sf[:3] == 1.0)
+    assert np.array_equal(_poisson_pmf(k[3:], m), poisson.pmf(k[3:], m))
+    # the sweep's broadcast: steps down a column, times along a row
+    rows = np.array([0.0, m, 2.0 * m])
+    steps = k[3:, None]
+    assert np.array_equal(_poisson_sf(steps, rows), poisson.sf(steps, rows))
+    assert np.array_equal(_poisson_pmf(steps, rows), poisson.pmf(steps, rows))
+
+
+@pytest.mark.parametrize("q", [1e-10, 1e-17])
+def test_truncation_is_the_smallest_point_past_q(q):
+    """P(N >= k) <= q < P(N >= k - 1) for N ~ Poisson(lam t), checked with
+    scipy.stats over lam t from 0 to 1e12."""
+    lamt = np.concatenate([[0.0], np.logspace(-6, 12, 400)])
+    qs = q / np.maximum(lamt, 1.0)
+    k = _truncation(lamt, qs)
+    assert np.all(poisson.sf(k - 1, lamt) <= qs)
+    assert np.all(poisson.sf(k - 2, lamt) > qs)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, 2.0, np.nan])

@@ -99,7 +99,8 @@ def test_decode_round_trip():
     rng = np.random.default_rng(3)
     for idx in rng.integers(0, layout.total, size=64):
         key, phases = layout.decode(int(idx))
-        start, stop = layout.index_of(key)
+        assert len(key.queue) == key.s
+        start, stop = layout.span(key.k, key.s, key.x, key.queue)
         assert start <= idx < stop
         dims = layout.phase_dims(key.k, key.s, key.x, key.queue)
         assert len(phases) == len(dims)
@@ -154,7 +155,6 @@ def test_prefix_spans_partition_each_block(n, R, pm):
         for queue in layout.queues(s):
             key = MacroStateKey(k, s, x, queue)
             assert layout.span(k, s, x, queue) == queue_span[key]
-            assert layout.index_of(key) == queue_span[key]
         with pytest.raises(KeyError):
             layout.span(k, s, x, (1,) * (s + 1))
         if s:
