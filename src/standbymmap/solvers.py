@@ -175,30 +175,73 @@ def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
     return rows[0] if np.ndim(t) == 0 else rows
 
 
-def _factor(A: sp.spmatrix):
-    """Sparse LU in the symmetric fill-reducing order MMD_AT_PLUS_A, keeping
-    a diagonal pivot while it is at least PIVOT_THRESH of its column's
-    largest entry.  Generator blocks and the bordered transposed generator
-    are diagonally dominant by rows or columns, so the diagonal almost
-    always qualifies; partial pivoting (threshold 1) would give up the
-    order for no safer pivots and fill the factors up to three times over."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=PIVOT_THRESH)
+class OrderedLU:
+    """Sparse LU of a square matrix A that solves in A's own coordinates.
+
+    `order` is the symmetric fill-reducing order q the factors use: fresh
+    factors take it from SuperLU's column permutation, q = argsort(perm_c),
+    and factors made in a given order q are those of A[q][:, q] in natural
+    order, solved by x[q] = lu.solve(b[q], trans) for either transpose.
+    """
+
+    def __init__(self, lu, order: np.ndarray, permuted: bool):
+        self.lu, self.order, self._permuted = lu, order, permuted
+
+    @property
+    def fill(self) -> int:
+        """Entries of L and U together."""
+        return self.lu.L.nnz + self.lu.U.nnz
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        if not self._permuted:
+            return self.lu.solve(b, trans)
+        y = self.lu.solve(b[self.order], trans)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
 
-def bordered_stationary(D: sp.spmatrix) -> tuple:
+def _factor(A: sp.spmatrix, order=None) -> OrderedLU:
+    """Sparse LU keeping a diagonal pivot while it is at least PIVOT_THRESH
+    of its column's largest entry.  Generator blocks and the bordered
+    transposed generator are diagonally dominant by rows or columns, so the
+    diagonal almost always qualifies; partial pivoting (threshold 1) would
+    give up the order for no safer pivots and fill the factors up to three
+    times over.
+
+    Without `order`, SuperLU computes the symmetric fill-reducing order
+    MMD_AT_PLUS_A.  With the `order` of earlier factors of a matrix with
+    A's sparsity pattern, A is factored in that order and the ordering,
+    more than half the cost of an LU of the bordered generator, is skipped.
+    The ordering looks at the pattern alone, so a fresh one would choose
+    the same order.  The fill equals a fresh ordering's (checked at the
+    corners of the optimizer's box), and solutions move in their last
+    digits only."""
+    if order is None:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=PIVOT_THRESH)
+        return OrderedLU(lu, np.argsort(lu.perm_c), permuted=False)
+    lu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=PIVOT_THRESH)
+    return OrderedLU(lu, order, permuted=True)
+
+
+def bordered_stationary(D: sp.spmatrix, order=None) -> tuple:
     """Solve pi D = 0, pi 1 = 1: the first equation of D^T pi^T = 0 is
     replaced by the normalisation, and the bordered matrix B factored by LU.
     Returns pi as solved, neither clipped nor rescaled, and the
-    factorisation of B, whose transposed solves give the adjoint of the
-    stationary solve.  Negative mass beyond rounding raises, and so does a
-    balance residual that `_checked` rejects."""
+    factorisation of B as an OrderedLU, whose transposed solves give the
+    adjoint of the stationary solve.  B is ordered afresh unless `order`,
+    the `order` of an earlier result for a generator with D's sparsity
+    pattern, says in which order to factor it.  Negative mass beyond
+    rounding raises, and so does a balance residual that `_checked`
+    rejects."""
     n = D.shape[0]
     B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
                   format="csr")
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    lu = _factor(B)
+    lu = _factor(B, order)
     pi = lu.solve(rhs)
     if np.min(pi) < -1e-9:
         raise SolverError("stationary solve produced negative probabilities")

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
+from standbymmap import optimizer
 from standbymmap.config import example_fleet_config
-from standbymmap.optimizer import (_CellEvaluator, evaluate, grid_to_csv,
-                                   optimize)
+from standbymmap.optimizer import (_affine_at, _CellEvaluator, evaluate,
+                                   grid_to_csv, optimize)
+from standbymmap.solvers import bordered_stationary
+
+# the study-grid cells of the optimize-cells benchmark workload
+BENCH_CELLS = [(4, 3, True, "exponential"), (4, 3, True, "erlang2"),
+               (3, 2, False, "exponential"), (3, 2, False, "erlang2")]
+BOX_CORNERS = ([1e-3, 1e-3], [1e2, 1e2], [1e-3, 1e2])
 
 
 def test_cached_evaluator_matches_full_pipeline():
@@ -25,18 +33,23 @@ def test_cached_evaluator_matches_full_pipeline():
 @pytest.mark.parametrize("pm", [True, False])
 @pytest.mark.parametrize("family", ["exponential", "erlang2"])
 def test_gradient_matches_central_differences(family, pm):
+    """Inside the box and at its corner (1e-3, 1e-3).  The first call fixes
+    the cell's fill-reducing order, so each gradient's adjoint solve goes
+    through the factors of the permuted matrix."""
     config = example_fleet_config(units=3, vacation_threshold=2,
                                   pm_enabled=pm)
     cell = _CellEvaluator(config, family)
-    x = np.array([0.4, 1.7][:cell.dim])
-    phi, grad = cell.gradient(x)
-    assert phi == pytest.approx(cell.evaluate(x)[0], abs=1e-12)
-    for i in range(cell.dim):
-        step = np.zeros(cell.dim)
-        step[i] = 1e-5 * x[i]
-        central = (cell.evaluate(x + step)[0]
-                   - cell.evaluate(x - step)[0]) / (2 * step[i])
-        assert grad[i] == pytest.approx(central, rel=1e-6), i
+    cell.evaluate(np.ones(cell.dim))
+    for x in ([0.4, 1.7], BOX_CORNERS[0]):
+        x = np.array(x[:cell.dim])
+        phi, grad = cell.gradient(x)
+        assert phi == pytest.approx(cell.evaluate(x)[0], abs=1e-12)
+        for i in range(cell.dim):
+            step = np.zeros(cell.dim)
+            step[i] = 1e-5 * x[i]
+            central = (cell.evaluate(x + step)[0]
+                       - cell.evaluate(x - step)[0]) / (2 * step[i])
+            assert grad[i] == pytest.approx(central, rel=1e-6), (x, i)
 
 
 def test_log_gradient_vanishes_at_an_interior_optimum():
@@ -116,3 +129,55 @@ def test_family_alias_gives_the_canonical_record(alias, family):
     record = optimize(config, alias).as_record()
     assert record == optimize(config, family).as_record()
     assert record["family"] == family
+
+
+def test_one_optimize_call_orders_once(monkeypatch):
+    """Every evaluation of a cell factors a bordered matrix of the same
+    pattern: the first computes the fill-reducing order, the rest reuse it."""
+    specs = []
+    splu = spla.splu
+
+    def counting(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    result = optimize(example_fleet_config(units=3, vacation_threshold=2),
+                      "erlang2")
+    assert specs.count("MMD_AT_PLUS_A") == 1
+    assert specs[0] == "MMD_AT_PLUS_A"
+    assert len(specs) >= result.evaluations
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 4, False),
+                                    (2, 2, False)])
+def test_reused_order_keeps_a_fresh_orders_fill(n, R, pm):
+    """At the box corners and inside, D(x) factored in the order of the
+    cell's first solve fills L and U as a fresh ordering of D(x) does, and
+    gives the same pi to rounding."""
+    cell = _CellEvaluator(example_fleet_config(n, R, pm), "erlang2")
+    cell.evaluate([1.0, 1.0])
+    for x in (*BOX_CORNERS, [0.5, 0.7]):
+        pi, fresh = bordered_stationary(_affine_at(*cell.D, x))
+        pi_reused, reused = cell._solve(x)
+        np.testing.assert_array_equal(reused.order, cell._order)
+        assert reused.fill == fresh.fill, x
+        assert np.max(np.abs(pi_reused - pi)) <= 1e-14, x
+
+
+@pytest.mark.parametrize("n,R,pm,family", BENCH_CELLS)
+def test_evaluation_count_does_not_depend_on_the_last_digits(
+        n, R, pm, family, monkeypatch):
+    """A search that orders every factorisation afresh sees pi move in its
+    last digits.  It must stop after as many evaluations as the real one,
+    at the same profit: a stop rule that asks for more than Phi resolves
+    would go on searching in rounding noise, down a path those digits
+    steer."""
+    config = example_fleet_config(n, R, pm)
+    result = optimize(config, family)
+    monkeypatch.setattr(optimizer, "bordered_stationary",
+                        lambda D, order=None: bordered_stationary(D))
+    fresh = optimize(config, family)
+    assert fresh.evaluations == result.evaluations
+    assert fresh.profit == pytest.approx(result.profit, abs=1e-12)
+    assert fresh.converged and result.converged
