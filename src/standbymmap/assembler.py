@@ -25,7 +25,7 @@ and each label, like the total of all nine, becomes one CSR matrix built from
 the concatenated triplets: no sparse matrix is made per block or per label sum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -54,6 +54,8 @@ class MmapGenerators:
     layout: StateSpaceLayout
     matrices: dict     # label -> csr_matrix
     total: sp.csr_matrix
+    # pi of `total`, kept read-only by solvers.stationary_direct
+    _pi: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __getitem__(self, label: str) -> sp.csr_matrix:
         return self.matrices[label]

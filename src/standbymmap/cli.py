@@ -97,6 +97,12 @@ def build_config(args) -> ModelConfig:
         raise ModelFileError(str(exc)) from None
 
 
+def _assembled(args) -> tuple:
+    """The command line's model and its generators, conservation checked."""
+    config = build_config(args)
+    return config, assemble_all(config)
+
+
 def _outdir(args) -> Path:
     out = Path(_resolve(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -116,8 +122,7 @@ def _fmt(x: float) -> str:
 # commands
 
 def cmd_build(args) -> int:
-    config = build_config(args)
-    gens = assemble_all(config, validate=True)
+    _, gens = _assembled(args)
     residual = float(np.max(np.abs(gens.total.sum(axis=1))))
     print(f"states: {gens.layout.total}")
     for label in EVENT_LABELS:
@@ -127,8 +132,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    config = build_config(args)
-    gens = assemble_all(config, validate=False)
+    _, gens = _assembled(args)
     pi = stationary_direct(gens)
     lay = gens.layout
     regime = np.where(lay.states["vacation"], "v", "nv")
@@ -146,9 +150,8 @@ def cmd_steady(args) -> int:
 
 
 def cmd_transient(args) -> int:
-    config = build_config(args)
     grid = _resolve(args, "t-grid", _parse_tgrid, [0.0, 10.0, 100.0, 1000.0])
-    gens = assemble_all(config, validate=False)
+    config, gens = _assembled(args)
     phi = initial_distribution(config, gens.layout)
     dist = transient(gens, phi, grid)
     avail = 1.0 - dist[:, down_mask(gens.layout)].sum(axis=1)
@@ -166,8 +169,7 @@ def cmd_transient(args) -> int:
 
 
 def cmd_measures(args) -> int:
-    config = build_config(args)
-    gens = assemble_all(config, validate=False)
+    _, gens = _assembled(args)
     pi = stationary_direct(gens)
     table = occupancy(pi, gens.layout)
     rates = event_rates_stationary(pi, gens)
@@ -187,12 +189,10 @@ def cmd_measures(args) -> int:
 
 
 def cmd_profit(args) -> int:
-    config = build_config(args)
-    gens = assemble_all(config, validate=False)
+    config, gens = _assembled(args)
     pi = stationary_direct(gens)
     prof = profit_stationary(pi, gens, config)
-    record = {"working": prof.working, "repair_cost": prof.repair_cost,
-              "fixed_cost": prof.fixed_cost, "total": prof.total}
+    record = dict(vars(prof))   # working, repair_cost, fixed_cost, total
     grid = _resolve(args, "t-grid", _parse_tgrid, None)
     if grid:
         phi = initial_distribution(config, gens.layout)
@@ -274,8 +274,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = build_config(args)
-    gens = assemble_all(config, validate=True)
+    config, gens = _assembled(args)
     pi = stationary_direct(gens)
     rates = event_rates_stationary(pi, gens)
     analytic = {

@@ -2,12 +2,12 @@
 
 Transient quantities use one uniformization sweep over the whole time grid.
 The sweep detects stationarity (Sericola 1999; Malhotra, Muppala and
-Trivedi 1994): once successive iterates agree to the tolerance it solves pi,
-and once phi P^k is within the tolerance of pi it replaces the rest of each
-long time's sum by a stationary tail whose weight has a closed form, so a
-horizon costs no more steps than the mixing time.  Its truncated mass stays
-in the result: p(t) 1 falls short of 1, and int_0^t p 1 short of t, by the
-truncation defect, which callers can check.
+Trivedi 1994): once successive iterates agree to the tolerance it reads the
+model's one stationary solve, and once phi P^k is within the tolerance of pi
+it replaces the rest of each long time's sum by a stationary tail whose
+weight has a closed form, so a horizon costs no more steps than the mixing
+time.  Its truncated mass stays in the result: p(t) 1 falls short of 1, and
+int_0^t p 1 short of t, by the truncation defect, which callers can check.
 The stationary distribution is available through two sparse routes that
 share no factorisation and serve as cross-checks: one bordered solve of the
 whole generator, and a level cycle that solves the chain censored on the
@@ -104,15 +104,15 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
 
     One sweep forms v_k = phi P^k for the whole grid, with the weights
     formed WEIGHT_BLOCK steps at a time, and stops once the chain has mixed.
-    Trigger: when ||v_k - v_(k-1)||_1 <= tol, pi is solved once by
-    `bordered_stationary`.  Certificate: from then on the first step K with
-    ||v_K - pi||_1 <= tol is the tail point; a trigger without it (a nearly
-    decomposable chain, or several closed classes, where the solve fails)
-    costs only that solve.  Every t with kmax(t) > 2K, whose sweep would be
-    more than twice the one already run, adds (sum_{k=K}^{kmax} w_k) pi in
-    closed form in place of its steps from K on.  P is stochastic, so
-    ||v_j - pi||_1 <= tol for every j >= K, and
-    the tail is off by at most tol times its weight: tol for p(t), tol t
+    Trigger: when ||v_k - v_(k-1)||_1 <= tol, pi is read from
+    `stationary_direct`, the model's one stationary solve.  Certificate:
+    from then on the first step K with ||v_K - pi||_1 <= tol is the tail
+    point; a trigger without it (a nearly decomposable chain, or several
+    closed classes, where the solve fails) costs only that solve.  Every t
+    with kmax(t) > 2K, whose sweep would be more than twice the one already
+    run, adds (sum_{k=K}^{kmax} w_k) pi in closed form in place of its steps
+    from K on.  P is stochastic, so ||v_j - pi||_1 <= tol for every j >= K,
+    and the tail is off by at most tol times its weight: tol for p(t), tol t
     for int_0^t p.  The other times sum exactly, so which rule a t takes,
     and its row, depend on t alone and not on the rest of the grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -146,7 +146,7 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                 if (pi is None and prev is not None
                         and np.abs(vec - prev).sum() <= tol):
                     try:
-                        pi = bordered_stationary(D)[0]
+                        pi = stationary_direct(gens)
                     except RuntimeError:    # no unique pi: nothing to certify
                         pi = np.full(phi.size, np.nan)
                 if pi is not None and np.abs(vec - pi).sum() <= tol:
@@ -163,14 +163,17 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
 
 def transient(gens: MmapGenerators, phi: np.ndarray, times,
               tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
-    """Rows p(t) = phi expm(D t) for each t, by uniformization."""
+    """Rows p(t) = phi expm(D t) for each t, by uniformization.  Below a
+    tol of about 1e-11 the tail certificate cannot hold, as pi is itself
+    only about that accurate in l1, and each t sums all its kmax(t) steps."""
     return _uniformization(gens, phi, times, tol, integral=False)
 
 
 def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
                        tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
     """Row vector int_0^t phi expm(D u) du, by uniformization; for a
-    sequence of times, one such row per t from one sweep."""
+    sequence of times, one such row per t from one sweep.  Below a tol of
+    about 1e-11 every t sums all its kmax(t) steps, as `transient` does."""
     rows = _uniformization(gens, phi, t, tol, integral=True)
     return rows[0] if np.ndim(t) == 0 else rows
 
@@ -261,8 +264,14 @@ def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
 
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     """Stationary distribution of the assembled generator by one bordered
-    sparse solve."""
-    return bordered_stationary(gens.total)[0]
+    sparse solve, made on the first call and kept on `gens` as a read-only
+    array that later calls return.  The LU is not kept, nor is a failure."""
+    pi = getattr(gens, "_pi", None)
+    if pi is None:
+        pi = bordered_stationary(gens.total)[0]
+        pi.flags.writeable = False
+        object.__setattr__(gens, "_pi", pi)
+    return pi
 
 
 def _check_levels(D: sp.spmatrix, layout: StateSpaceLayout) -> None:

@@ -1,5 +1,6 @@
 import pytest
 
+from standbymmap import solvers
 from standbymmap.assembler import assemble_all
 from standbymmap.config import example_fleet_config
 from standbymmap.solvers import stationary_direct
@@ -23,3 +24,13 @@ def optimal_gens(optimal_config):
 @pytest.fixture(scope="session")
 def optimal_pi(optimal_gens):
     return stationary_direct(optimal_gens)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The bordered solves made while the test runs, one list entry each."""
+    calls = []
+    solve = solvers.bordered_stationary
+    monkeypatch.setattr(solvers, "bordered_stationary",
+                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    return calls

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import standbymmap.cli
+from standbymmap.assembler import _Assembly
 from standbymmap.cli import (ModelFileError, bundled_model_path,
                              config_from_dict, config_to_dict, load_model,
                              main)
@@ -235,3 +236,37 @@ def test_validate_passes_on_the_bundled_model(tmp_path, capsys):
     assert run(["validate", "--horizon", "30000", "--reps", "4",
                 "--seed", "1"], tmp_path) == 0
     assert "overall: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,count", [
+    ("build", 0),
+    ("steady", 1),
+    ("measures", 1),
+    ("profit", 1),
+    ("profit --t-grid 1e6", 1),
+    ("transient --t-grid 0,1e4,1e6", 1),
+    ("transient --t-grid 0,10,100", 0),
+    ("validate --horizon 2e4 --reps 2", 1)])
+def test_a_command_factors_the_generator_at_most_once(command, count,
+                                                      tmp_path, solves):
+    """pi is solved once per assembled model and read by every measure that
+    needs it, the stationary tail of a long uniformization sweep included;
+    short sweeps never reach the tail and solve nothing."""
+    assert run(command.split(), tmp_path) == 0
+    assert len(solves) == count
+
+
+@pytest.mark.parametrize("command", ["build", "steady", "transient",
+                                     "measures", "profit", "validate"])
+def test_every_assembling_command_checks_conservation(command, tmp_path,
+                                                      capsys, monkeypatch):
+    """Without the fleet renewal the bundled model's last fresh-level row
+    loses its exit: every command that assembles the model stops on the
+    conservation check and writes nothing."""
+    monkeypatch.setattr(_Assembly, "fleet_renewal", lambda self: None)
+    assert run([command], tmp_path) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "AssemblyError"
+    assert "row 3654" in record["message"]
+    assert "k=1, s=0, x='nv'" in record["message"]
+    assert not any(tmp_path.iterdir())

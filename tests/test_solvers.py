@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
-from standbymmap.assembler import assemble_all
+from standbymmap.assembler import MmapGenerators, assemble_all
 from standbymmap.config import example_fleet_config
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
@@ -248,6 +248,49 @@ def test_settled_iterates_are_not_taken_for_stationary(D):
         exact = expm_multiply(D.T * t, phi)
         row = transient(gens, phi, [t])[0]
         assert np.max(np.abs(row - exact)) <= 1e-9
+
+
+def test_failed_stationary_solve_is_not_kept(solves):
+    """Two absorbing states: pi is not unique, the sweep's trigger fires,
+    its solve fails, and the sweep sums exactly; the next solve fails
+    again, as nothing of the failure was kept."""
+    D = np.array([[-1.5, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    gens = MmapGenerators(None, {}, sp.csr_matrix(D))
+    phi = np.eye(3)[0]
+    row = transient(gens, phi, [1000.0])[0]
+    assert np.max(np.abs(row - expm_multiply(D.T * 1000.0, phi))) <= 1e-9
+    assert len(solves) == 1
+    with pytest.raises(RuntimeError):
+        stationary_direct(gens)
+    assert len(solves) == 2
+
+
+def test_stationary_direct_keeps_one_read_only_pi(solves):
+    gens = assemble_all(example_fleet_config(3, 2, True))
+    pi = stationary_direct(gens)
+    assert stationary_direct(gens) is pi and len(solves) == 1
+    with pytest.raises(ValueError):
+        pi[0] = 0.5
+    # a scaled generator has the same pi, but a copy made with it solves anew
+    scaled = replace(gens, total=2.0 * gens.total)
+    again = stationary_direct(scaled)
+    assert again is not pi and len(solves) == 2
+    np.testing.assert_allclose(again, pi, rtol=1e-9, atol=1e-15)
+
+
+def test_one_solve_serves_a_transient_curve(solves):
+    """The transient-curve sequence on one assembled model: p(t) and A(t)
+    on one grid, the profit accumulated to two times, then pi itself."""
+    config = example_fleet_config()
+    gens = assemble_all(config)
+    phi = initial_distribution(config, gens.layout)
+    times = [1.0, 10.0, 100.0, 1000.0, 5000.0]
+    transient(gens, phi, times)
+    availability_transient(gens, phi, times)
+    for t in (100.0, 1000.0):
+        profit_transient(gens, phi, t, config)
+    stationary_direct(gens)
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("n,R,pm", [(4, 3, True), (2, 1, False), (3, 2, True)])
