@@ -26,7 +26,6 @@ the concatenated triplets: no sparse matrix is made per block or per label sum.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,10 +58,6 @@ class MmapGenerators:
 
     def __getitem__(self, label: str) -> sp.csr_matrix:
         return self.matrices[label]
-
-
-def _kron(*mats) -> np.ndarray:
-    return reduce(kron, mats)
 
 
 class _Assembly:
@@ -152,12 +147,12 @@ class _Assembly:
                 if s == 0:
                     start = self.beta[mark] if x == "nv" else self.keep(x, None)
                     self.place(label, (k, 0, x, ()), (k, 1, x, (mark,)),
-                               _kron(H, start))
+                               kron(H, start))
                     continue
                 sel = np.eye(1, len(self.lay.marks), mark - 1)
                 for head, prefix in self.heads(s):
                     self.place(label, (k, s, x, prefix), (k, s + 1, x, prefix),
-                               _kron(sel, H, self.keep(x, head)))
+                               kron(sel, H, self.keep(x, head)))
 
     def unit_losses(self):
         """C and CD: a non-repairable failure with k > 1 discards the online
@@ -175,7 +170,7 @@ class _Assembly:
                 else:
                     label, clock = "CD", (self.ones_v, self.beta[head])
                 self.place(label, (k, s, x, prefix), (k - 1, s, to, prefix),
-                           _kron(H, *clock))
+                           kron(H, *clock))
 
     def vacation_ends(self):
         """D and E: the vacation ends.  With at least N = k - R + 1 units
@@ -187,11 +182,11 @@ class _Assembly:
             online = np.eye(len(self.core(k, s)))
             if s < k - self.lay.R + 1:
                 self.place("E", (k, s, x, ()), (k, s, x, ()),
-                           _kron(online, self.V0 @ self.upsilon))
+                           kron(online, self.V0 @ self.upsilon))
                 continue
             for head, prefix in self.heads(s):
                 self.place("D", (k, s, x, prefix), (k, s, "nv", prefix),
-                           _kron(online, self.V0, self.beta[head]))
+                           kron(online, self.V0, self.beta[head]))
 
     def service_completions(self):
         """O and F: the head's repair ends (s -> s - 1), the unit goes
@@ -205,11 +200,11 @@ class _Assembly:
             for head, prefix in self.heads(s):
                 if s == k - self.lay.R + 1:
                     self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),
-                               _kron(G, self.upsilon, self.S0[head]))
+                               kron(G, self.upsilon, self.S0[head]))
                     continue
                 for new, rest in self.heads(s - 1):
                     self.place("O", (k, s, x, prefix + rest), (k, s - 1, x, rest),
-                               _kron(G, self.S0[head], self.beta[new]))
+                               kron(G, self.S0[head], self.beta[new]))
 
     def fleet_renewal(self):
         """NS: non-repairable failure of the last unit, whole fleet renewed
@@ -217,7 +212,7 @@ class _Assembly:
         x = "v" if self.lay.R == 1 else "nv"    # the one block E_0^{1,x}
         end = self.ones_v @ self.upsilon if x == "v" else self.upsilon
         self.place("NS", (1, 0, x, ()), (self.lay.n, 0, "v", ()),
-                   _kron(self.b.HC, end))
+                   kron(self.b.HC, end))
 
     def phase_moves(self):
         """O: phase moves of the online unit and the clock, harmless shocks

@@ -1,13 +1,14 @@
 """Command-line front end: argument plumbing, command dispatch, result emission.
 
 Commands: build, steady, transient, measures, profit, optimize, simulate,
-validate.  Models are JSON files in the format of the config module, which
-also reads and writes them (its load_model, bundled_model_path,
-config_from_dict, config_to_dict and ModelFileError are re-exported here);
-the bundled four-unit example is used when --model is omitted.  Every flag
-can also be set through an environment variable with the STANDBYMMAP_
-prefix (e.g. STANDBYMMAP_SEED=7, STANDBYMMAP_ALL=on); on/off switches
-accept on|off, true|false and 1|0.
+validate.  Each takes the model flags (--model --n --R --pm --vacation) and
+only the other flags it reads; optimize --all sweeps n, R, PM and the
+vacation family itself, so it refuses a value for any of them.  Model files
+are read by the config module, whose file functions and ModelFileError are
+re-exported here; without --model the bundled four-unit example is used.
+A flag can also be set by its STANDBYMMAP_ variable (e.g. STANDBYMMAP_SEED=7),
+read only by the commands that take the flag; on/off switches accept on|off,
+true|false and 1|0.
 
 CSV output carries 6 significant digits; JSON keeps full precision.
 Exit code 0 means no validation or numerical failure; errors are emitted
@@ -209,9 +210,15 @@ def cmd_profit(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    sweep = _resolve(args, "all", _parse_switch, False)
+    for name in ("n", "R", "pm", "vacation"):   # the grid's own axes
+        if sweep and _resolve(args, name, str) is not None:
+            raise argparse.ArgumentTypeError(
+                "optimize --all sweeps n, R, PM and the vacation family; "
+                f"it takes no --{name} or {_env_var(name)}")
     config = build_config(args)
     out = _outdir(args)
-    if _resolve(args, "all", _parse_switch, False):
+    if sweep:
         results = run_grid(config)
         _write(out / "grid.csv", grid_to_csv(results))
         _write(out / "grid.json", grid_to_json(results))
@@ -302,7 +309,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Reliability analysis of a cold-standby fleet with "
                     "shocks, preventive maintenance and repairperson "
                     "vacations.",
-        epilog=f"Every flag can be set via {ENV_PREFIX}<NAME> environment "
+        epilog=f"A command's flags can also be set via {ENV_PREFIX}<NAME> "
                "variables, e.g. STANDBYMMAP_SEED=7 STANDBYMMAP_PM=off.")
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
@@ -315,11 +322,13 @@ def make_parser() -> argparse.ArgumentParser:
         "simulate": (cmd_simulate, "Monte Carlo estimates with error bars"),
         "validate": (cmd_validate, "cross-check matrix results by simulation"),
     }
+    # each command takes the model flags and only the others it reads
     for name, (fn, help_text) in handlers.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=fn)
         p.add_argument("--model", help="model JSON file (default: bundled example)")
-        p.add_argument("--out", help="output directory (default: .)")
+        if name != "build":
+            p.add_argument("--out", help="output directory (default: .)")
         p.add_argument("--n", type=int, help="override the number of units")
         p.add_argument("--R", type=int, help="override the vacation threshold")
         p.add_argument("--pm", type=_parse_switch, metavar="on|off",
@@ -327,13 +336,15 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--vacation",
                        choices=sorted([*VACATION_FAMILIES, *VACATION_ALIASES]),
                        help="switch the vacation family (resets its rates)")
-        p.add_argument("--t-grid", type=_parse_tgrid, dest="t_grid",
-                       metavar="T1,T2,...", help="time grid")
-        p.add_argument("--seed", type=int, help="simulation seed")
-        p.add_argument("--horizon", type=float, help="simulation horizon")
-        p.add_argument("--reps", type=int, help="simulation replications")
-        p.add_argument("--threads", type=int,
-                       help="worker processes for replications")
+        if name in ("transient", "profit"):
+            p.add_argument("--t-grid", type=_parse_tgrid, dest="t_grid",
+                           metavar="T1,T2,...", help="time grid")
+        if name in ("simulate", "validate"):
+            p.add_argument("--seed", type=int, help="simulation seed")
+            p.add_argument("--horizon", type=float, help="simulation horizon")
+            p.add_argument("--reps", type=int, help="simulation replications")
+            p.add_argument("--threads", type=int,
+                           help="worker processes for replications")
         if name == "optimize":
             p.add_argument("--all", action="store_const", const=True,
                            default=None, help="sweep the whole policy grid")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assembler import ARRIVAL_LABELS, MmapGenerators
 from .config import ModelConfig
-from .measures import label_flows
+from .measures import down_mask, label_flows
 from .solvers import transient_integral
 from .statespace import StateSpaceLayout
 
@@ -27,7 +27,7 @@ def build_nr(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
     presence = np.where(st["vacation"], c.vacation, c.repair_present)
     # the -1 phases of the all-down states pick an entry that is replaced
     nr = c.gross_profit - presence - c.operational[st["i"]] - c.damage[st["h"]]
-    down = st["s"] == st["k"]
+    down = down_mask(layout)
     nr[down] = -(c.downtime_loss + presence[down])
     return nr
 

@@ -70,10 +70,15 @@ def ph_mean(d: PhDistribution) -> float:
     return float(d.init @ sol)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, entry for entry that of np.kron."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+def kron(*mats) -> np.ndarray:
+    """Kronecker product of the factors, left to right, entry for entry
+    that of np.kron; a vector factor is taken as a row."""
+    out, *rest = map(np.atleast_2d, mats)
+    for b in rest:
+        (p, q), (r, s) = out.shape, b.shape
+        out = (out[:, None, :, None]
+               * b[None, :, None, :]).reshape(p * r, q * s)
+    return out
 
 
 def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

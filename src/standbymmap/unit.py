@@ -21,6 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .config import ModelConfig
+from .ph import kron
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def _terms(c: ModelConfig) -> dict:
 
 def _fold(terms: list) -> np.ndarray:
     """Sum of the terms' Kronecker products."""
-    return reduce(np.add, (reduce(np.kron, term) for term in terms))
+    return reduce(np.add, (kron(*term) for term in terms))
 
 
 def build_unit_blocks(config: ModelConfig) -> UnitBlocks:

@@ -2,8 +2,9 @@ import pytest
 
 from standbymmap import solvers
 from standbymmap.assembler import assemble_all
-from standbymmap.config import example_fleet_config
 from standbymmap.solvers import stationary_direct
+
+from example_model import example_fleet_config
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from standbymmap.assembler import MmapGenerators, assemble_all
-from standbymmap.config import example_fleet_config, vacation_from_params
+from standbymmap.config import vacation_from_params
 from standbymmap.economics import profit_stationary, profit_transient
 from standbymmap.measures import (availability_stationary,
                                   event_rates_stationary, occupancy)
@@ -27,6 +27,7 @@ from standbymmap.solvers import (initial_distribution, stationary_block,
                                  stationary_direct, transient,
                                  transient_integral)
 
+from example_model import example_fleet_config
 from ph_sampling import sample_ph_mean
 
 # grid cells in the published column order

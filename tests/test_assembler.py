@@ -9,10 +9,12 @@ import scipy.sparse as sp
 from standbymmap.assembler import (ARRIVAL_LABELS, EVENT_LABELS,
                                    AssemblyError, MmapGenerators, _Assembly,
                                    _validate, assemble_all)
-from standbymmap.config import example_fleet_config, vacation_from_params
+from standbymmap.config import vacation_from_params
 from standbymmap.ph import PhDistribution
 from standbymmap.statespace import enumerate_states
 from standbymmap.unit import build_unit_blocks
+
+from example_model import example_fleet_config
 
 
 def small(n=2, R=1, pm=True, family="exponential"):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +15,14 @@ from standbymmap.assembler import _Assembly
 from standbymmap.cli import (ModelFileError, bundled_model_path,
                              config_from_dict, config_to_dict, load_model,
                              main)
-from standbymmap.config import example_fleet_config
+
+from example_model import example_fleet_config
 
 
 def run(argv, tmp_path):
-    return main(argv + ["--out", str(tmp_path)])
+    """main() writing into tmp_path; build writes nothing, so no --out."""
+    out = [] if argv[0] == "build" else ["--out", str(tmp_path)]
+    return main(argv + out)
 
 
 def test_bundled_model_loads():
@@ -192,6 +196,54 @@ def test_env_variables_mirror_flags(capsys, monkeypatch):
     monkeypatch.delenv("STANDBYMMAP_R")
     assert main(["build", "--n", "2", "--R", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first
+
+
+MODEL_FLAGS = ["--model", "--n", "--R", "--pm", "--vacation"]
+SIM_FLAGS = ["--out", "--seed", "--horizon", "--reps", "--threads"]
+# each command's flags besides the model flags, and one flag it does not read
+COMMAND_FLAGS = {
+    "build": ([], "--out"),
+    "steady": (["--out"], "--seed"),
+    "transient": (["--out", "--t-grid"], "--horizon"),
+    "measures": (["--out"], "--t-grid"),
+    "profit": (["--out", "--t-grid"], "--reps"),
+    "optimize": (["--out", "--all"], "--threads"),
+    "simulate": (SIM_FLAGS, "--t-grid"),
+    "validate": (SIM_FLAGS, "--all"),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_a_command_takes_only_the_flags_it_reads(command, capsys):
+    """--help lists the command's own flags, and any other flag is a usage
+    error, not a value that is silently ignored."""
+    flags, unread = COMMAND_FLAGS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert listed == {"--help", *MODEL_FLAGS, *flags}
+    with pytest.raises(SystemExit) as exc:
+        main([command, unread, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,env,named", [
+    (["--n", "3"], {}, "--n"),
+    ([], {"STANDBYMMAP_PM": "off"}, "STANDBYMMAP_PM")], ids=["flag", "env"])
+def test_optimize_all_refuses_a_policy_it_sweeps(flags, env, named, tmp_path,
+                                                 capsys, monkeypatch):
+    """The grid sweeps n, R, PM and the vacation family itself: a value for
+    one, from its flag or its variable, is refused before anything runs."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main(["optimize", "--all", *flags, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ArgumentTypeError"
+    assert named in record["message"]
+    assert not out.exists()
 
 
 def test_env_switch_off_runs_one_cell(tmp_path, monkeypatch):

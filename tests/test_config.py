@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from standbymmap.config import (ConfigError, example_fleet_config,
-                                vacation_from_params)
+from standbymmap.config import (ConfigError, ModelFileError, config_from_dict,
+                                config_to_dict, vacation_from_params)
+
+from example_model import example_fleet_config
 
 
 def test_example_dimensions():
@@ -98,3 +100,19 @@ def test_erlang2_vacation_chains_the_stages():
     ph = vacation_from_params("erlang2", [0.8, 0.9])
     np.testing.assert_allclose(ph.subgen, [[-0.8, 0.8], [0.0, -0.9]])
     np.testing.assert_allclose(ph.init, [1.0, 0.0])
+
+
+def test_model_file_vacation_by_family_and_rates():
+    """A model file may give the vacation as {"family", "params"}: the
+    published Erlang rates load to the bundled vacation."""
+    bundled = config_to_dict(example_fleet_config())
+    doc = dict(bundled, vacation={"family": "erlang2",
+                                  "params": [0.8297104, 0.8297099]})
+    assert config_to_dict(config_from_dict(doc)) == bundled
+
+
+def test_model_file_vacation_of_an_unknown_family_names_the_field():
+    doc = config_to_dict(example_fleet_config())
+    doc["vacation"] = {"family": "weibull", "params": [1.0, 2.0]}
+    with pytest.raises(ModelFileError, match=r"model\.vacation: .*weibull"):
+        config_from_dict(doc)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from standbymmap.assembler import assemble_all
-from standbymmap.config import CostBlock, example_fleet_config
+from standbymmap.config import CostBlock
 from standbymmap.economics import (build_nc, build_nr, profit_stationary,
                                    profit_transient)
 from standbymmap.measures import availability_stationary, down_mask
 from standbymmap.simulator import simulate
 from standbymmap.solvers import initial_distribution, stationary_direct
+
+from example_model import example_fleet_config
 
 
 def with_costs(config, **kw):

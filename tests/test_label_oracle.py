@@ -25,13 +25,13 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, Phase, given, settings
 
 from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
-from standbymmap.config import example_fleet_config
 from standbymmap.economics import build_nc, build_nr, event_costs
 from standbymmap.ph import PhDistribution, renewal_stationary
 from standbymmap.simulator import FleetSimulator, SimState
 from standbymmap.solvers import initial_distribution
 from standbymmap.statespace import enumerate_states
 
+from example_model import example_fleet_config
 from random_models import small_models
 from simstates import global_index
 

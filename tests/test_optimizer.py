@@ -6,10 +6,11 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
 from standbymmap import optimizer
-from standbymmap.config import example_fleet_config
 from standbymmap.optimizer import (_affine_at, _CellEvaluator, evaluate,
                                    grid_to_csv, optimize)
 from standbymmap.solvers import bordered_stationary
+
+from example_model import example_fleet_config
 
 # the study-grid cells of the optimize-cells benchmark workload
 BENCH_CELLS = [(4, 3, True, "exponential"), (4, 3, True, "erlang2"),

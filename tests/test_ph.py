@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from standbymmap.config import example_fleet_config
 from standbymmap.ph import (PhDistribution, kron, kron_sum, ph_mean,
                             renewal_stationary)
 
+from example_model import example_fleet_config
 from ph_sampling import sample_ph_mean
 
 
@@ -75,10 +75,13 @@ matrices = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
 @example([np.ones((1, 1)), np.arange(3.0)[None, :], np.arange(3.0)[:, None]])
 @example([np.arange(3.0)[:, None], np.full((1, 1), -0.0),
           np.arange(4.0)[None, :]])
+@example([np.arange(1.0, 4.0), np.eye(2), np.array([0.5, -0.0]),
+          np.array([2.0])])
 @settings(max_examples=100, deadline=None)
 def test_kron_is_bit_identical_to_numpy(mats):
-    """Two- and three-factor folds, entry for entry and bit for bit."""
-    ours, theirs = reduce(kron, mats), reduce(np.kron, mats)
+    """Products of two to four factors, a vector taken as a row (as theta's
+    are), entry for entry and bit for bit."""
+    ours, theirs = kron(*mats), reduce(np.kron, mats)
     assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
     assert ours.tobytes() == theirs.tobytes()
 

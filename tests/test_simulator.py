@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from standbymmap.assembler import assemble_all
-from standbymmap.config import example_fleet_config
 from standbymmap.simulator import FleetSimulator, simulate, validate
 from standbymmap.statespace import enumerate_states
 
+from example_model import example_fleet_config
 from simstates import global_index, sim_state_of
 
 

@@ -12,7 +12,6 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
 from standbymmap.assembler import MmapGenerators, assemble_all
-from standbymmap.config import example_fleet_config
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
 from standbymmap.solvers import (SolverError, _checked, _poisson_pmf,
@@ -21,6 +20,7 @@ from standbymmap.solvers import (SolverError, _checked, _poisson_pmf,
                                  stationary_direct, transient,
                                  transient_integral)
 
+from example_model import example_fleet_config
 from random_models import small_models
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from standbymmap.config import example_fleet_config
 from standbymmap.statespace import (MacroStateKey, StateSpaceLayout,
                                     enumerate_states)
+
+from example_model import example_fleet_config
 
 
 def hand_count(config):

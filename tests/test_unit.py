@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 
-from standbymmap.config import example_fleet_config
 from standbymmap.unit import build_unit_blocks
 
+from example_model import example_fleet_config
 from random_models import small_models
 
 BUNDLED = example_fleet_config()
