@@ -11,9 +11,11 @@ int_0^t p 1 short of t, by the truncation defect, which callers can check.
 The stationary distribution is available through two sparse routes that
 share no factorisation and serve as cross-checks: one bordered solve of the
 whole generator, and a level cycle that solves the chain censored on the
-full fleet and sweeps down the unit-count levels.  Both factor with a
-threshold-pivoted LU that keeps the fill-reducing order, and both reject a
-result whose balance residual ||pi D||_inf is not at rounding level.
+full fleet and sweeps down the unit-count levels.  `stationary_direct`
+takes the bordered solve up to LEVEL_CYCLE_STATES states and the level
+cycle above.  Both factor with a threshold-pivoted LU that keeps the
+fill-reducing order, and both reject a result with negative mass or a
+balance residual ||pi D||_inf beyond rounding level.
 """
 
 import numpy as np
@@ -29,6 +31,13 @@ UNIFORMIZATION_TOL = 1e-10
 WEIGHT_BLOCK = 512       # sweep steps whose Poisson weights are formed at once
 PIVOT_THRESH = 0.1
 RESIDUAL_TOL = 1e-9
+# Largest chain that `stationary_direct` solves by the bordered LU.  Median
+# times, bordered against level cycle (R = 3 unless noted; 2-core VM):
+# 3,668 states (n = 4, PM on) 36 vs 28 ms; 5,116 (n = 10, PM off) 35 vs
+# 46 ms; 7,108 (n = 5, R = 2, PM on) 65 vs 51 ms; 8,276 (n = 5, PM on)
+# 125 vs 64 ms; 17,556 (n = 6, PM on) 301 vs 155 ms.  Every n <= 4 chain
+# stays on the bordered route, the one the optimizer's adjoint needs.
+LEVEL_CYCLE_STATES = 6000
 
 
 class SolverError(RuntimeError):
@@ -236,24 +245,23 @@ def bordered_stationary(D: sp.spmatrix, order=None) -> tuple:
     factorisation of B as an OrderedLU, whose transposed solves give the
     adjoint of the stationary solve.  B is ordered afresh unless `order`,
     the `order` of an earlier result for a generator with D's sparsity
-    pattern, says in which order to factor it.  Negative mass beyond
-    rounding raises, and so does a balance residual that `_checked`
-    rejects."""
+    pattern, says in which order to factor it.  A pi that `_checked`
+    rejects raises."""
     n = D.shape[0]
     B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
                   format="csr")
     rhs = np.zeros(n)
     rhs[0] = 1.0
     lu = _factor(B, order)
-    pi = lu.solve(rhs)
-    if np.min(pi) < -1e-9:
-        raise SolverError("stationary solve produced negative probabilities")
-    return _checked(pi, D), lu
+    return _checked(lu.solve(rhs), D), lu
 
 
 def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
-    """pi, once its balance residual ||pi D||_inf is at most RESIDUAL_TOL
-    times the largest exit rate max |D_ii|; an inaccurate solve raises."""
+    """pi, once no entry is below -1e-9 and its balance residual
+    ||pi D||_inf is at most RESIDUAL_TOL times the largest exit rate
+    max |D_ii|; an inaccurate solve raises."""
+    if np.min(pi) < -1e-9:
+        raise SolverError("stationary solve produced negative probabilities")
     residual = float(np.max(np.abs(pi @ D)))
     bound = RESIDUAL_TOL * float(np.max(np.abs(D.diagonal())))
     if not residual <= bound:
@@ -263,12 +271,21 @@ def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
 
 
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
-    """Stationary distribution of the assembled generator by one bordered
-    sparse solve, made on the first call and kept on `gens` as a read-only
-    array that later calls return.  The LU is not kept, nor is a failure."""
+    """Stationary distribution of the assembled generator, solved on the
+    first call and kept on `gens` as a read-only array that later calls
+    return.  The LU is not kept, nor is a failure.
+
+    A chain of up to LEVEL_CYCLE_STATES states takes one bordered sparse
+    solve; a larger one takes the level cycle, `stationary_block`, whose
+    LUs of the levels fill far less than the LU of the whole generator:
+    `standbymmap steady --n 8` (73,492 states) takes 2.8 s and 226 MB
+    against 7.1 s and 351 MB on the bordered route.  The rule reads the
+    state count of `gens.total` alone."""
     pi = getattr(gens, "_pi", None)
     if pi is None:
-        pi = bordered_stationary(gens.total)[0]
+        D = gens.total
+        pi = (stationary_block(gens) if D.shape[0] > LEVEL_CYCLE_STATES
+              else bordered_stationary(D)[0])
         pi.flags.writeable = False
         object.__setattr__(gens, "_pi", pi)
     return pi

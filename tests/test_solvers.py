@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
+from standbymmap import solvers
 from standbymmap.assembler import MmapGenerators, assemble_all
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
@@ -33,12 +34,38 @@ def test_initial_distribution_lives_in_the_fresh_block(optimal_config, optimal_g
 
 
 @pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 1, True), (2, 2, False),
-                                    (6, 3, False), (5, 3, True), (1, 1, True)])
+                                    (6, 3, False), (5, 3, True), (1, 1, True),
+                                    (7, 3, True)])
 def test_stationary_routes_agree(n, R, pm):
     gens = assemble_all(example_fleet_config(n, R, pm), validate=False)
-    direct = stationary_direct(gens)
+    direct = bordered_stationary(gens.total)[0]
     block = stationary_block(gens)
     assert np.abs(direct - block).sum() < 1e-8
+
+
+@pytest.mark.parametrize("n,R,pm,route", [(4, 3, True, "bordered"),
+                                          (6, 3, False, "bordered"),
+                                          (5, 3, True, "level cycle"),
+                                          (7, 3, True, "level cycle")])
+def test_stationary_direct_picks_its_route_by_state_count(n, R, pm, route,
+                                                          monkeypatch):
+    """Up to LEVEL_CYCLE_STATES states (every n <= 4 chain, and n = 6 with
+    PM off at 2,132) the bordered solve; above, the level cycle (8,276
+    states at n = 5 and 36,180 at n = 7, PM on)."""
+    gens = assemble_all(example_fleet_config(n, R, pm), validate=False)
+    pi, taken = np.zeros(gens.total.shape[0]), []
+
+    def stand_in(name, result):
+        def solve(*args, **kwargs):
+            taken.append(name)
+            return result
+        return solve
+    monkeypatch.setattr(solvers, "bordered_stationary",
+                        stand_in("bordered", (pi, None)))
+    monkeypatch.setattr(solvers, "stationary_block",
+                        stand_in("level cycle", pi))
+    stationary_direct(gens)
+    assert taken == [route]
 
 
 @settings(max_examples=30, deadline=None,
@@ -47,7 +74,7 @@ def test_stationary_routes_agree(n, R, pm):
 def test_stationary_routes_agree_on_random_models(config):
     """The level cycle and the bordered solve share no factorisation."""
     gens = assemble_all(config, validate=False)
-    direct = stationary_direct(gens)
+    direct = bordered_stationary(gens.total)[0]
     block = stationary_block(gens)
     assert np.abs(direct - block).sum() <= 1e-10
     for pi in (direct, block):
@@ -61,6 +88,14 @@ def test_residual_guard_rejects_a_perturbed_pi(optimal_gens, optimal_pi):
     bent[0] += 1e-6
     with pytest.raises(SolverError, match="residual"):
         _checked(bent / bent.sum(), D)
+
+
+def test_negative_mass_guard_rejects_a_negative_entry(optimal_gens, optimal_pi):
+    """The guard both routes share: one entry at -1e-8, mass still 1."""
+    bent = optimal_pi.copy()
+    bent[0], bent[1] = -1e-8, bent[1] + bent[0] + 1e-8
+    with pytest.raises(SolverError, match="negative"):
+        _checked(bent, optimal_gens.total)
 
 
 def test_bordered_solve_rejects_an_unbalanced_generator(optimal_gens):
