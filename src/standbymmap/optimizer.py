@@ -1,16 +1,15 @@
 """Vacation-parameter optimization and the policy grid sweep.
 
 For a fixed fleet policy (n, R, PM flag) and vacation family, the generator
-D(x) and the flow table F(x) (column l is D_l 1) are affine in the vacation
-rates, so each cell caches both splits and per evaluation runs one bordered
-stationary solve, factored in the fill-reducing order of the cell's first
-solve.  The profit is Phi = pi r with the per-state profit rate
+D(x) and the flow table F(x) (column l is D_l 1) split by vacation stage,
+so each cell builds both splits from two assemblies and per evaluation runs
+one bordered stationary solve, factored in the fill-reducing order of the
+cell's first solve.  The profit is Phi = pi r with the per-state profit rate
 r(x) = (nr - nc) - F(x) c and the cost table c of economics.event_costs.
 Its exact gradient costs one more triangular solve through the same LU
 (the adjoint of the stationary solve), so one L-BFGS-B search on log x
 serves every family; it stops once a further step could gain no more
-than Phi resolves.  The optimum's profit, availability and event rates
-reuse the search's last solve when it was made at the optimum.
+than Phi resolves.
 """
 
 import io
@@ -55,52 +54,51 @@ class OptimizationResult:
         }
 
 
-def _affine_split(values) -> tuple:
-    """(V0, [V_i]) with V(x) = V0 + sum_i x_i V_i, from the values of V at
-    x = 1 and at x = 1 + e_i for each i."""
-    parts = [v - values[0] for v in values[1:]]
-    return values[0] - sum(parts), parts
-
-
-def _affine_at(base, parts, x):
-    return base + sum(float(xi) * part for xi, part in zip(x, parts))
-
-
 class _CellEvaluator:
-    """Phi/A/event rates of one grid cell from the splits of the generator,
-    D(x) = K0 + sum_i x_i K_i, of the flow table F(x) and of the profit
-    rate r(x) = (nr - nc) - F(x) c, both likewise."""
+    """Phi/A/event rates of one grid cell from the generator split by
+    vacation stage, D(x) = D0 + diag(rho(x)) dD, rho(x) holding x_w in each
+    vacation state of stage w and 0 elsewhere, and F(x) and r(x) likewise.
+    Exact: the stages run in series and x_w is the total rate of stage w, so
+    x enters only vacation rows, as x_w times their entries at unit rate.
+    Assemblies at x = 1 and 2 give dD = D(2) - D(1), D0 = D(1) - dD."""
 
     def __init__(self, config: ModelConfig, family: str):
         self.dim = VACATION_FAMILIES[family]
         self.config = config.with_policy(
             vacation=vacation_from_params(family, [1.0] * self.dim))
         self.layout = enumerate_states(self.config)
+        vacation, w = self.layout.states["vacation"], self.layout.states["w"]
+        self.stage = np.where(vacation, w, -1)   # -1 reads _rates' final 0
         # the vacation does not enter the online unit's blocks
         blocks = build_unit_blocks(self.config)
-        snapshots = [assemble_all(self.config, self.layout, blocks,
-                                  validate=False)]
-        for i in range(self.dim):
-            x = np.ones(self.dim)
-            x[i] = 2.0
-            cfg = config.with_policy(vacation=vacation_from_params(family, x))
-            snapshots.append(assemble_all(cfg, self.layout, blocks,
-                                          validate=False))
-        self.D = _affine_split([s.total for s in snapshots])
-        self.F = _affine_split([label_flows(s) for s in snapshots])
+        one, two = (assemble_all(config.with_policy(
+            vacation=vacation_from_params(family, [rate] * self.dim)),
+            self.layout, blocks, validate=False) for rate in (1.0, 2.0))
+        flows = label_flows(one)
+        dD, dF = two.total - one.total, label_flows(two) - flows
+        self.D, self.F = (one.total - dD, dD), (flows - dF, dF)
         net = (build_nr(self.config, self.layout)
                - build_nc(self.config, self.layout))
         costs = event_costs(self.config)
-        self.reward = (net - self.F[0] @ costs,
-                       [-part @ costs for part in self.F[1]])
+        self.reward = (net - self.F[0] @ costs, -dF @ costs)
         self.up_mask = ~down_mask(self.layout)
         self._last = (None, None)   # (x, pi) of the last gradient solve
         self._order = None          # fill-reducing order of every D(x)
 
+    def _rates(self, x) -> np.ndarray:   # rho(x)
+        return np.append(np.asarray(x, dtype=float), 0.0)[self.stage]
+
+    def generator(self, x):
+        """D(x) = D0 + diag(rho(x)) dD."""
+        return self.D[0] + self.D[1].multiply(self._rates(x)[:, None])
+
+    def _reward(self, x) -> np.ndarray:
+        return self.reward[0] + self._rates(x) * self.reward[1]
+
     def _solve(self, x) -> tuple:
         """pi and the bordered LU at x.  D(x) has one sparsity pattern over
         the box, so the first solve's fill-reducing order serves them all."""
-        pi, lu = bordered_stationary(_affine_at(*self.D, x), self._order)
+        pi, lu = bordered_stationary(self.generator(x), self._order)
         self._order = lu.order
         return pi, lu
 
@@ -108,7 +106,7 @@ class _CellEvaluator:
         """How finely the last gradient call resolved Phi = sum_i pi_i r_i:
         eps sum_i pi_i |r_i|, the rounding of the sum."""
         x, pi = self._last
-        return EPS * float(pi @ np.abs(_affine_at(*self.reward, x)))
+        return EPS * float(pi @ np.abs(self._reward(x)))
 
     def evaluate(self, x):
         """Phi, availability and event rates at x from one stationary solve,
@@ -116,21 +114,22 @@ class _CellEvaluator:
         last_x, pi = self._last
         if not np.array_equal(last_x, x):
             pi, _ = self._solve(x)
-        return (float(pi @ _affine_at(*self.reward, x)),
-                float(pi[self.up_mask].sum()),
-                EventRates.from_flows(pi @ _affine_at(*self.F, x)))
+        flows = self.F[0] + self._rates(x)[:, None] * self.F[1]
+        return (float(pi @ self._reward(x)), float(pi[self.up_mask].sum()),
+                EventRates.from_flows(pi @ flows))
 
     def gradient(self, x):
         """Phi and dPhi/dx at x from one bordered LU.  With B pi^T = e_0 and
-        dB/dx_i = (K_i^T with row 0 cleared), the adjoint g = B^-T r gives
-        dPhi/dx_i = -g[1:] (pi K_i)[1:] + pi r_i, one extra triangular
-        solve whatever the dimension."""
+        dB/dx_i = (K_i^T with row 0 cleared), K_i the rows of dD in stage i,
+        the adjoint g = B^-T r gives dPhi/dx_i = -g[1:] (pi K_i)[1:] + pi r_i,
+        r_i = dr/dx_i: one extra triangular solve whatever the dimension."""
         pi, lu = self._solve(x)
         self._last = (np.array(x, dtype=float), pi)
-        reward = _affine_at(*self.reward, x)
+        reward = self._reward(x)
         g = lu.solve(reward, trans="T")[1:]
-        grad = [float(pi @ r_i - g @ (pi @ K_i)[1:])
-                for K_i, r_i in zip(self.D[1], self.reward[1])]
+        stages = [np.where(self.stage == i, pi, 0.0) for i in range(self.dim)]
+        grad = [float(p @ self.reward[1] - g @ (p @ self.D[1])[1:])
+                for p in stages]
         return float(pi @ reward), np.array(grad)
 
 

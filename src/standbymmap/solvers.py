@@ -35,8 +35,8 @@ RESIDUAL_TOL = 1e-9
 # times, bordered against level cycle (R = 3 unless noted; 2-core VM):
 # 3,668 states (n = 4, PM on) 36 vs 28 ms; 5,116 (n = 10, PM off) 35 vs
 # 46 ms; 7,108 (n = 5, R = 2, PM on) 65 vs 51 ms; 8,276 (n = 5, PM on)
-# 125 vs 64 ms; 17,556 (n = 6, PM on) 301 vs 155 ms.  Every n <= 4 chain
-# stays on the bordered route, the one the optimizer's adjoint needs.
+# 125 vs 64 ms; 17,556 (n = 6, PM on) 301 vs 155 ms.  Every n <= 4 chain is
+# bordered; the optimizer calls `bordered_stationary` itself at every n.
 LEVEL_CYCLE_STATES = 6000
 
 

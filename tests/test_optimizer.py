@@ -6,8 +6,10 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
 from standbymmap import optimizer
-from standbymmap.optimizer import (_affine_at, _CellEvaluator, evaluate,
-                                   grid_to_csv, optimize)
+from standbymmap.assembler import assemble_all
+from standbymmap.config import vacation_from_params
+from standbymmap.optimizer import (EPS, _CellEvaluator, evaluate, grid_to_csv,
+                                   optimize)
 from standbymmap.solvers import bordered_stationary
 
 from example_model import example_fleet_config
@@ -18,17 +20,66 @@ BENCH_CELLS = [(4, 3, True, "exponential"), (4, 3, True, "erlang2"),
 BOX_CORNERS = ([1e-3, 1e-3], [1e2, 1e2], [1e-3, 1e2])
 
 
-def test_cached_evaluator_matches_full_pipeline():
-    config = example_fleet_config(units=3, vacation_threshold=2)
-    cell = _CellEvaluator(config, "erlang2")
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("family", ["exponential", "erlang2"])
+def test_cached_evaluator_matches_full_pipeline(family, pm):
+    config = example_fleet_config(units=3, vacation_threshold=2,
+                                  pm_enabled=pm)
+    cell = _CellEvaluator(config, family)
     for x in ([0.7, 1.3], [1.0, 1.0], [2.5, 0.4]):
-        full_phi, full_a, full_rates = evaluate(config, "erlang2", x)
+        x = x[:cell.dim]
+        full_phi, full_a, full_rates = evaluate(config, family, x)
         phi, avail, rates = cell.evaluate(x)
         assert phi == pytest.approx(full_phi, abs=1e-9)
         assert avail == pytest.approx(full_a, abs=1e-12)
         rates = rates.as_dict()
         for name, value in full_rates.as_dict().items():
             assert rates[name] == pytest.approx(value, abs=1e-12), name
+
+
+@pytest.mark.parametrize("family", ["exponential", "erlang2"])
+def test_cell_assembles_twice(family, monkeypatch):
+    """The stage split needs the generator at x = 1 and x = 2 alone,
+    whatever the number of rates."""
+    calls = []
+    assemble = optimizer.assemble_all
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "assemble_all", counting)
+    _CellEvaluator(example_fleet_config(units=3, vacation_threshold=2), family)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("family", ["exponential", "erlang2"])
+def test_stage_split_matches_a_fresh_assembly(family, pm):
+    """D(x) = D0 + diag(rho(x)) dD has the pattern of a fresh assembly at x
+    and its entries to rounding, at the box corners and inside.  dD is
+    empty off the vacation rows, so those rows are D(1)'s.  In a vacation
+    row of stage w only the diagonal is a sum, of the online unit's h,
+    -x_w from the clock and, with one stage, +x_w from E; |h| <= M =
+    max|D_ii(x)|.  Each assembly rounds it twice, the split carries the
+    errors of D(1) and D(2) into D(x) by factors 2 + x_w and 1 + x_w, and
+    D0 + x_w dD rounds twice more.  So every entry lies within
+    (5 + 3.5 x_w)(|h| + 1) eps, at most (10 + 7 x_w) eps M once M >= 1."""
+    config = example_fleet_config(pm_enabled=pm)
+    cell = _CellEvaluator(config, family)
+    rows, _ = cell.D[1].nonzero()
+    assert cell.layout.states["vacation"][rows].all()
+    for x in (*BOX_CORNERS, [0.5, 0.7]):
+        x = np.array(x[:cell.dim])
+        D = cell.generator(x)
+        fresh = assemble_all(config.with_policy(
+            vacation=vacation_from_params(family, x))).total
+        np.testing.assert_array_equal(D.indptr, fresh.indptr)
+        np.testing.assert_array_equal(D.indices, fresh.indices)
+        scale = np.abs(fresh.diagonal()).max()
+        assert scale >= 1
+        bound = (10 + 7 * x.max()) * EPS * scale
+        assert np.abs(D.data - fresh.data).max() <= bound, x
 
 
 @pytest.mark.parametrize("pm", [True, False])
@@ -159,7 +210,7 @@ def test_reused_order_keeps_a_fresh_orders_fill(n, R, pm):
     cell = _CellEvaluator(example_fleet_config(n, R, pm), "erlang2")
     cell.evaluate([1.0, 1.0])
     for x in (*BOX_CORNERS, [0.5, 0.7]):
-        pi, fresh = bordered_stationary(_affine_at(*cell.D, x))
+        pi, fresh = bordered_stationary(cell.generator(x))
         pi_reused, reused = cell._solve(x)
         np.testing.assert_array_equal(reused.order, cell._order)
         assert reused.fill == fresh.fill, x
