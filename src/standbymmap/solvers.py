@@ -10,12 +10,17 @@ time.  Its truncated mass stays in the result: p(t) 1 falls short of 1, and
 int_0^t p 1 short of t, by the truncation defect, which callers can check.
 The stationary distribution is available through two sparse routes that
 share no factorisation and serve as cross-checks: one bordered solve of the
-whole generator, and a level cycle that solves the chain censored on the
-full fleet and sweeps down the unit-count levels.  `stationary_direct`
-takes the bordered solve up to LEVEL_CYCLE_STATES states and the level
-cycle above.  Both factor with a threshold-pivoted LU that keeps the
-fill-reducing order, and both reject a result with negative mass or a
-balance residual ||pi D||_inf beyond rounding level.
+whole generator, and a level cycle over the unit-count levels.  The level
+cycle censors the chain on the few full-fleet states the fleet renewal
+enters, solves that small chain by GTH (Grassmann, Taksar and Heyman 1985),
+and sweeps down the levels; it factors each level block once and nothing
+larger.  `stationary_direct` takes the bordered solve up to
+LEVEL_CYCLE_STATES states and the level cycle above.  Both factor with a
+threshold-pivoted LU that keeps the fill-reducing order, the symmetric
+MMD_AT_PLUS_A for the bordered generator and the column order COLAMD
+(Davis, Gilbert, Larimore and Ng 2004) for the level blocks, and both
+reject a result with negative mass or a balance residual ||pi D||_inf
+beyond rounding level.
 """
 
 import numpy as np
@@ -32,11 +37,14 @@ WEIGHT_BLOCK = 512       # sweep steps whose Poisson weights are formed at once
 PIVOT_THRESH = 0.1
 RESIDUAL_TOL = 1e-9
 # Largest chain that `stationary_direct` solves by the bordered LU.  Median
-# times, bordered against level cycle (R = 3 unless noted; 2-core VM):
-# 3,668 states (n = 4, PM on) 36 vs 28 ms; 5,116 (n = 10, PM off) 35 vs
-# 46 ms; 7,108 (n = 5, R = 2, PM on) 65 vs 51 ms; 8,276 (n = 5, PM on)
-# 125 vs 64 ms; 17,556 (n = 6, PM on) 301 vs 155 ms.  Every n <= 4 chain is
-# bordered; the optimizer calls `bordered_stationary` itself at every n.
+# of 5 times, bordered against level cycle (R = 3 unless noted; 2-core VM):
+# 468 states (n = 2, R = 2, PM on) 3.6 vs 3.2 ms; 3,668 (n = 4, PM on) 36
+# vs 23 ms; 5,116 (n = 10, PM off) 42 vs 28 ms; 7,108 (n = 5, R = 2, PM on)
+# 72 vs 42 ms; 8,276 (n = 5, PM on) 106 vs 46 ms; 17,556 (n = 6, PM on) 396
+# vs 96 ms.  The level cycle is faster at every size measured, below 6,000
+# states too.  The threshold stays so that every n <= 4 chain keeps the
+# bordered solve and its outputs byte for byte; the optimizer calls
+# `bordered_stationary` itself at every n.
 LEVEL_CYCLE_STATES = 6000
 
 
@@ -190,10 +198,14 @@ def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
 class OrderedLU:
     """Sparse LU of a square matrix A that solves in A's own coordinates.
 
-    `order` is the symmetric fill-reducing order q the factors use: fresh
-    factors take it from SuperLU's column permutation, q = argsort(perm_c),
-    and factors made in a given order q are those of A[q][:, q] in natural
+    `order` is q = argsort(perm_c) of SuperLU's column permutation, and
+    factors made in a given order q are those of A[q][:, q] in natural
     order, solved by x[q] = lu.solve(b[q], trans) for either transpose.
+    Only an MMD_AT_PLUS_A factor's `order` (the bordered solves') is a
+    symmetric order that may be reused that way, as MMD_AT_PLUS_A orders
+    A + A^T.  COLAMD, which the level cycle uses, is a column order: it
+    orders A^T A to bound the fill under any row pivoting, and its q is
+    neither chosen as a symmetric order nor reused.
     """
 
     def __init__(self, lu, order: np.ndarray, permuted: bool):
@@ -213,7 +225,8 @@ class OrderedLU:
         return x
 
 
-def _factor(A: sp.spmatrix, order=None) -> OrderedLU:
+def _factor(A: sp.spmatrix, order=None,
+            permc_spec: str = "MMD_AT_PLUS_A") -> OrderedLU:
     """Sparse LU keeping a diagonal pivot while it is at least PIVOT_THRESH
     of its column's largest entry.  Generator blocks and the bordered
     transposed generator are diagonally dominant by rows or columns, so the
@@ -221,16 +234,18 @@ def _factor(A: sp.spmatrix, order=None) -> OrderedLU:
     give up the order for no safer pivots and fill the factors up to three
     times over.
 
-    Without `order`, SuperLU computes the symmetric fill-reducing order
-    MMD_AT_PLUS_A.  With the `order` of earlier factors of a matrix with
-    A's sparsity pattern, A is factored in that order and the ordering,
-    more than half the cost of an LU of the bordered generator, is skipped.
-    The ordering looks at the pattern alone, so a fresh one would choose
-    the same order.  The fill equals a fresh ordering's (checked at the
-    corners of the optimizer's box), and solutions move in their last
-    digits only."""
+    Without `order`, SuperLU computes the fill-reducing order `permc_spec`:
+    the symmetric MMD_AT_PLUS_A, or COLAMD for the level blocks, which
+    fills them less (2.9M against 5.0M entries over the eight levels at
+    n = 8, PM on).  With the `order` of earlier MMD_AT_PLUS_A
+    factors of a matrix with A's sparsity pattern, A is factored in that
+    order and the ordering, more than half the cost of an LU of the
+    bordered generator, is skipped.  The ordering looks at the pattern
+    alone, so a fresh one would choose the same order.  The fill equals a
+    fresh ordering's (checked at the corners of the optimizer's box), and
+    solutions move in their last digits only."""
     if order is None:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(A.tocsc(), permc_spec=permc_spec,
                        diag_pivot_thresh=PIVOT_THRESH)
         return OrderedLU(lu, np.argsort(lu.perm_c), permuted=False)
     lu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
@@ -278,8 +293,8 @@ def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     A chain of up to LEVEL_CYCLE_STATES states takes one bordered sparse
     solve; a larger one takes the level cycle, `stationary_block`, whose
     LUs of the levels fill far less than the LU of the whole generator:
-    `standbymmap steady --n 8` (73,492 states) takes 2.8 s and 226 MB
-    against 7.1 s and 351 MB on the bordered route.  The rule reads the
+    `standbymmap steady --n 8` (73,492 states) takes 1.3 s and 170 MB
+    against 7.3 s and 354 MB on the bordered route.  The rule reads the
     state count of `gens.total` alone."""
     pi = getattr(gens, "_pi", None)
     if pi is None:
@@ -305,39 +320,77 @@ def _check_levels(D: sp.spmatrix, layout: StateSpaceLayout) -> None:
                           f"{src[i]} to level {dst[i]}")
 
 
+def _gth(P: np.ndarray) -> np.ndarray:
+    """Stationary vector a of a small irreducible stochastic matrix P,
+    a P = a, a 1 = 1, by Grassmann, Taksar and Heyman's elimination (Oper.
+    Res. 33, 1985).  It censors out the last state at each step and reads
+    each exit probability as the sum of the off-diagonal entries of its row,
+    never as 1 - P_kk, so it subtracts nothing and keeps full relative
+    accuracy however weakly the states are coupled; the diagonal is never
+    read.  Raises SolverError when a state cannot reach the ones before it
+    (P is reducible and a is not unique)."""
+    P = np.array(P, dtype=float)
+    for k in range(len(P) - 1, 0, -1):
+        leave = P[k, :k].sum()
+        if not leave > 0:
+            raise SolverError(f"GTH: state {k} of the {len(P)}-state "
+                              "return matrix reaches no state before it")
+        P[:k, k] /= leave
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    a = np.ones(len(P))
+    for k in range(1, len(P)):
+        a[k] = a[:k] @ P[:k, k]
+    return a / a.sum()
+
+
 def stationary_block(gens: MmapGenerators) -> np.ndarray:
     """Stationary distribution by the level cycle (stochastic
-    complementation, Meyer 1989).
+    complementation, Meyer 1989), censored on the fleet renewal's entry
+    states.
 
     The levels are the unit counts k = n..1.  A transition lowers k by at
     most one, except the fleet renewal (NS) from level 1 back to level n, so
     the balance of level k < n gives pi_k = -pi_{k+1} D_{k+1,k} D_kk^-1.
-    The chain censored on level n has the generator D_nn + W E^T: E^T picks
-    the renewal block's nonzero columns, and W carries those columns up
-    from level 1 by W <- -D_{k+1,k} D_kk^-1 W.  One bordered solve of it
-    gives pi_n, and a sweep down the levels by transposed solves the rest.
-    At n = 1 there is one level, the renewal lies inside it, and the route
+    The renewal enters level n only in its c nonzero columns (c = 2 on the
+    bundled model), and these entry states are regeneration points.  W
+    carries those columns up from level 1 by W <- -D_{k+1,k} D_kk^-1 W, so
+    W_ij is the rate from level-n state i that ends in a renewal into entry
+    j.  Y holds the rows of (-D_nn)^-1 at the entry states, by c transposed
+    solves: Y_ij is the expected time in level-n state j from entry i until
+    the fleet first drops to level n - 1.  Y W is the c x c stochastic
+    matrix of the entry state each renewal returns to, and its stationary
+    vector a comes from a GTH solve.  By the renewal-reward theorem pi_n is
+    proportional to a Y, the expected time in each level-n state over one
+    cycle from a renewal; a sweep down the levels by transposed solves
+    gives the rest, and one scaling makes the whole mass 1.
+
+    Every level block D_kk, D_nn included (a sub-generator, nonsingular
+    as every level-n state leads down out of the level), is factored once
+    in COLAMD order.  At n = 1 there is
+    one level, the renewal lies inside it, D_11 is singular, and the route
     is the bordered solve of D itself.  Raises SolverError if any other
     block breaks that structure.
     """
     lay, D, n = gens.layout, gens.total.tocsr(), gens.layout.n
     _check_levels(D, lay)
+    if n == 1:
+        return bordered_stationary(D)[0]
 
     def blk(i, j):
         (r0, r1), (c0, c1) = lay.k_span(i), lay.k_span(j)
         return D[r0:r1, c0:c1]
 
-    lus = {k: _factor(blk(k, k)) for k in range(1, n)}
-    closed = blk(n, n)
-    if n > 1:
-        renewal = blk(1, n).tocsc()
-        cols = np.flatnonzero(np.diff(renewal.indptr))
-        W = renewal[:, cols].toarray()
-        for k in range(1, n):
-            W = -(blk(k + 1, k) @ lus[k].solve(W))
-        pick = sp.identity(closed.shape[1], format="csr")[cols]   # E^T
-        closed = closed + sp.csr_matrix(W) @ pick
-    pieces = [bordered_stationary(closed)[0]]
+    lus = {k: _factor(blk(k, k), permc_spec="COLAMD")
+           for k in range(1, n + 1)}
+    renewal = blk(1, n).tocsc()
+    cols = np.flatnonzero(np.diff(renewal.indptr))
+    W = renewal[:, cols].toarray()
+    for k in range(1, n):
+        W = -(blk(k + 1, k) @ lus[k].solve(W))
+    entries = np.zeros((W.shape[0], cols.size))
+    entries[cols, np.arange(cols.size)] = 1.0
+    Y = -lus[n].solve(entries, trans="T").T
+    pieces = [_gth(Y @ W) @ Y]
     for k in range(n - 1, 0, -1):
         pieces.append(-lus[k].solve(pieces[-1] @ blk(k + 1, k), trans="T"))
     pi = np.concatenate(pieces)

@@ -29,9 +29,21 @@ def optimal_pi(optimal_gens):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The bordered solves made while the test runs, one list entry each."""
-    calls = []
-    solve = solvers.bordered_stationary
-    monkeypatch.setattr(solvers, "bordered_stationary",
-                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    """The stationary solves made while the test runs, one list entry each:
+    bordered solves and level cycles.  A solve made inside another (the
+    level cycle's bordered solve at n = 1) is not counted again."""
+    calls, depth = [], [0]
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append(args)
+            depth[0] += 1
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+    for name in ("bordered_stationary", "stationary_block"):
+        monkeypatch.setattr(solvers, name, counted(getattr(solvers, name)))
     return calls

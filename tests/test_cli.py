@@ -293,6 +293,7 @@ def test_validate_passes_on_the_bundled_model(tmp_path, capsys):
 @pytest.mark.parametrize("command,count", [
     ("build", 0),
     ("steady", 1),
+    ("steady --n 6", 1),
     ("measures", 1),
     ("profit", 1),
     ("profit --t-grid 1e6", 1),

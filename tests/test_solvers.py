@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from standbymmap import solvers
 from standbymmap.assembler import MmapGenerators, assemble_all
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
-from standbymmap.solvers import (SolverError, _checked, _poisson_pmf,
+from standbymmap.solvers import (SolverError, _checked, _gth, _poisson_pmf,
                                  _poisson_sf, _truncation, bordered_stationary,
                                  initial_distribution, stationary_block,
                                  stationary_direct, transient,
@@ -130,6 +131,91 @@ def test_bordered_lu_fill_stays_low(pm, bound):
     gens = assemble_all(example_fleet_config(6, 3, pm), validate=False)
     _, lu = bordered_stationary(gens.total)
     assert lu.fill < bound
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The LUs `_factor` makes while the test runs, as (rows, OrderedLU)
+    pairs, one each."""
+    made = []
+    factor = solvers._factor
+
+    def record(A, *args, **kwargs):
+        made.append((A.shape[0], factor(A, *args, **kwargs)))
+        return made[-1][1]
+    monkeypatch.setattr(solvers, "_factor", record)
+    return made
+
+
+@pytest.mark.parametrize("n,R,pm", [(2, 2, True), (4, 3, False),
+                                    (5, 3, True)])
+def test_level_cycle_factors_each_level_block_once(n, R, pm, factored,
+                                                   monkeypatch):
+    """One LU per level block D_kk, k = 1..n, D_nn included, and no
+    bordered solve: the cycle closes on the renewal's entry states by GTH."""
+    gens = assemble_all(example_fleet_config(n, R, pm), validate=False)
+    bordered, solve = [], solvers.bordered_stationary
+    monkeypatch.setattr(solvers, "bordered_stationary",
+                        lambda *a, **kw: bordered.append(a) or solve(*a, **kw))
+    stationary_block(gens)
+    levels = [hi - lo for lo, hi in map(gens.layout.k_span, range(1, n + 1))]
+    assert [rows for rows, _ in factored] == levels
+    assert bordered == []
+
+
+def test_a_level_cycle_at_n_1_counts_as_one_solve(solves):
+    """At n = 1 the level cycle is the bordered solve of D: the `solves`
+    fixture counts the two nested calls once."""
+    solvers.stationary_block(assemble_all(example_fleet_config(1, 1, True),
+                                          validate=False))
+    assert len(solves) == 1
+
+
+def test_level_cycle_fill_stays_low(factored):
+    """At n = 6, PM on (17,556 states) the bound on the level cycle's LUs
+    together is 8.0e5 entries.  The six level LUs in COLAMD order hold
+    0.61M and in MMD_AT_PLUS_A order 0.88M; with a bordered LU of the
+    censored level-6 matrix in place of D_66's, MMD_AT_PLUS_A gave 1.03M."""
+    stationary_block(assemble_all(example_fleet_config(6, 3, True),
+                                  validate=False))
+    assert sum(lu.fill for _, lu in factored) < 8.0e5
+
+
+@pytest.mark.parametrize("P,a", [
+    ([[0.9, 0.1], [0.4, 0.6]], [0.8, 0.2]),
+    ([[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]],
+     [0.4, 0.2, 0.4])])
+def test_gth_solves_small_chains(P, a):
+    np.testing.assert_allclose(_gth(np.array(P)), a, rtol=1e-15)
+
+
+def test_gth_keeps_weak_couplings_exact():
+    """States {0, 1} and {2} are coupled at about 1e-14.  The exact pi
+    comes from the off-diagonal entries by the Markov chain tree theorem in
+    rational arithmetic.  1 - P_22 rounds away a part in 1e3 of the exit
+    probability 4e-14, so a dense solve of pi (I - P) = 0 misses pi by
+    that much; GTH never forms 1 - P_kk and stays at rounding level."""
+    off = {(0, 1): 0.3, (0, 2): 2e-14, (1, 0): 0.6, (1, 2): 1e-14,
+           (2, 0): 3e-14, (2, 1): 1e-14}
+    P = np.zeros((3, 3))
+    for (i, j), p in off.items():
+        P[i, j] = p
+    P[np.diag_indices(3)] = 1.0 - P.sum(axis=1)
+    q = {ij: Fraction(p) for ij, p in off.items()}
+    trees = [q[1, 0] * q[2, 0] + q[1, 0] * q[2, 1] + q[1, 2] * q[2, 0],
+             q[0, 1] * q[2, 1] + q[0, 1] * q[2, 0] + q[0, 2] * q[2, 1],
+             q[0, 2] * q[1, 2] + q[0, 2] * q[1, 0] + q[0, 1] * q[1, 2]]
+    exact = np.array([float(t / sum(trees)) for t in trees])
+    A = (np.eye(3) - P).T
+    A[-1] = 1.0
+    dense = np.linalg.solve(A, [0.0, 0.0, 1.0])
+    assert np.max(np.abs(dense / exact - 1)) > 1e-6
+    np.testing.assert_allclose(_gth(P), exact, rtol=1e-14)
+
+
+def test_gth_rejects_a_reducible_matrix():
+    with pytest.raises(SolverError, match="reaches no state"):
+        _gth(np.eye(2))
 
 
 def test_stationary_is_a_left_null_vector(optimal_gens, optimal_pi):
