@@ -18,11 +18,14 @@ and emits the labels that one physical event can produce:
 - phase_moves: O (phase moves without a change of macro-state)
 
 A builder addresses the source and target blocks as (k, s, x, prefix), the
-queues of E_s^{k,x} that start with the prefix, and gives the dense matrix of
-one source queue.  `_Assembly.place` repeats its nonzero entries over all of
-them by index arithmetic, the i-th copy shifted by i times the block's shape,
-and each label, like the total of all nine, becomes one CSR matrix built from
-the concatenated triplets: no sparse matrix is made per block or per label sum.
+queues of E_s^{k,x} that start with the prefix, and gives the factors of the
+dense matrix of one source queue, a Kronecker product or sum.  Few of these
+blocks differ (43 among 151 placements at n = 4, R = 3 with PM, 43 among 310
+at n = 6), so `_Assembly.place` forms each distinct block and its nonzero
+entries once per assembly, and repeats them over all the queues by index
+arithmetic, the i-th copy shifted by i times the block's shape.  Each label,
+like the total of all nine, becomes one CSR matrix built from the
+concatenated triplets: no sparse matrix is made per block or per label sum.
 """
 
 from dataclasses import dataclass, field
@@ -60,6 +63,12 @@ class MmapGenerators:
         return self.matrices[label]
 
 
+def _nonzeros(block: np.ndarray) -> tuple:
+    """(shape, rows, cols, values) of the nonzero entries, row by row."""
+    row, col = np.nonzero(block)
+    return block.shape, row, col, block[row, col]
+
+
 class _Assembly:
     """Shared context for the per-event builders.
 
@@ -84,6 +93,8 @@ class _Assembly:
         self.S0 = {1: c.corrective.exit_vector[:, None],
                    2: c.preventive.exit_vector[:, None]}
         self.entries: dict[str, list] = {l: [] for l in EVENT_LABELS}
+        self._factors = {}  # (shape, dtype, entries) -> factor number
+        self._blocks = {}   # (op, factor numbers) -> the block's nonzeros
 
     def heads(self, s: int):
         """(head mark, queue prefix) pairs that split E_s by the head."""
@@ -102,24 +113,38 @@ class _Assembly:
         """Identity on the clock: the event leaves it running."""
         return np.eye(self.clock(x, head).shape[0])
 
-    def place(self, label: str, src: tuple, dst: tuple, inner: np.ndarray):
-        """Add `inner` once per queue of src = (k, s, x, prefix): the i-th
-        of its queues maps into the i-th equal share of the span of dst.
-        The entries are addressed by offset arithmetic, in the order of
-        kron(I_reps, inner)."""
-        row, col = np.nonzero(inner)
+    def place(self, label: str, src: tuple, dst: tuple, *factors, op=kron):
+        """Add the block op(*factors) once per queue of src = (k, s, x,
+        prefix): the i-th of its queues maps into the i-th equal share of the
+        span of dst.  The entries are addressed by offset arithmetic, in the
+        order of kron(I_reps, block)."""
+        (h, w), row, col, val = self._block(op, factors)
         if not row.size:
             return
         (r0, r1), (c0, c1) = self.lay.span(*src), self.lay.span(*dst)
-        h, w = inner.shape
         reps = (r1 - r0) // h
         if (reps * h, reps * w) != (r1 - r0, c1 - c0):
-            raise AssemblyError(f"{label} block {inner.shape} does not tile "
+            raise AssemblyError(f"{label} block {(h, w)} does not tile "
                                 f"{src} -> {dst}")
         shift = np.arange(reps)[:, None]
         self.entries[label].append(
             ((r0 + shift * h + row).ravel(), (c0 + shift * w + col).ravel(),
-             np.tile(inner[row, col], reps)))
+             np.tile(val, reps)))
+
+    def _block(self, op, factors) -> tuple:
+        """(shape, rows, cols, values) of the dense block op(*factors),
+        formed once in this assembly for each op and distinct factors.  A
+        factor is known by its shape, dtype and entries, and a kron's key
+        leaves out the 1 x 1 factors [[1]], which do not change it."""
+        key = [op]
+        for f in factors:
+            if op is not kron or f.shape != (1, 1) or f[0, 0] != 1:
+                key.append(self._factors.setdefault(
+                    (f.shape, f.dtype.str, f.tobytes()), len(self._factors)))
+        key = tuple(key)
+        if key not in self._blocks:
+            self._blocks[key] = _nonzeros(op(*factors))
+        return self._blocks[key]
 
     def matrix(self, *labels: str) -> sp.csr_matrix:
         """The sum of the labels' generators, built in one pass from their
@@ -144,15 +169,17 @@ class _Assembly:
             spare = s + 1 < k
             for label, mark, H in (("A", 1, b.HA if spare else b.HA_p),
                                    ("B", 2, b.HB if spare else b.HB_p)):
+                if mark not in self.lay.marks:   # no B without PM
+                    continue
                 if s == 0:
                     start = self.beta[mark] if x == "nv" else self.keep(x, None)
                     self.place(label, (k, 0, x, ()), (k, 1, x, (mark,)),
-                               kron(H, start))
+                               H, start)
                     continue
                 sel = np.eye(1, len(self.lay.marks), mark - 1)
                 for head, prefix in self.heads(s):
                     self.place(label, (k, s, x, prefix), (k, s + 1, x, prefix),
-                               kron(sel, H, self.keep(x, head)))
+                               sel, H, self.keep(x, head))
 
     def unit_losses(self):
         """C and CD: a non-repairable failure with k > 1 discards the online
@@ -170,7 +197,7 @@ class _Assembly:
                 else:
                     label, clock = "CD", (self.ones_v, self.beta[head])
                 self.place(label, (k, s, x, prefix), (k - 1, s, to, prefix),
-                           kron(H, *clock))
+                           H, *clock)
 
     def vacation_ends(self):
         """D and E: the vacation ends.  With at least N = k - R + 1 units
@@ -182,11 +209,11 @@ class _Assembly:
             online = np.eye(len(self.core(k, s)))
             if s < k - self.lay.R + 1:
                 self.place("E", (k, s, x, ()), (k, s, x, ()),
-                           kron(online, self.V0 @ self.upsilon))
+                           online, self.V0 @ self.upsilon)
                 continue
             for head, prefix in self.heads(s):
                 self.place("D", (k, s, x, prefix), (k, s, "nv", prefix),
-                           kron(online, self.V0, self.beta[head]))
+                           online, self.V0, self.beta[head])
 
     def service_completions(self):
         """O and F: the head's repair ends (s -> s - 1), the unit goes
@@ -200,11 +227,11 @@ class _Assembly:
             for head, prefix in self.heads(s):
                 if s == k - self.lay.R + 1:
                     self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),
-                               kron(G, self.upsilon, self.S0[head]))
+                               G, self.upsilon, self.S0[head])
                     continue
                 for new, rest in self.heads(s - 1):
                     self.place("O", (k, s, x, prefix + rest), (k, s - 1, x, rest),
-                               kron(G, self.S0[head], self.beta[new]))
+                               G, self.S0[head], self.beta[new])
 
     def fleet_renewal(self):
         """NS: non-repairable failure of the last unit, whole fleet renewed
@@ -212,7 +239,7 @@ class _Assembly:
         x = "v" if self.lay.R == 1 else "nv"    # the one block E_0^{1,x}
         end = self.ones_v @ self.upsilon if x == "v" else self.upsilon
         self.place("NS", (1, 0, x, ()), (self.lay.n, 0, "v", ()),
-                   kron(self.b.HC, end))
+                   self.b.HC, end)
 
     def phase_moves(self):
         """O: phase moves of the online unit and the clock, harmless shocks
@@ -221,7 +248,7 @@ class _Assembly:
         for k, s, x in self.lay.macro_keys():
             for head, prefix in self.heads(s):
                 self.place("O", (k, s, x, prefix), (k, s, x, prefix),
-                           kron_sum(self.core(k, s), self.clock(x, head)))
+                           self.core(k, s), self.clock(x, head), op=kron_sum)
 
 
 def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,

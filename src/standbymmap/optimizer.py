@@ -3,8 +3,10 @@
 For a fixed fleet policy (n, R, PM flag) and vacation family, the generator
 D(x) and the flow table F(x) (column l is D_l 1) split by vacation stage,
 so each cell builds both splits from two assemblies and per evaluation runs
-one bordered stationary solve, factored in the fill-reducing order of the
-cell's first solve.  The profit is Phi = pi r with the per-state profit rate
+one bordered stationary solve.  The first orders the bordered matrix B(x)
+afresh; every later one forms B(x) in that order from the cell's compiled
+pattern by one vector update and factors it, with no sparse matrix built.
+The profit is Phi = pi r with the per-state profit rate
 r(x) = (nr - nc) - F(x) c and the cost table c of economics.event_costs.
 Its exact gradient costs one more triangular solve through the same LU
 (the adjoint of the stationary solve), so one L-BFGS-B search on log x
@@ -24,7 +26,7 @@ from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
 from .economics import build_nc, build_nr, event_costs, profit_stationary
 from .measures import (EventRates, availability_stationary, down_mask,
                        event_rates_stationary, label_flows)
-from .solvers import bordered_stationary, stationary_direct
+from .solvers import BorderedPattern, bordered_stationary, stationary_direct
 from .statespace import enumerate_states
 from .unit import build_unit_blocks
 
@@ -60,7 +62,13 @@ class _CellEvaluator:
     vacation state of stage w and 0 elsewhere, and F(x) and r(x) likewise.
     Exact: the stages run in series and x_w is the total rate of stage w, so
     x enters only vacation rows, as x_w times their entries at unit rate.
-    Assemblies at x = 1 and 2 give dD = D(2) - D(1), D0 = D(1) - dD."""
+    Assemblies at x = 1 and 2 give dD = D(2) - D(1), D0 = D(1) - dD.
+
+    The first solve factors B(D(x)) in a fresh fill-reducing order and
+    compiles B(x) in that order, split as D(x) is (solvers.BorderedPattern).
+    Every later evaluation adds x_w times the stage-w entries to the fixed
+    entries, factors the result in its natural order and solves, the same
+    solve bit for bit as bordered_stationary(D(x), order)."""
 
     def __init__(self, config: ModelConfig, family: str):
         self.dim = VACATION_FAMILIES[family]
@@ -83,7 +91,7 @@ class _CellEvaluator:
         self.reward = (net - self.F[0] @ costs, -dF @ costs)
         self.up_mask = ~down_mask(self.layout)
         self._last = (None, None)   # (x, pi) of the last gradient solve
-        self._order = None          # fill-reducing order of every D(x)
+        self._pattern = None        # every B(x) in the first solve's order
 
     def _rates(self, x) -> np.ndarray:   # rho(x)
         return np.append(np.asarray(x, dtype=float), 0.0)[self.stage]
@@ -98,8 +106,10 @@ class _CellEvaluator:
     def _solve(self, x) -> tuple:
         """pi and the bordered LU at x.  D(x) has one sparsity pattern over
         the box, so the first solve's fill-reducing order serves them all."""
-        pi, lu = bordered_stationary(self.generator(x), self._order)
-        self._order = lu.order
+        if self._pattern is not None:
+            return self._pattern.solve(x)
+        pi, lu = bordered_stationary(self.generator(x))
+        self._pattern = BorderedPattern(*self.D, self.stage, lu.order)
         return pi, lu
 
     def resolution(self) -> float:

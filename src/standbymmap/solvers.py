@@ -20,7 +20,9 @@ threshold-pivoted LU that keeps the fill-reducing order, the symmetric
 MMD_AT_PLUS_A for the bordered generator and the column order COLAMD
 (Davis, Gilbert, Larimore and Ng 2004) for the level blocks, and both
 reject a result with negative mass or a balance residual ||pi D||_inf
-beyond rounding level.
+beyond rounding level.  The optimizer's generators D(x), affine in the
+vacation rates, share one bordered pattern, which `BorderedPattern`
+compiles once in the order of their first LU.
 """
 
 import numpy as np
@@ -225,6 +227,16 @@ class OrderedLU:
         return x
 
 
+def _lu(A: sp.csc_matrix, permc_spec: str):
+    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=PIVOT_THRESH)
+
+
+def _in_order(A: sp.spmatrix, order: np.ndarray) -> sp.csc_matrix:
+    """A[q][:, q] in CSC, the matrix whose natural-order LU is A's LU in the
+    order q."""
+    return A.tocsr()[order][:, order].tocsc()
+
+
 def _factor(A: sp.spmatrix, order=None,
             permc_spec: str = "MMD_AT_PLUS_A") -> OrderedLU:
     """Sparse LU keeping a diagonal pivot while it is at least PIVOT_THRESH
@@ -245,12 +257,17 @@ def _factor(A: sp.spmatrix, order=None,
     fresh ordering's (checked at the corners of the optimizer's box), and
     solutions move in their last digits only."""
     if order is None:
-        lu = spla.splu(A.tocsc(), permc_spec=permc_spec,
-                       diag_pivot_thresh=PIVOT_THRESH)
+        lu = _lu(A.tocsc(), permc_spec)
         return OrderedLU(lu, np.argsort(lu.perm_c), permuted=False)
-    lu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL",
-                   diag_pivot_thresh=PIVOT_THRESH)
-    return OrderedLU(lu, order, permuted=True)
+    return OrderedLU(_lu(_in_order(A, order), "NATURAL"), order, permuted=True)
+
+
+def _bordered(D: sp.spmatrix) -> sp.csr_matrix:
+    """B: D^T with its first equation replaced by the normalisation pi 1 = 1,
+    a row of ones."""
+    n = D.shape[0]
+    return sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
+                     format="csr")
 
 
 def bordered_stationary(D: sp.spmatrix, order=None) -> tuple:
@@ -262,23 +279,83 @@ def bordered_stationary(D: sp.spmatrix, order=None) -> tuple:
     the `order` of an earlier result for a generator with D's sparsity
     pattern, says in which order to factor it.  A pi that `_checked`
     rejects raises."""
-    n = D.shape[0]
-    B = sp.vstack([sp.csr_matrix(np.ones((1, n))), D.T.tocsr()[1:]],
-                  format="csr")
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    lu = _factor(B, order)
-    return _checked(lu.solve(rhs), D), lu
+    lu = _factor(_bordered(D), order)
+    pi = lu.solve(np.eye(1, D.shape[0])[0])
+    return _checked(pi, pi @ D, D.diagonal()), lu
 
 
-def _checked(pi: np.ndarray, D: sp.spmatrix) -> np.ndarray:
+class BorderedPattern:
+    """The bordered solves of the generators D(x) = D_0 + diag(rho(x)) dD,
+    rho(x)_i = x[group_i] and 0 where group_i = -1, in one fixed order q,
+    compiled once.
+
+    Each entry of D(x) is d_0 + x_w d with w the group of its row, summed as
+    D(x) sums it.  While no entry cancels, every D(x) has one pattern, and
+    its bordered matrix in the order q, B(x)[q][:, q] in CSC, has one fixed
+    `indices` and `indptr` and the data b_0 + sum_w x_w b_w: b_0 holds the
+    entries of D_0 and the row of ones in their slots of B, and b_w the
+    entries of dD in rows of group w, kept as (slots, values).  A solve
+    forms that data by one vector update and factors it in its natural
+    order, with no sparse matrix built, and gives the pi and LU of
+    `bordered_stationary(D(x), q)` bit for bit.
+
+    The slots are found by passing a D(x) whose entries name themselves
+    through the same bordering and ordering: entry e of D_0 is tagged
+    (e + 1) m and entry f of dD f + 2, with m = nnz(dD) + 2, so each slot of
+    B reads e and f back from its tag, and the row of ones reads 1."""
+
+    def __init__(self, D0: sp.csr_matrix, dD: sp.csr_matrix,
+                 group: np.ndarray, order: np.ndarray):
+        self.D0, self.dD, self.group, self.order = D0, dD, group, order
+        self.n = D0.shape[0]
+        rows = np.repeat(np.arange(self.n), np.diff(dD.indptr))
+        m = dD.nnz + 2
+        # the entries of dD in rows of no group are not part of D(x); each
+        # temporary goes before the next is made, as the first LU is alive
+        B = _in_order(_bordered(
+            sp.csr_matrix((np.arange(1.0, D0.nnz + 1) * m, D0.indices,
+                           D0.indptr), shape=D0.shape)
+            + sp.csr_matrix((np.where(group[rows] >= 0, np.arange(2.0, m),
+                                      0.0), dD.indices, dD.indptr),
+                            shape=dD.shape)), order)
+        self.indices, self.indptr = B.indices, B.indptr
+        e, f = np.divmod(B.data.astype(np.int64), m)
+        del B
+        self.base = np.append(0.0, D0.data)[e]
+        self.base[f == 1] = 1.0
+        at = np.flatnonzero(f > 1)
+        f = f[at] - 2
+        w = group[rows[f]]
+        self.deltas = [(at[w == g], dD.data[f[w == g]])
+                       for g in range(group.max() + 1)]
+        self.diagonals = D0.diagonal(), dD.diagonal()
+
+    def solve(self, x) -> tuple:
+        """pi and the bordered LU at x, checked as `bordered_stationary`
+        checks them, with pi D(x) and the diagonal of D(x) from the split."""
+        data = self.base.copy()
+        for xw, (at, values) in zip(x, self.deltas):
+            data[at] += xw * values
+        B = sp.csc_matrix((data, self.indices, self.indptr),
+                          shape=(self.n, self.n))
+        lu = OrderedLU(_lu(B, "NATURAL"), self.order, permuted=True)
+        pi = lu.solve(np.eye(1, self.n)[0])
+        rho = np.append(np.asarray(x, dtype=float), 0.0)[self.group]
+        balance = pi @ self.D0 + (pi * rho) @ self.dD
+        diagonal = self.diagonals[0] + rho * self.diagonals[1]
+        return _checked(pi, balance, diagonal), lu
+
+
+def _checked(pi: np.ndarray, balance: np.ndarray,
+             diagonal: np.ndarray) -> np.ndarray:
     """pi, once no entry is below -1e-9 and its balance residual
-    ||pi D||_inf is at most RESIDUAL_TOL times the largest exit rate
-    max |D_ii|; an inaccurate solve raises."""
+    ||pi D||_inf, the largest entry of balance = pi D, is at most
+    RESIDUAL_TOL times the largest exit rate max |D_ii| of the diagonal;
+    an inaccurate solve raises."""
     if np.min(pi) < -1e-9:
         raise SolverError("stationary solve produced negative probabilities")
-    residual = float(np.max(np.abs(pi @ D)))
-    bound = RESIDUAL_TOL * float(np.max(np.abs(D.diagonal())))
+    residual = float(np.max(np.abs(balance)))
+    bound = RESIDUAL_TOL * float(np.max(np.abs(diagonal)))
     if not residual <= bound:
         raise SolverError(f"stationary residual ||pi D||_inf = {residual:.3e}"
                           f" exceeds {bound:.3e}")
@@ -394,4 +471,5 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
     for k in range(n - 1, 0, -1):
         pieces.append(-lus[k].solve(pieces[-1] @ blk(k + 1, k), trans="T"))
     pi = np.concatenate(pieces)
-    return _checked(pi / pi.sum(), D)
+    pi /= pi.sum()
+    return _checked(pi, pi @ D, D.diagonal())

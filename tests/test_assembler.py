@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
 
+from standbymmap import assembler
 from standbymmap.assembler import (ARRIVAL_LABELS, EVENT_LABELS,
                                    AssemblyError, MmapGenerators, _Assembly,
                                    _validate, assemble_all)
@@ -15,6 +17,7 @@ from standbymmap.statespace import enumerate_states
 from standbymmap.unit import build_unit_blocks
 
 from example_model import example_fleet_config
+from random_models import small_models
 
 
 def small(n=2, R=1, pm=True, family="exponential"):
@@ -217,6 +220,63 @@ def test_place_rejects_a_block_that_does_not_tile(extra_rows, extra_cols):
     _, h, w = _share(asm, src, dst)
     with pytest.raises(AssemblyError, match="does not tile"):
         asm.place("A", src, dst, np.ones((h + extra_rows, w + extra_cols)))
+
+
+def _formed_afresh(asm, op, factors):
+    """`_Assembly._block` with a block cache that misses on every call."""
+    return assembler._nonzeros(op(*factors))
+
+
+def _assert_same_generators(gens, other):
+    for name in (*EVENT_LABELS, "total"):
+        a, b = ((g.total if name == "total" else g[name]) for g in (gens, other))
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), \
+                (name, part)
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False),
+                                    (6, 3, True)])
+def test_block_cache_gives_the_blocks_formed_afresh(n, R, pm, monkeypatch):
+    """Every label and the total, structure and entries, are those of an
+    assembly that forms each block at every placement."""
+    config = example_fleet_config(n, R, pm)
+    cached = assemble_all(config)
+    monkeypatch.setattr(_Assembly, "_block", _formed_afresh)
+    _assert_same_generators(assemble_all(config), cached)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_block_cache_gives_the_blocks_formed_afresh_on_random_models(config):
+    cached = assemble_all(config, validate=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Assembly, "_block", _formed_afresh)
+        _assert_same_generators(assemble_all(config, validate=False), cached)
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False),
+                                    (6, 3, True), (1, 1, True)])
+def test_one_assembly_forms_each_distinct_block_once(n, R, pm, monkeypatch):
+    """The dense blocks formed in one assembly are as many as the distinct
+    blocks among them, and fewer than the placements."""
+    formed, placed = [], []
+    nonzeros, place = assembler._nonzeros, _Assembly.place
+
+    def recording(block):
+        formed.append((block.shape, block.tobytes()))
+        return nonzeros(block)
+
+    def counting(asm, *args, **kwargs):
+        placed.append(args[0])
+        return place(asm, *args, **kwargs)
+
+    monkeypatch.setattr(assembler, "_nonzeros", recording)
+    monkeypatch.setattr(_Assembly, "place", counting)
+    assemble_all(example_fleet_config(n, R, pm))
+    assert len(formed) == len(set(formed))
+    assert len(formed) < len(placed)
 
 
 def _tampered(gens, **labels):

@@ -10,7 +10,7 @@ from standbymmap.assembler import assemble_all
 from standbymmap.config import vacation_from_params
 from standbymmap.optimizer import (EPS, _CellEvaluator, evaluate, grid_to_csv,
                                    optimize)
-from standbymmap.solvers import bordered_stationary
+from standbymmap.solvers import _bordered, bordered_stationary
 
 from example_model import example_fleet_config
 
@@ -212,7 +212,7 @@ def test_reused_order_keeps_a_fresh_orders_fill(n, R, pm):
     for x in (*BOX_CORNERS, [0.5, 0.7]):
         pi, fresh = bordered_stationary(cell.generator(x))
         pi_reused, reused = cell._solve(x)
-        np.testing.assert_array_equal(reused.order, cell._order)
+        np.testing.assert_array_equal(reused.order, cell._pattern.order)
         assert reused.fill == fresh.fill, x
         assert np.max(np.abs(pi_reused - pi)) <= 1e-14, x
 
@@ -224,12 +224,57 @@ def test_evaluation_count_does_not_depend_on_the_last_digits(
     last digits.  It must stop after as many evaluations as the real one,
     at the same profit: a stop rule that asks for more than Phi resolves
     would go on searching in rounding noise, down a path those digits
-    steer."""
+    steer.  The hook hands SuperLU MMD_AT_PLUS_A for every LU, so each one
+    the compiled pattern asks to factor in its natural order is ordered
+    afresh as well."""
     config = example_fleet_config(n, R, pm)
     result = optimize(config, family)
-    monkeypatch.setattr(optimizer, "bordered_stationary",
-                        lambda D, order=None: bordered_stationary(D))
+    specs, splu = [], spla.splu
+
+    def ordered_afresh(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec="MMD_AT_PLUS_A", **kwargs)
+
+    monkeypatch.setattr(spla, "splu", ordered_afresh)
     fresh = optimize(config, family)
+    # one ordering per LU: the first one's own, and a fresh one in place of
+    # every reuse of it
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 1)
+    assert len(specs) >= fresh.evaluations
     assert fresh.evaluations == result.evaluations
     assert fresh.profit == pytest.approx(result.profit, abs=1e-12)
     assert fresh.converged and result.converged
+
+
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("family", ["exponential", "erlang2"])
+def test_compiled_pattern_is_the_ordered_bordered_generator(family, pm,
+                                                            monkeypatch):
+    """After the first solve a cell factors its compiled pattern.  At the
+    box corners and inside, the matrix it hands to SuperLU is B(D(x)) in
+    the cell's order, structure and entries, and pi and the adjoint g are
+    those of bordered_stationary(D(x), order) bit for bit."""
+    cell = _CellEvaluator(example_fleet_config(4, 3, pm), family)
+    cell.evaluate([1.0] * cell.dim)
+    order = cell._pattern.order
+    factored, splu = [], spla.splu
+
+    def recording(A, **kwargs):
+        factored.append(A)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    for x in (*BOX_CORNERS, [0.5, 0.7]):
+        x = x[:cell.dim]
+        pi, lu = cell._solve(x)
+        A = factored[-1]
+        D = cell.generator(x)
+        expected = _bordered(D).tocsr()[order][:, order].tocsc()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, part), getattr(expected, part)), \
+                (x, part)
+        pi_ref, lu_ref = bordered_stationary(D, order)
+        assert pi.tobytes() == pi_ref.tobytes(), x
+        reward = cell._reward(x)
+        assert (lu.solve(reward, trans="T").tobytes()
+                == lu_ref.solve(reward, trans="T").tobytes()), x

@@ -84,11 +84,12 @@ def test_stationary_routes_agree_on_random_models(config):
 
 def test_residual_guard_rejects_a_perturbed_pi(optimal_gens, optimal_pi):
     D = optimal_gens.total
-    assert _checked(optimal_pi, D) is optimal_pi
+    assert _checked(optimal_pi, optimal_pi @ D, D.diagonal()) is optimal_pi
     bent = optimal_pi.copy()
     bent[0] += 1e-6
+    bent /= bent.sum()
     with pytest.raises(SolverError, match="residual"):
-        _checked(bent / bent.sum(), D)
+        _checked(bent, bent @ D, D.diagonal())
 
 
 def test_negative_mass_guard_rejects_a_negative_entry(optimal_gens, optimal_pi):
@@ -96,7 +97,8 @@ def test_negative_mass_guard_rejects_a_negative_entry(optimal_gens, optimal_pi):
     bent = optimal_pi.copy()
     bent[0], bent[1] = -1e-8, bent[1] + bent[0] + 1e-8
     with pytest.raises(SolverError, match="negative"):
-        _checked(bent, optimal_gens.total)
+        _checked(bent, bent @ optimal_gens.total,
+                 optimal_gens.total.diagonal())
 
 
 def test_bordered_solve_rejects_an_unbalanced_generator(optimal_gens):
