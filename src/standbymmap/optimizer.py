@@ -67,8 +67,8 @@ class _CellEvaluator:
     The first solve factors B(D(x)) in a fresh fill-reducing order and
     compiles B(x) in that order, split as D(x) is (solvers.BorderedPattern).
     Every later evaluation adds x_w times the stage-w entries to the fixed
-    entries, factors the result in its natural order and solves, the same
-    solve bit for bit as bordered_stationary(D(x), order)."""
+    entries, factors the result in its natural order and solves, as a
+    fresh LU of B(D(x)) in that order does, bit for bit."""
 
     def __init__(self, config: ModelConfig, family: str):
         self.dim = VACATION_FAMILIES[family]

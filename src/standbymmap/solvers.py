@@ -8,21 +8,20 @@ it replaces the rest of each long time's sum by a stationary tail whose
 weight has a closed form, so a horizon costs no more steps than the mixing
 time.  Its truncated mass stays in the result: p(t) 1 falls short of 1, and
 int_0^t p 1 short of t, by the truncation defect, which callers can check.
-The stationary distribution is available through two sparse routes that
-share no factorisation and serve as cross-checks: one bordered solve of the
-whole generator, and a level cycle over the unit-count levels.  The level
-cycle censors the chain on the few full-fleet states the fleet renewal
-enters, solves that small chain by GTH (Grassmann, Taksar and Heyman 1985),
-and sweeps down the levels; it factors each level block once and nothing
-larger.  `stationary_direct` takes the bordered solve up to
-LEVEL_CYCLE_STATES states and the level cycle above.  Both factor with a
-threshold-pivoted LU that keeps the fill-reducing order, the symmetric
-MMD_AT_PLUS_A for the bordered generator and the column order COLAMD
-(Davis, Gilbert, Larimore and Ng 2004) for the level blocks, and both
-reject a result with negative mass or a balance residual ||pi D||_inf
-beyond rounding level.  The optimizer's generators D(x), affine in the
-vacation rates, share one bordered pattern, which `BorderedPattern`
-compiles once in the order of their first LU.
+The stationary distribution comes from a level cycle over the unit-count
+levels: it censors the chain on the few full-fleet states the fleet
+renewal enters, solves that small chain by GTH (Grassmann, Taksar and
+Heyman 1985), and sweeps down the levels, factoring each level block once
+and nothing larger.  A one-level chain and a generator without a layout
+take one bordered solve of the whole generator instead; it shares no
+factorisation with the level cycle, so it also serves as its cross-check.
+Both factor with a threshold-pivoted LU that keeps the fill-reducing
+order, the symmetric MMD_AT_PLUS_A for the bordered generator and the
+column order COLAMD (Davis, Gilbert, Larimore and Ng 2004) for the level
+blocks, and both reject a result with negative mass or a balance residual
+||pi D||_inf beyond rounding level.  The optimizer's generators D(x),
+affine in the vacation rates, share one bordered pattern, which
+`BorderedPattern` compiles once in the order of their first LU.
 """
 
 import numpy as np
@@ -38,16 +37,6 @@ UNIFORMIZATION_TOL = 1e-10
 WEIGHT_BLOCK = 512       # sweep steps whose Poisson weights are formed at once
 PIVOT_THRESH = 0.1
 RESIDUAL_TOL = 1e-9
-# Largest chain that `stationary_direct` solves by the bordered LU.  Median
-# of 5 times, bordered against level cycle (R = 3 unless noted; 2-core VM):
-# 468 states (n = 2, R = 2, PM on) 3.6 vs 3.2 ms; 3,668 (n = 4, PM on) 36
-# vs 23 ms; 5,116 (n = 10, PM off) 42 vs 28 ms; 7,108 (n = 5, R = 2, PM on)
-# 72 vs 42 ms; 8,276 (n = 5, PM on) 106 vs 46 ms; 17,556 (n = 6, PM on) 396
-# vs 96 ms.  The level cycle is faster at every size measured, below 6,000
-# states too.  The threshold stays so that every n <= 4 chain keeps the
-# bordered solve and its outputs byte for byte; the optimizer calls
-# `bordered_stationary` itself at every n.
-LEVEL_CYCLE_STATES = 6000
 
 
 class SolverError(RuntimeError):
@@ -200,14 +189,15 @@ def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
 class OrderedLU:
     """Sparse LU of a square matrix A that solves in A's own coordinates.
 
-    `order` is q = argsort(perm_c) of SuperLU's column permutation, and
-    factors made in a given order q are those of A[q][:, q] in natural
-    order, solved by x[q] = lu.solve(b[q], trans) for either transpose.
-    Only an MMD_AT_PLUS_A factor's `order` (the bordered solves') is a
-    symmetric order that may be reused that way, as MMD_AT_PLUS_A orders
-    A + A^T.  COLAMD, which the level cycle uses, is a column order: it
-    orders A^T A to bound the fill under any row pivoting, and its q is
-    neither chosen as a symmetric order nor reused.
+    `order` is q = argsort(perm_c) of SuperLU's column permutation.  An LU
+    that `_factor` makes solves as SuperLU's own does.  A `BorderedPattern`
+    LU factors A[q][:, q] in natural order, with q the `order` of an
+    earlier MMD_AT_PLUS_A factor of a matrix with A's pattern, and solves
+    by x[q] = lu.solve(b[q], trans) for either transpose.  Only an
+    MMD_AT_PLUS_A order is reused that way: it orders A + A^T, so it is a
+    symmetric order.  COLAMD, which the level cycle uses, is a column
+    order: it orders A^T A to bound the fill under any row pivoting, and
+    its q is neither chosen as a symmetric order nor reused.
     """
 
     def __init__(self, lu, order: np.ndarray, permuted: bool):
@@ -231,35 +221,18 @@ def _lu(A: sp.csc_matrix, permc_spec: str):
     return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=PIVOT_THRESH)
 
 
-def _in_order(A: sp.spmatrix, order: np.ndarray) -> sp.csc_matrix:
-    """A[q][:, q] in CSC, the matrix whose natural-order LU is A's LU in the
-    order q."""
-    return A.tocsr()[order][:, order].tocsc()
-
-
-def _factor(A: sp.spmatrix, order=None,
-            permc_spec: str = "MMD_AT_PLUS_A") -> OrderedLU:
-    """Sparse LU keeping a diagonal pivot while it is at least PIVOT_THRESH
-    of its column's largest entry.  Generator blocks and the bordered
-    transposed generator are diagonally dominant by rows or columns, so the
-    diagonal almost always qualifies; partial pivoting (threshold 1) would
-    give up the order for no safer pivots and fill the factors up to three
-    times over.
-
-    Without `order`, SuperLU computes the fill-reducing order `permc_spec`:
-    the symmetric MMD_AT_PLUS_A, or COLAMD for the level blocks, which
-    fills them less (2.9M against 5.0M entries over the eight levels at
-    n = 8, PM on).  With the `order` of earlier MMD_AT_PLUS_A
-    factors of a matrix with A's sparsity pattern, A is factored in that
-    order and the ordering, more than half the cost of an LU of the
-    bordered generator, is skipped.  The ordering looks at the pattern
-    alone, so a fresh one would choose the same order.  The fill equals a
-    fresh ordering's (checked at the corners of the optimizer's box), and
-    solutions move in their last digits only."""
-    if order is None:
-        lu = _lu(A.tocsc(), permc_spec)
-        return OrderedLU(lu, np.argsort(lu.perm_c), permuted=False)
-    return OrderedLU(_lu(_in_order(A, order), "NATURAL"), order, permuted=True)
+def _factor(A: sp.spmatrix, permc_spec: str) -> OrderedLU:
+    """Sparse LU of A in SuperLU's fill-reducing order `permc_spec`,
+    keeping a diagonal pivot while it is at least PIVOT_THRESH of its
+    column's largest entry.  Generator blocks and the bordered transposed
+    generator are diagonally dominant by rows or columns, so the diagonal
+    almost always qualifies; partial pivoting (threshold 1) would give up
+    the order for no safer pivots and fill the factors up to three times
+    over.  The bordered generator takes the symmetric MMD_AT_PLUS_A, the
+    level blocks COLAMD, which fills them less (2.9M against 5.0M entries
+    over the eight levels at n = 8, PM on)."""
+    lu = _lu(A.tocsc(), permc_spec)
+    return OrderedLU(lu, np.argsort(lu.perm_c), permuted=False)
 
 
 def _bordered(D: sp.spmatrix) -> sp.csr_matrix:
@@ -270,16 +243,17 @@ def _bordered(D: sp.spmatrix) -> sp.csr_matrix:
                      format="csr")
 
 
-def bordered_stationary(D: sp.spmatrix, order=None) -> tuple:
+def bordered_stationary(D: sp.spmatrix) -> tuple:
     """Solve pi D = 0, pi 1 = 1: the first equation of D^T pi^T = 0 is
-    replaced by the normalisation, and the bordered matrix B factored by LU.
-    Returns pi as solved, neither clipped nor rescaled, and the
-    factorisation of B as an OrderedLU, whose transposed solves give the
-    adjoint of the stationary solve.  B is ordered afresh unless `order`,
-    the `order` of an earlier result for a generator with D's sparsity
-    pattern, says in which order to factor it.  A pi that `_checked`
-    rejects raises."""
-    lu = _factor(_bordered(D), order)
+    replaced by the normalisation, and the bordered matrix B factored by LU
+    in a fresh MMD_AT_PLUS_A order.  Returns pi as solved, neither clipped
+    nor rescaled, and the factorisation of B as an OrderedLU, whose
+    transposed solves give the adjoint of the stationary solve and whose
+    `order` a `BorderedPattern` reuses.  It is the stationary route of a
+    one-level chain and of a generator without a layout, the first solve
+    of an optimizer cell, and the level cycle's cross-check.  A pi that
+    `_checked` rejects raises."""
+    lu = _factor(_bordered(D), "MMD_AT_PLUS_A")
     pi = lu.solve(np.eye(1, D.shape[0])[0])
     return _checked(pi, pi @ D, D.diagonal()), lu
 
@@ -296,8 +270,12 @@ class BorderedPattern:
     entries of D_0 and the row of ones in their slots of B, and b_w the
     entries of dD in rows of group w, kept as (slots, values).  A solve
     forms that data by one vector update and factors it in its natural
-    order, with no sparse matrix built, and gives the pi and LU of
-    `bordered_stationary(D(x), q)` bit for bit.
+    order, with no sparse matrix built, and gives the pi and LU that
+    SuperLU's natural-order LU of B(D(x))[q][:, q] gives, bit for bit.
+    The ordering, more than half the cost of an LU of the bordered
+    generator, looks at the pattern alone, so a fresh one would choose the
+    same order: the fill equals a fresh ordering's (checked at the corners
+    of the optimizer's box), and solutions move in their last digits only.
 
     The slots are found by passing a D(x) whose entries name themselves
     through the same bordering and ordering: entry e of D_0 is tagged
@@ -312,12 +290,12 @@ class BorderedPattern:
         m = dD.nnz + 2
         # the entries of dD in rows of no group are not part of D(x); each
         # temporary goes before the next is made, as the first LU is alive
-        B = _in_order(_bordered(
+        B = _bordered(
             sp.csr_matrix((np.arange(1.0, D0.nnz + 1) * m, D0.indices,
                            D0.indptr), shape=D0.shape)
             + sp.csr_matrix((np.where(group[rows] >= 0, np.arange(2.0, m),
                                       0.0), dD.indices, dD.indptr),
-                            shape=dD.shape)), order)
+                            shape=dD.shape))[order][:, order].tocsc()
         self.indices, self.indptr = B.indices, B.indptr
         e, f = np.divmod(B.data.astype(np.int64), m)
         del B
@@ -363,21 +341,15 @@ def _checked(pi: np.ndarray, balance: np.ndarray,
 
 
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
-    """Stationary distribution of the assembled generator, solved on the
-    first call and kept on `gens` as a read-only array that later calls
-    return.  The LU is not kept, nor is a failure.
-
-    A chain of up to LEVEL_CYCLE_STATES states takes one bordered sparse
-    solve; a larger one takes the level cycle, `stationary_block`, whose
-    LUs of the levels fill far less than the LU of the whole generator:
-    `standbymmap steady --n 8` (73,492 states) takes 1.3 s and 170 MB
-    against 7.3 s and 354 MB on the bordered route.  The rule reads the
-    state count of `gens.total` alone."""
+    """Stationary distribution of the assembled generator by the level
+    cycle, `stationary_block`, solved on the first call and kept on `gens`
+    as a read-only array that later calls return.  The LUs are not kept,
+    nor is a failure.  The LUs of the levels fill far less than one LU of
+    the whole generator: `standbymmap steady --n 8` (73,492 states) takes
+    1.3 s and 170 MB against 7.3 s and 354 MB by the bordered solve."""
     pi = getattr(gens, "_pi", None)
     if pi is None:
-        D = gens.total
-        pi = (stationary_block(gens) if D.shape[0] > LEVEL_CYCLE_STATES
-              else bordered_stationary(D)[0])
+        pi = stationary_block(gens)
         pi.flags.writeable = False
         object.__setattr__(gens, "_pi", pi)
     return pi
@@ -443,21 +415,23 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
 
     Every level block D_kk, D_nn included (a sub-generator, nonsingular
     as every level-n state leads down out of the level), is factored once
-    in COLAMD order.  At n = 1 there is
-    one level, the renewal lies inside it, D_11 is singular, and the route
-    is the bordered solve of D itself.  Raises SolverError if any other
+    in COLAMD order.  At n = 1 there is one level, the renewal lies inside
+    it, D_11 is singular, and the route is the bordered solve of D itself,
+    as it is for a generator without a layout (`gens.layout` None or
+    absent), whose levels are unknown.  Raises SolverError if any other
     block breaks that structure.
     """
-    lay, D, n = gens.layout, gens.total.tocsr(), gens.layout.n
-    _check_levels(D, lay)
-    if n == 1:
+    lay, D = getattr(gens, "layout", None), gens.total.tocsr()
+    if lay is None or lay.n == 1:
         return bordered_stationary(D)[0]
+    n = lay.n
+    _check_levels(D, lay)
 
     def blk(i, j):
         (r0, r1), (c0, c1) = lay.k_span(i), lay.k_span(j)
         return D[r0:r1, c0:c1]
 
-    lus = {k: _factor(blk(k, k), permc_spec="COLAMD")
+    lus = {k: _factor(blk(k, k), "COLAMD")
            for k in range(1, n + 1)}
     renewal = blk(1, n).tocsc()
     cols = np.flatnonzero(np.diff(renewal.indptr))

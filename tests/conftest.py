@@ -31,7 +31,8 @@ def optimal_pi(optimal_gens):
 def solves(monkeypatch):
     """The stationary solves made while the test runs, one list entry each:
     bordered solves and level cycles.  A solve made inside another (the
-    level cycle's bordered solve at n = 1) is not counted again."""
+    level cycle's bordered solve at n = 1, or of a generator without a
+    layout) is not counted again."""
     calls, depth = [], [0]
 
     def counted(solve):

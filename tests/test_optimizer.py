@@ -10,7 +10,7 @@ from standbymmap.assembler import assemble_all
 from standbymmap.config import vacation_from_params
 from standbymmap.optimizer import (EPS, _CellEvaluator, evaluate, grid_to_csv,
                                    optimize)
-from standbymmap.solvers import _bordered, bordered_stationary
+from standbymmap.solvers import PIVOT_THRESH, _bordered, bordered_stationary
 
 from example_model import example_fleet_config
 
@@ -253,7 +253,8 @@ def test_compiled_pattern_is_the_ordered_bordered_generator(family, pm,
     """After the first solve a cell factors its compiled pattern.  At the
     box corners and inside, the matrix it hands to SuperLU is B(D(x)) in
     the cell's order, structure and entries, and pi and the adjoint g are
-    those of bordered_stationary(D(x), order) bit for bit."""
+    bit for bit those of that matrix's natural-order LU, solved through
+    the order map x[q] = y."""
     cell = _CellEvaluator(example_fleet_config(4, 3, pm), family)
     cell.evaluate([1.0] * cell.dim)
     order = cell._pattern.order
@@ -273,8 +274,15 @@ def test_compiled_pattern_is_the_ordered_bordered_generator(family, pm,
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, part), getattr(expected, part)), \
                 (x, part)
-        pi_ref, lu_ref = bordered_stationary(D, order)
-        assert pi.tobytes() == pi_ref.tobytes(), x
+        lu_ref = splu(expected, permc_spec="NATURAL",
+                      diag_pivot_thresh=PIVOT_THRESH)
+
+        def solve_ref(b, trans="N"):
+            y = np.empty(b.size)
+            y[order] = lu_ref.solve(b[order], trans)
+            return y
+        first = np.eye(1, D.shape[0])[0]
+        assert pi.tobytes() == solve_ref(first).tobytes(), x
         reward = cell._reward(x)
         assert (lu.solve(reward, trans="T").tobytes()
-                == lu_ref.solve(reward, trans="T").tobytes()), x
+                == solve_ref(reward, trans="T").tobytes()), x

@@ -44,15 +44,11 @@ def test_stationary_routes_agree(n, R, pm):
     assert np.abs(direct - block).sum() < 1e-8
 
 
-@pytest.mark.parametrize("n,R,pm,route", [(4, 3, True, "bordered"),
-                                          (6, 3, False, "bordered"),
-                                          (5, 3, True, "level cycle"),
-                                          (7, 3, True, "level cycle")])
-def test_stationary_direct_picks_its_route_by_state_count(n, R, pm, route,
-                                                          monkeypatch):
-    """Up to LEVEL_CYCLE_STATES states (every n <= 4 chain, and n = 6 with
-    PM off at 2,132) the bordered solve; above, the level cycle (8,276
-    states at n = 5 and 36,180 at n = 7, PM on)."""
+@pytest.mark.parametrize("n,R,pm", [(2, 2, False), (4, 3, True),
+                                    (6, 3, False), (7, 3, True)])
+def test_stationary_direct_takes_the_level_cycle(n, R, pm, monkeypatch):
+    """Every chain takes the level cycle, from the 272 states of n = 2 with
+    PM off to the 36,180 of n = 7 with PM on; no bordered solve is made."""
     gens = assemble_all(example_fleet_config(n, R, pm), validate=False)
     pi, taken = np.zeros(gens.total.shape[0]), []
 
@@ -66,7 +62,35 @@ def test_stationary_direct_picks_its_route_by_state_count(n, R, pm, route,
     monkeypatch.setattr(solvers, "stationary_block",
                         stand_in("level cycle", pi))
     stationary_direct(gens)
-    assert taken == [route]
+    assert taken == ["level cycle"]
+
+
+def _one_level():
+    return assemble_all(example_fleet_config(1, 1, True), validate=False)
+
+
+def _no_layout():
+    return replace(assemble_all(example_fleet_config(2, 2, True),
+                                validate=False), layout=None)
+
+
+def _bare_total():
+    return SimpleNamespace(total=assemble_all(
+        example_fleet_config(2, 2, False), validate=False).total)
+
+
+@pytest.mark.parametrize("make", [_one_level, _no_layout, _bare_total])
+def test_one_level_and_layout_free_chains_take_the_bordered_solve(
+        make, factored, monkeypatch):
+    """At n = 1, and for a generator whose levels are unknown (`layout`
+    None or absent), the level cycle is one bordered solve of D: its pi,
+    bit for bit, and no level block factored."""
+    gens, bordered, solve = make(), [], solvers.bordered_stationary
+    monkeypatch.setattr(solvers, "bordered_stationary",
+                        lambda D: bordered.append(D) or solve(D))
+    pi = stationary_block(gens)
+    assert len(bordered) == 1 and len(factored) == 1
+    assert pi.tobytes() == solve(gens.total)[0].tobytes()
 
 
 @settings(max_examples=30, deadline=None,
