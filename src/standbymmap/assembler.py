@@ -94,7 +94,11 @@ class _Assembly:
                    2: c.preventive.exit_vector[:, None]}
         self.entries: dict[str, list] = {l: [] for l in EVENT_LABELS}
         self._factors = {}  # (shape, dtype, entries) -> factor number
+        # id(factor) -> (factor, number); holding the factor keeps its id
+        # from passing to another array during the assembly
+        self._numbered = {}
         self._blocks = {}   # (op, factor numbers) -> the block's nonzeros
+        self._eyes = {}     # n -> the one n x n identity factor
 
     def heads(self, s: int):
         """(head mark, queue prefix) pairs that split E_s by the head."""
@@ -109,9 +113,15 @@ class _Assembly:
         shock renewal L + L0 gamma while every unit is down."""
         return self.b.H0 if s < k else self.b.shock_renewal
 
+    def eye(self, n: int) -> np.ndarray:
+        """The n x n identity, one object per n in this assembly."""
+        if n not in self._eyes:
+            self._eyes[n] = np.eye(n)
+        return self._eyes[n]
+
     def keep(self, x: str, head) -> np.ndarray:
         """Identity on the clock: the event leaves it running."""
-        return np.eye(self.clock(x, head).shape[0])
+        return self.eye(self.clock(x, head).shape[0])
 
     def place(self, label: str, src: tuple, dst: tuple, *factors, op=kron):
         """Add the block op(*factors) once per queue of src = (k, s, x,
@@ -139,12 +149,21 @@ class _Assembly:
         key = [op]
         for f in factors:
             if op is not kron or f.shape != (1, 1) or f[0, 0] != 1:
-                key.append(self._factors.setdefault(
-                    (f.shape, f.dtype.str, f.tobytes()), len(self._factors)))
+                key.append(self._number(f))
         key = tuple(key)
         if key not in self._blocks:
             self._blocks[key] = _nonzeros(op(*factors))
         return self._blocks[key]
+
+    def _number(self, f: np.ndarray) -> int:
+        """The number of f's content, read off the array object after its
+        first placement."""
+        known = self._numbered.get(id(f))
+        if known is None:
+            number = self._factors.setdefault(
+                (f.shape, f.dtype.str, f.tobytes()), len(self._factors))
+            known = self._numbered[id(f)] = (f, number)
+        return known[1]
 
     def matrix(self, *labels: str) -> sp.csr_matrix:
         """The sum of the labels' generators, built in one pass from their
@@ -163,6 +182,9 @@ class _Assembly:
         (B) sends the online unit to the back of the queue (s -> s + 1).
         Into an empty facility at work it starts service at once."""
         b = self.b
+        # the row of the mark among the queue's marks
+        select = {mark: np.eye(1, len(self.lay.marks), mark - 1)
+                  for mark in self.lay.marks}
         for k, s, x in self.lay.macro_keys():
             if s == k:
                 continue
@@ -176,10 +198,9 @@ class _Assembly:
                     self.place(label, (k, 0, x, ()), (k, 1, x, (mark,)),
                                H, start)
                     continue
-                sel = np.eye(1, len(self.lay.marks), mark - 1)
                 for head, prefix in self.heads(s):
                     self.place(label, (k, s, x, prefix), (k, s + 1, x, prefix),
-                               sel, H, self.keep(x, head))
+                               select[mark], H, self.keep(x, head))
 
     def unit_losses(self):
         """C and CD: a non-repairable failure with k > 1 discards the online
@@ -203,13 +224,14 @@ class _Assembly:
         """D and E: the vacation ends.  With at least N = k - R + 1 units
         waiting the head starts service (D), with fewer a new vacation
         starts at once (E)."""
+        renew = self.V0 @ self.upsilon
         for k, s, x in self.lay.macro_keys():
             if x != "v":
                 continue
-            online = np.eye(len(self.core(k, s)))
+            online = self.eye(len(self.core(k, s)))
             if s < k - self.lay.R + 1:
                 self.place("E", (k, s, x, ()), (k, s, x, ()),
-                           online, self.V0 @ self.upsilon)
+                           online, renew)
                 continue
             for head, prefix in self.heads(s):
                 self.place("D", (k, s, x, prefix), (k, s, "nv", prefix),
@@ -223,7 +245,7 @@ class _Assembly:
         for k, s, x in self.lay.macro_keys():
             if x != "nv" or s == 0:
                 continue
-            G = np.eye(len(self.b.H0)) if s < k else self.b.theta
+            G = self.eye(len(self.b.H0)) if s < k else self.b.theta
             for head, prefix in self.heads(s):
                 if s == k - self.lay.R + 1:
                     self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),

@@ -5,10 +5,14 @@ semantics (failures, shocks, damage, inspections, vacations, services),
 without touching the assembled generator matrices.  For every visited state
 the full outcome distribution -- rates, successor states and event labels --
 is expanded once and cached, so the jump loop is a bisect over cumulative
-probabilities and long horizons stay cheap.  Each jump only adds its dwell
-time to the row it leaves; availability, occupancy and reward are folded
-from those per-row totals once per batch, in state order, and fixed costs
-are charged from the batch's event counts.
+probabilities and long horizons stay cheap.  The loop only walks: each
+draw picks an outcome of the current row and records that outcome's key,
+the row's cache index and the event code packed in one int.  Once per span
+of draws numpy turns the keys into dwell times, finds the batch end, adds
+each dwell to its row's batch total in visit order and counts the events.
+Availability, occupancy and reward are folded from the per-row totals once
+per batch, in state order, and fixed costs are charged from the batch's
+event counts.
 
 Estimates carry standard errors from batch means (BATCHES = 20 batches
 per replication); replication r uses seed + r.
@@ -40,7 +44,12 @@ RATE_GROUPS = {
 }
 
 _CHUNK = 1 << 14
+_SPAN = 1 << 11         # draws walked before numpy folds them
 BATCHES = 20
+
+# a walk key is row index * _CODES + event code; the last code is no event
+_CODE = {e: c for c, e in enumerate((*EVENT_NAMES, None))}
+_CODES = len(_CODE)
 
 
 class SimulationError(RuntimeError):
@@ -91,21 +100,29 @@ class SimReport:
 
 
 class _Row:
-    """Cached transition row of one state."""
+    """Cached transition row of one state, the index-th one cached.
 
-    __slots__ = ("total", "cum", "targets", "events", "rows",
-                 "up", "occ_key", "reward", "time")
+    Per outcome: the cumulative probability, the target state, the event
+    label, the walk key and the successor row (linked on first use).
+    """
 
-    def __init__(self, total, cum, targets, events, up, occ_key, reward):
+    __slots__ = ("index", "total", "cum", "targets", "events", "keys",
+                 "rows", "up", "occ_key", "reward")
+
+    def __init__(self, index, total, cum, targets, events, up, occ_key,
+                 reward):
+        self.index = index
         self.total = total
         self.cum = cum
         self.targets = targets
         self.events = events
+        # one int object per distinct key, shared by the outcomes
+        key = {ev: index * _CODES + _CODE[ev] for ev in set(events)}
+        self.keys = [key[ev] for ev in events]
         self.rows = [None] * len(targets)
         self.up = up
         self.occ_key = occ_key
         self.reward = reward
-        self.time = 0.0         # dwell in the current batch, not yet folded
 
 
 def _support(vec):
@@ -138,6 +155,7 @@ class FleetSimulator:
     def __init__(self, config: ModelConfig):
         self.c = c = config
         self._rows: dict = {}
+        self._cached: list = []     # rows by cache index
         self._order: list = []      # (state order, row), kept sorted
         self.N = {k: max(k - c.vacation_threshold + 1, 0)
                   for k in range(1, c.units + 1)}
@@ -285,7 +303,8 @@ class FleetSimulator:
     def row(self, st: SimState) -> _Row:
         cached = self._rows.get(st)
         if cached is None:
-            cached = self._rows[st] = self._build_row(st)
+            cached = self._rows[st] = self._build_row(st, len(self._cached))
+            self._cached.append(cached)
             bisect.insort(self._order, (_state_order(st), cached))
         return cached
 
@@ -319,7 +338,7 @@ class FleetSimulator:
                              lambda: self._service_outcomes(st))]))
         return clocks
 
-    def _build_row(self, st: SimState) -> _Row:
+    def _build_row(self, st: SimState, index: int) -> _Row:
         entries = []
         for field, subgen, exits in self._clocks(st):
             phase = getattr(st, field)
@@ -342,7 +361,7 @@ class FleetSimulator:
             if ev == "F" and nxt.s != self.N[nxt.k] - 1:
                 raise SimulationError("vacation start does not leave N - 1 "
                                       "units in the facility")
-        return _Row(total, (np.cumsum(rates) / total).tolist(), targets,
+        return _Row(index, total, (np.cumsum(rates) / total).tolist(), targets,
                     events, st.s < st.k,
                     (st.k, st.s, "v" if st.on_vacation else "nv"),
                     self._reward_rate(st))
@@ -364,55 +383,89 @@ class FleetSimulator:
     # -- trajectory -----------------------------------------------------------
 
     def run(self, horizon: float, rng) -> list:
-        """One replication: per-batch time-averages over [0, horizon]."""
+        """One replication: per-batch time-averages over [0, horizon].
+
+        The walk follows a span of draws ahead of the batch clock; numpy
+        then repeats the per-jump arithmetic on the span, remaining -= dwell
+        by subtract.accumulate and the per-row sums by add.at in visit
+        order.  A batch ends mid-sojourn at the first draw whose dwell
+        reaches the remaining time: that draw is consumed, its outcome
+        not taken, and the steps walked past it are dropped; the next
+        batch resumes from the same row at the next draw.
+        """
         per = horizon / BATCHES
+        bisect_right = bisect.bisect
         row = self.row(self.initial_state(rng))
-        exps = memoryview(rng.standard_exponential(_CHUNK))
-        unis = memoryview(rng.random(_CHUNK))
-        ptr = 0
+        total = np.zeros(0)         # exit rate by cache index
+        ptr = _CHUNK
         out = []
         for _ in range(BATCHES):
             remaining = per
-            counts = dict.fromkeys(EVENT_NAMES, 0)
+            time = np.zeros(total.size)     # batch dwell by cache index
+            counts = np.zeros(_CODES, dtype=np.int64)
             while True:
                 if ptr == _CHUNK:
-                    exps = memoryview(rng.standard_exponential(_CHUNK))
-                    unis = memoryview(rng.random(_CHUNK))
+                    exps = rng.standard_exponential(_CHUNK)
+                    unis = rng.random(_CHUNK)
                     ptr = 0
-                dwell = exps[ptr] / row.total
-                if dwell >= remaining:
-                    # batch ends mid-sojourn; the residual is memoryless
-                    row.time += remaining
-                    ptr += 1
+                end = min(ptr + _SPAN, _CHUNK)
+                walked = []
+                step = walked.append
+                r = row
+                for u in unis[ptr:end].tolist():
+                    idx = bisect_right(r.cum, u)
+                    step(r.keys[idx])
+                    nxt = r.rows[idx]
+                    if nxt is None:
+                        nxt = r.rows[idx] = self.row(r.targets[idx])
+                    r = nxt
+                if total.size < len(self._cached):
+                    added = self._cached[total.size:]
+                    total = np.concatenate((total, [a.total for a in added]))
+                    time = np.concatenate((time, np.zeros(len(added))))
+                keys = np.fromiter(walked, np.int64, len(walked))
+                src = keys // _CODES
+                left = np.empty(keys.size + 1)
+                left[0] = remaining
+                dwell = left[1:]
+                np.divide(exps[ptr:end], total[src], out=dwell)
+                # left[i]: the batch time left when draw ptr + i comes
+                left = np.subtract.accumulate(left)
+                hit = dwell >= left[:-1]
+                stop = int(hit.argmax())
+                ends = bool(hit[stop])
+                if not ends:
+                    stop = keys.size
+                np.add.at(time, src[:stop], dwell[:stop])
+                counts += np.bincount(keys[:stop] % _CODES, minlength=_CODES)
+                if ends:
+                    # the residual sojourn is memoryless
+                    time[src[stop]] += left[stop]
+                    row = self._cached[src[stop]]
+                    ptr += stop + 1
                     break
-                row.time += dwell
-                remaining -= dwell
-                idx = bisect.bisect(row.cum, unis[ptr])
-                ptr += 1
-                ev = row.events[idx]
-                if ev is not None:
-                    counts[ev] += 1
-                nxt = row.rows[idx]
-                if nxt is None:
-                    nxt = self.row(row.targets[idx])
-                    row.rows[idx] = nxt
-                row = nxt
-            out.append(self._fold(per, counts))
+                remaining = left[-1]
+                row = r
+                ptr = end
+            # zip drops the last code, no event
+            out.append(self._fold(per, time,
+                                  dict(zip(EVENT_NAMES, counts.tolist()))))
         return out
 
-    def _fold(self, per: float, counts: dict) -> dict:
-        """Batch time-averages from the dwell times the rows collected.
+    def _fold(self, per: float, time, counts: dict) -> dict:
+        """Batch time-averages from the batch's dwell time per row.
 
-        Rows are summed in state order, never in cache order, so a run
-        gives the same figures whatever earlier runs left in the cache.
-        Each row's dwell time is reset for the next batch.
+        time[i] is the batch dwell of the row with cache index i, summed
+        in visit order.  Rows are folded in state order, never in cache
+        order, so a run gives the same figures whatever earlier runs left
+        in the cache.
         """
+        times = time.tolist()
         up = reward = 0.0
         occ: dict = {}
         for _, row in self._order:
-            t = row.time
+            t = times[row.index]
             if t:
-                row.time = 0.0
                 if row.up:
                     up += t
                 occ[row.occ_key] = occ.get(row.occ_key, 0.0) + t

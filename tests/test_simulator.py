@@ -5,13 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from standbymmap import simulator
 from standbymmap.assembler import assemble_all
 from standbymmap.simulator import FleetSimulator, simulate, validate
 from standbymmap.statespace import enumerate_states
 
 from example_model import example_fleet_config
-from simstates import global_index, sim_state_of
+from random_models import small_models
+from simstates import global_index, reference_run, sim_state_of
 
 
 @pytest.mark.parametrize("n,R", [(2, 1), (2, 2)])
@@ -118,6 +121,41 @@ def test_each_batch_folds_exactly_its_own_time():
         assert sum(occ.values()) == pytest.approx(1.0, abs=1e-12)
         up = sum(v for (k, s, _), v in occ.items() if s < k)
         assert batch["up"] == pytest.approx(up, abs=1e-12)
+
+
+def assert_walk_matches_reference(config, horizon, seed):
+    """The span walk gives the per-jump loop's batches, bit for bit."""
+    walked = FleetSimulator(config).run(horizon, np.random.default_rng(seed))
+    stepped = reference_run(FleetSimulator(config), horizon,
+                            np.random.default_rng(seed))
+    assert walked == stepped
+
+
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("horizon", [
+    1e-3,       # every batch ends inside its first sojourn
+    2e4,
+    1e5,        # about 93k draws: six chunks
+])
+def test_walk_matches_the_per_jump_loop(pm, horizon):
+    assert_walk_matches_reference(example_fleet_config(pm_enabled=pm),
+                                  horizon, seed=5)
+
+
+@pytest.mark.parametrize("span", [1, 3])
+def test_walk_matches_the_per_jump_loop_with_batch_ends_on_span_edges(
+        monkeypatch, span):
+    """With spans of one or three draws many batch ends fall on the first
+    or last draw of a span."""
+    monkeypatch.setattr(simulator, "_SPAN", span)
+    assert_walk_matches_reference(example_fleet_config(), 2e3, seed=7)
+    assert_walk_matches_reference(example_fleet_config(2, 1), 1e-2, seed=7)
+
+
+@settings(max_examples=6, deadline=None)
+@given(small_models(), st.integers(0, 2**32 - 1))
+def test_walk_matches_the_per_jump_loop_on_random_models(config, seed):
+    assert_walk_matches_reference(config, 2e3, seed)
 
 
 def test_no_nonrepairable_channel_means_no_renewals():
