@@ -98,7 +98,7 @@ class _Assembly:
         # from passing to another array during the assembly
         self._numbered = {}
         self._blocks = {}   # (op, factor numbers) -> the block's nonzeros
-        self._eyes = {}     # n -> the one n x n identity factor
+        self._eyes = {}
 
     def heads(self, s: int):
         """(head mark, queue prefix) pairs that split E_s by the head."""
@@ -182,7 +182,6 @@ class _Assembly:
         (B) sends the online unit to the back of the queue (s -> s + 1).
         Into an empty facility at work it starts service at once."""
         b = self.b
-        # the row of the mark among the queue's marks
         select = {mark: np.eye(1, len(self.lay.marks), mark - 1)
                   for mark in self.lay.marks}
         for k, s, x in self.lay.macro_keys():

@@ -391,13 +391,17 @@ class FleetSimulator:
         order.  A batch ends mid-sojourn at the first draw whose dwell
         reaches the remaining time: that draw is consumed, its outcome
         not taken, and the steps walked past it are dropped; the next
-        batch resumes from the same row at the next draw.
+        batch resumes from the same row at the next draw.  So that few
+        steps are dropped, a span is cut to the draws the batch is
+        expected to have left, at the run's draws per unit time so far.
         """
         per = horizon / BATCHES
         bisect_right = bisect.bisect
         row = self.row(self.initial_state(rng))
         total = np.zeros(0)         # exit rate by cache index
         ptr = _CHUNK
+        # the run's draws per unit time, seeded by the first row's exit rate
+        drawn, elapsed = 1, 1.0 / row.total
         out = []
         for _ in range(BATCHES):
             remaining = per
@@ -408,7 +412,11 @@ class FleetSimulator:
                     exps = rng.standard_exponential(_CHUNK)
                     unis = rng.random(_CHUNK)
                     ptr = 0
-                end = min(ptr + _SPAN, _CHUNK)
+                # the draws the batch is expected to have left, one Poisson
+                # deviation and 16 more
+                want = remaining * drawn / elapsed
+                want += math.sqrt(want) + 16.0
+                end = min(ptr + int(min(want, _SPAN)), _CHUNK)
                 walked = []
                 step = walked.append
                 r = row
@@ -443,7 +451,11 @@ class FleetSimulator:
                     time[src[stop]] += left[stop]
                     row = self._cached[src[stop]]
                     ptr += stop + 1
+                    drawn += stop + 1
+                    elapsed += remaining
                     break
+                drawn += keys.size
+                elapsed += remaining - left[-1]
                 remaining = left[-1]
                 row = r
                 ptr = end

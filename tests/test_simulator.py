@@ -142,6 +142,17 @@ def test_walk_matches_the_per_jump_loop(pm, horizon):
                                   horizon, seed=5)
 
 
+def test_walk_builds_few_rows_past_the_batch_ends():
+    """Spans are cut to the draws a batch is expected to have left, so at
+    a horizon of about 100 draws a batch the walk builds nearly only the
+    rows the per-jump loop visits."""
+    walked, stepped = (FleetSimulator(example_fleet_config())
+                       for _ in range(2))
+    walked.run(2e3, np.random.default_rng(5))
+    reference_run(stepped, 2e3, np.random.default_rng(5))
+    assert len(stepped._rows) <= len(walked._rows) <= 1.1 * len(stepped._rows)
+
+
 @pytest.mark.parametrize("span", [1, 3])
 def test_walk_matches_the_per_jump_loop_with_batch_ends_on_span_edges(
         monkeypatch, span):
