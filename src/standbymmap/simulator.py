@@ -4,15 +4,22 @@ Simulates the fleet as a phase-level CTMC built directly from the event
 semantics (failures, shocks, damage, inspections, vacations, services),
 without touching the assembled generator matrices.  For every visited state
 the full outcome distribution -- rates, successor states and event labels --
-is expanded once and cached, so the jump loop is a bisect over cumulative
-probabilities and long horizons stay cheap.  The loop only walks: each
-draw picks an outcome of the current row and records that outcome's key,
-the row's cache index and the event code packed in one int.  Once per span
-of draws numpy turns the keys into dwell times, finds the batch end, adds
-each dwell to its row's batch total in visit order and counts the events.
-Availability, occupancy and reward are folded from the per-row totals once
-per batch, in state order, and fixed costs are charged from the batch's
-event counts.
+is built once and cached, so the jump loop is a bisect over cumulative
+probabilities and long horizons stay cheap.  A row is built from outcome
+templates: each clock exit's outcomes are expanded once per macro-state,
+with the phases the exit neither reads nor sets masked, and applied to
+every state that shares them; each distinct target is checked once.  The
+rates are the same products, summed in the same order, as a per-state
+expansion gives.
+
+The loop only walks: each draw picks an outcome of the current row and
+records that outcome's key, the row's cache index and the event code
+packed in one int.  Once per span of draws numpy turns the keys into dwell
+times, finds the batch end, adds each dwell to its row's batch total in
+visit order and counts the events.  Availability, occupancy and reward are
+folded by numpy from the per-row totals at the end of the run, batch by
+batch, in state order, and fixed costs are charged from each batch's event
+counts.
 
 Estimates carry standard errors from batch means (BATCHES = 20 batches
 per replication); replication r uses seed + r.
@@ -22,6 +29,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, product
 from typing import NamedTuple
 
 import numpy as np
@@ -129,16 +137,84 @@ def _support(vec):
     return [(float(p), i) for i, p in enumerate(np.ravel(vec)) if p > 0.0]
 
 
-def _scale(weight, outcomes):
-    return [(weight * p, nxt, ev) for p, nxt, ev in outcomes]
-
-
 def _spread(label, st, onlines, clocks, **fields):
     """Online phases x new clock: st with (internal, damage, inspection)
     drawn from onlines, clock from clocks and the given fields set."""
     return [(po * pc, st._replace(internal=i, damage=h, inspection=u,
                                   clock=w, **fields), label)
             for po, (i, h, u) in onlines for pc, w in clocks]
+
+
+def _moves(ph) -> list:
+    """Per phase of a PH clock: the (rate, (new phase,)) of each move that
+    stays inside the clock."""
+    return [[(q, (p2,)) for p2, q in enumerate(row) if p2 != p and q > 0]
+            for p, row in enumerate(ph.subgen.tolist())]
+
+
+def _pairwise_sum(vals) -> float:
+    """vals summed in the order of numpy's float64 add.reduce (eight
+    running sums per block of up to 128, halves above), so that a row's
+    total is np.sum of its rates, bit for bit."""
+    n = len(vals)
+    if n < 8:
+        res = -0.0
+        for v in vals:
+            res += v
+        return res
+    if n <= 128:
+        r = vals[:8]
+        stop = n - n % 8
+        for b in range(8, stop, 8):
+            r = [x + y for x, y in zip(r, vals[b:b + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in vals[stop:]:
+            res += v
+        return res
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(vals[:half]) + _pairwise_sum(vals[half:])
+
+
+def _move(st, field, moves, out):
+    """Append the moves of the clock in st's field to out's lists."""
+    rates, targets, events = out
+    head, tail = st[:field], st[field + 1:]
+    for q, phase in moves:
+        rates.append(q)
+        targets.append(tuple.__new__(SimState, head + phase + tail))
+        events.append(None)
+
+
+def _apply(st, rate, template, out):
+    """Append a clock exit's outcomes, at rate times the template's
+    probabilities, to out's lists (see FleetSimulator._template)."""
+    if rate > 0:
+        rates, targets, events = out
+        for p, label, head, start, stop, tail in template:
+            rates.append(rate * p)
+            targets.append(tuple.__new__(SimState,
+                                         head + st[start:stop] + tail))
+            events.append(label)
+
+
+def _shock_exit(st, rate, pattern, templates, out):
+    """Append the shock clock's exit to out's lists: the pattern of st's
+    online phases (see FleetSimulator._shock_pattern) over the templates
+    of st's macro-state, which copy only the shock phase."""
+    if rate > 0:
+        rates, targets, events = out
+        head, tail = st[:4], st[7:]
+        for weight, builder, fields in pattern:
+            if builder is None:
+                rates.append(rate * weight)
+                targets.append(tuple.__new__(SimState, head + fields + tail))
+                events.append(None)
+                continue
+            for p, label, before, _, _, after in templates[builder]:
+                rates.append(rate * (weight * p))
+                targets.append(tuple.__new__(SimState,
+                                             before + fields + after))
+                events.append(label)
 
 
 _DOWN = [(1.0, (None, None, None))]     # no unit online
@@ -157,9 +233,15 @@ class FleetSimulator:
         self._rows: dict = {}
         self._cached: list = []     # rows by cache index
         self._order: list = []      # (state order, row), kept sorted
+        self._by_state = None       # _order as arrays, see _state_arrays
+        self._valid: dict = {}      # target that passed assert_valid -> the
+                                    # one object the rows share
+        self._templates: dict = {}  # (builder, masked state) -> template
+        # one marker per field: a masked field, copied from the state a
+        # template is applied to
+        self._keep = tuple(object() for _ in SimState._fields)
         self.N = {k: max(k - c.vacation_threshold + 1, 0)
                   for k in range(1, c.units + 1)}
-        self.S = (None, c.corrective, c.preventive)
         self._alpha = _support(c.internal.init)
         self._gamma = _support(c.shock.init)
         self._omega = _support(c.damage_init)
@@ -171,7 +253,23 @@ class FleetSimulator:
                        for pi, i in self._alpha
                        for ph, h in self._omega
                        for pu, u in self._eta]
+        # each clock's moves and exit rates by phase, read once
+        self._internal = (_moves(c.internal),
+                          c.internal_exit_repairable.tolist(),
+                          c.internal_exit_nonrepairable.tolist())
+        self._inspection, self._shock, self._vacation = (
+            (_moves(ph), ph.exit_vector.tolist())
+            for ph in (c.inspection, c.shock, c.vacation))
+        self._service = (None,
+                         *((_moves(ph), ph.exit_vector.tolist())
+                           for ph in (c.corrective, c.preventive)))
+        self._shock_patterns = {
+            (i, h): self._shock_pattern(i, h)
+            for i, h in [(None, None), *product(range(c.m), range(c.d))]}
         costs = c.costs
+        self._phase_costs = (costs.operational.tolist(), costs.damage.tolist(),
+                             (None, costs.corrective.tolist(),
+                              costs.preventive.tolist()))
         self._event_costs = {
             "A": costs.repairable_fixed, "B": costs.inspection_fixed,
             "NS": c.units * costs.new_unit,
@@ -214,7 +312,8 @@ class FleetSimulator:
             raise SimulationError(f"invalid simulator state {st}")
 
     # -- event outcome distributions -------------------------------------
-    # each builder returns a list of (probability, state, event-label)
+    # each builder returns a list of (probability, state, event-label); it
+    # runs once per template, on a state whose unread fields are masked
 
     def _to_queue(self, st: SimState, mark: int, label: str):
         s = st.s + 1
@@ -223,6 +322,9 @@ class FleetSimulator:
                   else [(1.0, st.clock)])
         return _spread(label, st, online, clocks,
                        s=s, queue=st.queue + (mark,))
+
+    def _repairable_failure(self, st: SimState):
+        return self._to_queue(st, 1, "A")
 
     def _drop_unit(self, st: SimState):
         """The online unit is lost for good (shock phase already resolved)."""
@@ -239,45 +341,46 @@ class FleetSimulator:
                            k=k, on_vacation=False)
         return _spread("C", st, online, [(1.0, st.clock)], k=k)
 
-    def _shock_outcomes(self, st: SimState):
-        """Shock arrival: clock renews, then total failure / damage / effect."""
+    def _shock_pattern(self, i, h):
+        """Shock arrival with the online unit in internal phase i and damage
+        phase h (None when no unit is online): the clock renews, then
+        total failure / damage / effect.  Each item is (probability,
+        builder, fields): with no builder, the target is the state with
+        (internal, shock, damage) set to fields; else each outcome of the
+        builder's template, at its probability times this one, with the
+        shock phase set to fields[0]."""
         c = self.c
+        w0 = float(c.total_failure_prob)
         out = []
         for pg, j2 in self._gamma:
-            renewed = st._replace(shock=j2)
-            if st.s == st.k:
+            if i is None:
                 # no unit online to harm: phase renewal only
-                out.append((pg, renewed, None))
+                out.append((pg, None, (None, j2, None)))
                 continue
-            w0 = c.total_failure_prob
             if w0 > 0:
-                out += _scale(pg * w0, self._drop_unit(renewed))
+                out.append((pg * w0, "_drop_unit", (j2,)))
             rest = pg * (1.0 - w0)
             if rest == 0:
                 continue
-            h = st.damage
-            if c.damage_exit[h] > 0:
-                out += _scale(rest * c.damage_exit[h],
-                              self._drop_unit(renewed))
+            damage_exit = float(c.damage_exit[h])
+            if damage_exit > 0:
+                out.append((rest * damage_exit, "_drop_unit", (j2,)))
+            effects = _support(c.shock_effect[i])
+            pr = float(c.shock_repairable[i])
+            pnr = float(c.shock_nonrepairable[i])
             for ph, h2 in _support(c.damage_matrix[h]):
-                moved = renewed._replace(damage=h2)
                 base = rest * ph
-                for pw, i2 in _support(c.shock_effect[st.internal]):
-                    out.append((base * pw, moved._replace(internal=i2), None))
-                pr = c.shock_repairable[st.internal]
+                out += [(base * pw, None, (i2, j2, h2)) for pw, i2 in effects]
                 if pr > 0:
-                    out += _scale(base * pr, self._to_queue(moved, 1, "A"))
-                pnr = c.shock_nonrepairable[st.internal]
+                    out.append((base * pr, "_repairable_failure", (j2,)))
                 if pnr > 0:
-                    out += _scale(base * pnr, self._drop_unit(moved))
+                    out.append((base * pnr, "_drop_unit", (j2,)))
         return out
 
-    def _inspection_outcomes(self, st: SimState):
-        c = self.c
-        major = (st.internal >= c.minor_internal
-                 or st.damage >= c.minor_damage)
-        if major and c.pm_enabled:
-            return self._to_queue(st, 2, "B")
+    def _major_inspection(self, st: SimState):
+        return self._to_queue(st, 2, "B")
+
+    def _minor_inspection(self, st: SimState):
         return [(pe, st._replace(inspection=u2), None) for pe, u2 in self._eta]
 
     def _service_outcomes(self, st: SimState):
@@ -308,76 +411,107 @@ class FleetSimulator:
             bisect.insort(self._order, (_state_order(st), cached))
         return cached
 
-    def _clocks(self, st: SimState) -> list:
-        """(field, sub-generator, [(exit rate, outcome builder)]) of each
-        running clock; the order fixes the cumulative row."""
-        c = self.c
-        clocks = []
-        if st.s < st.k:
-            i, u = st.internal, st.inspection
-            clocks += [
-                ("internal", c.internal.subgen,
-                 [(c.internal_exit_repairable[i],
-                   lambda: self._to_queue(st, 1, "A")),
-                  (c.internal_exit_nonrepairable[i],
-                   lambda: self._drop_unit(st))]),
-                ("inspection", c.inspection.subgen,
-                 [(c.inspection.exit_vector[u],
-                   lambda: self._inspection_outcomes(st))])]
-        clocks.append(("shock", c.shock.subgen,
-                       [(c.shock.exit_vector[st.shock],
-                         lambda: self._shock_outcomes(st))]))
-        if st.on_vacation:
-            clocks.append(("clock", c.vacation.subgen,
-                           [(c.vacation.exit_vector[st.clock],
-                             lambda: self._vacation_outcomes(st))]))
-        elif st.s >= 1:
-            S = self.S[st.queue[0]]
-            clocks.append(("clock", S.subgen,
-                           [(S.exit_vector[st.clock],
-                             lambda: self._service_outcomes(st))]))
-        return clocks
+    def _template(self, builder: str, masked: tuple) -> list:
+        """The outcomes the builder gives on the masked state, kept per
+        (builder, masked), each as (probability, label, head, start, stop,
+        tail): applied to a state st, the target is head + st[start:stop]
+        + tail.  The masked fields a builder copies form one run."""
+        template = self._templates.get((builder, masked))
+        if template is None:
+            keep = self._keep
+            template = []
+            for p, target, label in getattr(self, builder)(
+                    SimState._make(masked)):
+                kept = [f for f, v in enumerate(target) if v is keep[f]]
+                start = kept[0] if kept else 0
+                stop = start + len(kept)
+                assert kept == list(range(start, stop)), (builder, masked)
+                template.append((p, label, target[:start], start, stop,
+                                 target[stop:]))
+            self._templates[builder, masked] = template
+        return template
 
     def _build_row(self, st: SimState, index: int) -> _Row:
-        entries = []
-        for field, subgen, exits in self._clocks(st):
-            phase = getattr(st, field)
-            entries += [(q, st._replace(**{field: p2}), None)
-                        for p2, q in enumerate(subgen[phase])
-                        if p2 != phase and q > 0]
-            for rate, outcomes in exits:
-                if rate > 0:
-                    entries += _scale(rate, outcomes())
-        rates, targets, events = zip(*entries)
-        rates = np.array(rates)
-        total = float(rates.sum())
+        """The row of st: each running clock's moves, then its exits.
+
+        Clocks come in a fixed order (internal, inspection, shock, then
+        vacation or service), and each rate is the product the event
+        semantics give, in the same order.  An exit's outcomes come from a
+        template kept per builder and masked state (st with the fields
+        the builder neither reads nor sets masked), so states that differ
+        only there share it; the shock exit is a pattern per online phase
+        over such templates.  Each distinct target is checked once per
+        simulator and kept as one object; the pathwise event identities
+        are checked on every edge.
+        """
+        c = self.c
+        k, s, queue, vacation, i, j, h, u, w = st
+        keep = self._keep
+        out = [], [], []        # rates, targets, events
+        templates = {}          # the shock exit's, by builder
+        if s < k:
+            # st with the online and shock phases masked
+            macro = (k, s, queue, vacation, *keep[4:8], w)
+            templates = {builder: self._template(builder, macro) for builder
+                         in ("_repairable_failure", "_drop_unit")}
+            moves, repairable, nonrepairable = self._internal
+            _move(st, 4, moves[i], out)
+            _apply(st, repairable[i], templates["_repairable_failure"], out)
+            _apply(st, nonrepairable[i], templates["_drop_unit"], out)
+            moves, exits = self._inspection
+            _move(st, 7, moves[u], out)
+            major = i >= c.minor_internal or h >= c.minor_damage
+            _apply(st, exits[u], self._template(
+                "_major_inspection" if major and c.pm_enabled
+                else "_minor_inspection", macro), out)
+        moves, exits = self._shock
+        _move(st, 5, moves[j], out)
+        _shock_exit(st, exits[j], self._shock_patterns[i, h], templates, out)
+        if vacation or s >= 1:
+            if vacation:
+                (moves, exits), builder = self._vacation, "_vacation_outcomes"
+            else:
+                (moves, exits), builder = (self._service[queue[0]],
+                                           "_service_outcomes")
+            _move(st, 8, moves[w], out)
+            # the vacation and service builders set the clock phase
+            _apply(st, exits[w], self._template(
+                builder, (k, s, queue, vacation, *keep[4:])), out)
+        rates, targets, events = out
+        total = _pairwise_sum(rates)
         if total <= 0:
             raise SimulationError(f"absorbing simulator state {st}")
-        for nxt, ev in zip(targets, events):
-            self.assert_valid(nxt)
+        valid = self._valid
+        for n, (nxt, ev) in enumerate(zip(targets, events)):
+            known = valid.get(nxt)
+            if known is None:
+                self.assert_valid(nxt)
+                valid[nxt] = nxt
+            else:
+                targets[n] = known
             # pathwise event identities
-            if ev == "NS" and st.k != 1:
+            if ev == "NS" and k != 1:
                 raise SimulationError("fleet renewal not preceded by k = 1")
             if ev == "F" and nxt.s != self.N[nxt.k] - 1:
                 raise SimulationError("vacation start does not leave N - 1 "
                                       "units in the facility")
-        return _Row(index, total, (np.cumsum(rates) / total).tolist(), targets,
-                    events, st.s < st.k,
-                    (st.k, st.s, "v" if st.on_vacation else "nv"),
-                    self._reward_rate(st))
+        return _Row(index, total, [r / total for r in accumulate(rates)],
+                    tuple(targets), tuple(events), s < k,
+                    (k, s, "v" if vacation else "nv"), self._reward_rate(st))
 
     # -- reward accounting -------------------------------------------------
 
     def _reward_rate(self, st: SimState) -> float:
         c = self.c.costs
+        operational, damage, service = self._phase_costs
         presence = c.vacation if st.on_vacation else c.repair_present
         if st.s == st.k:
             rate = -(c.downtime_loss + presence)
         else:
             rate = (c.gross_profit - presence
-                    - c.operational[st.internal] - c.damage[st.damage])
+                    - operational[st.internal] - damage[st.damage])
         if not st.on_vacation and st.s >= 1:
-            rate -= (None, c.corrective, c.preventive)[st.queue[0]][st.clock]
+            rate -= service[st.queue[0]][st.clock]
         return float(rate)
 
     # -- trajectory -----------------------------------------------------------
@@ -394,6 +528,9 @@ class FleetSimulator:
         batch resumes from the same row at the next draw.  So that few
         steps are dropped, a span is cut to the draws the batch is
         expected to have left, at the run's draws per unit time so far.
+        The batches are folded at the end of the run, when each row the
+        run reached is cached; a row first cached after a batch has no
+        time in it.
         """
         per = horizon / BATCHES
         bisect_right = bisect.bisect
@@ -402,7 +539,7 @@ class FleetSimulator:
         ptr = _CHUNK
         # the run's draws per unit time, seeded by the first row's exit rate
         drawn, elapsed = 1, 1.0 / row.total
-        out = []
+        batches = []
         for _ in range(BATCHES):
             remaining = per
             time = np.zeros(total.size)     # batch dwell by cache index
@@ -460,9 +597,26 @@ class FleetSimulator:
                 row = r
                 ptr = end
             # zip drops the last code, no event
-            out.append(self._fold(per, time,
-                                  dict(zip(EVENT_NAMES, counts.tolist()))))
-        return out
+            batches.append((time, counts))
+        # zip drops the last code, no event
+        return [self._fold(per, time, dict(zip(EVENT_NAMES, counts.tolist())))
+                for time, counts in batches]
+
+    def _state_arrays(self) -> tuple:
+        """The cached rows in state order as arrays: cache index, and with
+        a leading place that reads 0.0, the positions of the up rows, the
+        reward rates and the occupancy slots.  Rebuilt only when rows
+        were added."""
+        if self._by_state is None or self._by_state[0].size < len(self._order):
+            rows = [row for _, row in self._order]
+            slots: dict = {}
+            self._by_state = (
+                np.array([row.index for row in rows]),
+                np.array([0] + [p for p, row in enumerate(rows, 1) if row.up]),
+                np.array([0.0] + [row.reward for row in rows]),
+                np.array([0] + [slots.setdefault(row.occ_key, len(slots))
+                                for row in rows]))
+        return self._by_state
 
     def _fold(self, per: float, time, counts: dict) -> dict:
         """Batch time-averages from the batch's dwell time per row.
@@ -470,22 +624,29 @@ class FleetSimulator:
         time[i] is the batch dwell of the row with cache index i, summed
         in visit order.  Rows are folded in state order, never in cache
         order, so a run gives the same figures whatever earlier runs left
-        in the cache.
+        in the cache.  Each sum runs left to right from 0.0, by cumsum
+        for the up time and the reward and by add.at into one slot per
+        occupancy key; a row with no time adds an exact zero.  The
+        occupancy keys come in the state order of their first row with
+        time, and a key none of whose rows has time is left out.
         """
-        times = time.tolist()
-        up = reward = 0.0
-        occ: dict = {}
-        for _, row in self._order:
-            t = times[row.index]
-            if t:
-                if row.up:
-                    up += t
-                occ[row.occ_key] = occ.get(row.occ_key, 0.0) + t
-                reward += t * row.reward
+        index, up_at, rewards, slots = self._state_arrays()
+        # rows first cached after the batch have no time in it
+        dwell = np.zeros(index.size)
+        dwell[:time.size] = time
+        t = np.concatenate(([0.0], dwell[index]))
+        occ = np.zeros(t.size)
+        np.add.at(occ, slots, t)
+        timed = np.flatnonzero(t)
+        # each timed key at its first row with time
+        first = timed[np.sort(np.unique(slots[timed], return_index=True)[1])]
+        up = float(np.cumsum(t[up_at])[-1])
+        reward = float(np.cumsum(t * rewards)[-1])
         fixed = sum(counts[e] * cost for e, cost in self._event_costs.items())
         return {
             "up": up / per,
-            "occ": {key: val / per for key, val in occ.items()},
+            "occ": {self._cached[index[p - 1]].occ_key: val / per for p, val
+                    in zip(first.tolist(), occ[slots[first]].tolist())},
             "counts": {e: counts[e] / per for e in EVENT_NAMES},
             "profit": (reward - fixed) / per,
         }

@@ -17,7 +17,6 @@ than the bundled one.
 
 from collections import deque
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -27,27 +26,15 @@ from hypothesis import HealthCheck, Phase, given, settings
 from standbymmap.assembler import ARRIVAL_LABELS, EVENT_LABELS, assemble_all
 from standbymmap.economics import build_nc, build_nr, event_costs
 from standbymmap.ph import PhDistribution, renewal_stationary
-from standbymmap.simulator import FleetSimulator, SimState
+from standbymmap.simulator import FleetSimulator
 from standbymmap.solvers import initial_distribution
 from standbymmap.statespace import enumerate_states
 
 from example_model import example_fleet_config
 from random_models import small_models
-from simstates import global_index
+from simstates import global_index, initial_states
 
 ATOL = 1e-12
-
-
-def initial_states(config):
-    """Support of FleetSimulator.initial_state: a fresh fleet on vacation."""
-    def support(vec):
-        return np.flatnonzero(np.asarray(vec) > 0).tolist()
-    return [SimState(config.units, 0, (), True, i, j, h, u, w)
-            for i, j, h, u, w in product(
-                support(config.internal.init),
-                support(renewal_stationary(config.shock)),
-                support(config.damage_init), support(config.inspection.init),
-                support(config.vacation.init))]
 
 
 def simulator_generators(sim, layout):

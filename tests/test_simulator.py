@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from standbymmap import simulator
 from standbymmap.assembler import assemble_all
-from standbymmap.simulator import FleetSimulator, simulate, validate
+from standbymmap.ph import PhDistribution
+from standbymmap.simulator import (FleetSimulator, SimulationError, simulate,
+                                   validate)
 from standbymmap.statespace import enumerate_states
 
 from example_model import example_fleet_config
 from random_models import small_models
-from simstates import global_index, reference_run, sim_state_of
+from simstates import (ReferenceRows, global_index, reachable_states,
+                       reference_run, sim_state_of)
 
 
 @pytest.mark.parametrize("n,R", [(2, 1), (2, 2)])
@@ -44,6 +47,111 @@ def test_rows_match_the_assembled_generator(n, R):
         np.testing.assert_allclose(dense, off, atol=1e-10)
         # the total exit rate matches the generator diagonal
         assert row.total - self_rate == pytest.approx(-expected[index], abs=1e-10)
+
+
+def assert_rows_match_the_reference(config):
+    """Every reachable row, built from the outcome templates, is the row
+    the per-state builders expand, bit for bit."""
+    sim, reference = FleetSimulator(config), ReferenceRows(config)
+    for state in reachable_states(config):
+        row = sim.row(state)
+        assert (row.total, row.cum, row.targets, row.events,
+                row.reward) == reference.row(state), state
+
+
+def preventive_init_config():
+    """(4, 4, PM on) with a preventive repair that starts in another phase
+    than the corrective one, so the queue head's service start shows."""
+    config = example_fleet_config(units=4, vacation_threshold=4)
+    return replace(config, preventive=PhDistribution(
+        np.array([0.0, 0.6, 0.4]), config.preventive.subgen))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_fleet_config(pm_enabled=True),
+    lambda: example_fleet_config(pm_enabled=False),
+    preventive_init_config,
+], ids=["pm-on", "pm-off", "preventive-init"])
+def test_rows_match_the_per_state_builders(make):
+    assert_rows_match_the_reference(make())
+
+
+@settings(max_examples=6, deadline=None)
+@given(small_models())
+def test_rows_match_the_per_state_builders_on_random_models(config):
+    assert_rows_match_the_reference(config)
+
+
+def test_row_totals_are_numpy_sums():
+    rng = np.random.default_rng(4)
+    for n in [*range(1, 40), 127, 128, 129, 300, 1000]:
+        rates = (rng.random(n) * 10.0 ** rng.integers(-6, 3, n)).tolist()
+        assert simulator._pairwise_sum(rates) == float(np.sum(rates)), n
+
+
+def rows_that_raise(sim, states):
+    raised = []
+    for state in states:
+        try:
+            sim.row(state)
+        except SimulationError:
+            raised.append(state)
+    return raised
+
+
+def test_an_invalid_target_fails_every_row_that_reaches_it(monkeypatch):
+    """Targets are checked once each, but only a target that passed is
+    remembered: a vacation that ends without a clock phase fails every
+    row where the vacation clock can end."""
+    config = example_fleet_config()
+    states = reachable_states(config)
+    monkeypatch.setattr(FleetSimulator, "_vacation_outcomes",
+                        lambda self, state: [
+                            (1.0, state._replace(clock=None), "E")])
+    sim = FleetSimulator(config)
+    ends = config.vacation.exit_vector
+    expected = [state for state in states
+                if state.on_vacation and ends[state.clock] > 0]
+    assert len(expected) > 1
+    assert rows_that_raise(sim, states) == expected
+    assert all(state.clock is not None for state in sim._valid
+               if state.on_vacation)
+
+
+def test_a_renewal_from_more_than_one_unit_fails_every_row(monkeypatch):
+    """Losing the online unit labelled NS is a fleet renewal from k > 1
+    on every row but those with k = 1."""
+    drop = FleetSimulator._drop_unit
+    monkeypatch.setattr(FleetSimulator, "_drop_unit", lambda self, state: [
+        (p, target, "NS") for p, target, _ in drop(self, state)])
+    config = example_fleet_config()
+    states = reachable_states(config)
+    expected = [state for state in states
+                if state.s < state.k and state.k != 1]
+    assert len(expected) > 1
+    assert rows_that_raise(FleetSimulator(config), states) == expected
+
+
+def test_a_vacation_start_that_leaves_other_than_n_minus_one_fails(
+        monkeypatch):
+    """Every service completion labelled F must leave N - 1 units in the
+    facility; each row where one does not fails."""
+    service = FleetSimulator._service_outcomes
+    monkeypatch.setattr(FleetSimulator, "_service_outcomes",
+                        lambda self, state: [
+                            (p, target, "F")
+                            for p, target, _ in service(self, state)])
+    config = example_fleet_config()
+    states = reachable_states(config)
+    sim = FleetSimulator(config)
+    services = (None, config.corrective.exit_vector,
+                config.preventive.exit_vector)
+    expected = [state for state in states
+                if not state.on_vacation and state.s >= 1
+                and services[state.queue[0]][state.clock] > 0
+                and state.s - 1 != sim.N[state.k] - 1]
+    assert len(expected) > 1
+    assert rows_that_raise(sim, states) == expected
 
 
 def test_seed_reproducibility():
