@@ -107,7 +107,7 @@ class _CellEvaluator:
         """pi and the bordered LU at x.  D(x) has one sparsity pattern over
         the box, so the first solve's fill-reducing order serves them all."""
         if self._pattern is not None:
-            return self._pattern.solve(x)
+            return self._pattern.solve(self._rates(x))
         pi, lu = bordered_stationary(self.generator(x))
         self._pattern = BorderedPattern(*self.D, self.stage, lu.order)
         return pi, lu

@@ -16,10 +16,10 @@ The loop only walks: each draw picks an outcome of the current row and
 records that outcome's key, the row's cache index and the event code
 packed in one int.  Once per span of draws numpy turns the keys into dwell
 times, finds the batch end, adds each dwell to its row's batch total in
-visit order and counts the events.  Availability, occupancy and reward are
-folded by numpy from the per-row totals at the end of the run, batch by
-batch, in state order, and fixed costs are charged from each batch's event
-counts.
+visit order and counts the events.  At the end of the run one sort puts
+the cached states in state order, and numpy folds availability, occupancy
+and reward from the per-row totals in that order, batch by batch; fixed
+costs are charged from each batch's event counts.
 
 Estimates carry standard errors from batch means (BATCHES = 20 batches
 per replication); replication r uses seed + r.
@@ -111,22 +111,20 @@ class _Row:
     """Cached transition row of one state, the index-th one cached.
 
     Per outcome: the cumulative probability, the target state, the event
-    label, the walk key and the successor row (linked on first use).
+    label, the walk key (index * _CODES + event code) and the successor
+    row (linked on first use).
     """
 
-    __slots__ = ("index", "total", "cum", "targets", "events", "keys",
-                 "rows", "up", "occ_key", "reward")
+    __slots__ = ("total", "cum", "targets", "events", "keys", "rows", "up",
+                 "occ_key", "reward")
 
     def __init__(self, index, total, cum, targets, events, up, occ_key,
                  reward):
-        self.index = index
         self.total = total
         self.cum = cum
         self.targets = targets
         self.events = events
-        # one int object per distinct key, shared by the outcomes
-        key = {ev: index * _CODES + _CODE[ev] for ev in set(events)}
-        self.keys = [key[ev] for ev in events]
+        self.keys = [index * _CODES + _CODE[ev] for ev in events]
         self.rows = [None] * len(targets)
         self.up = up
         self.occ_key = occ_key
@@ -150,29 +148,6 @@ def _moves(ph) -> list:
     stays inside the clock."""
     return [[(q, (p2,)) for p2, q in enumerate(row) if p2 != p and q > 0]
             for p, row in enumerate(ph.subgen.tolist())]
-
-
-def _pairwise_sum(vals) -> float:
-    """vals summed in the order of numpy's float64 add.reduce (eight
-    running sums per block of up to 128, halves above), so that a row's
-    total is np.sum of its rates, bit for bit."""
-    n = len(vals)
-    if n < 8:
-        res = -0.0
-        for v in vals:
-            res += v
-        return res
-    if n <= 128:
-        r = vals[:8]
-        stop = n - n % 8
-        for b in range(8, stop, 8):
-            r = [x + y for x, y in zip(r, vals[b:b + 8])]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in vals[stop:]:
-            res += v
-        return res
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(vals[:half]) + _pairwise_sum(vals[half:])
 
 
 def _move(st, field, moves, out):
@@ -230,10 +205,8 @@ class FleetSimulator:
 
     def __init__(self, config: ModelConfig):
         self.c = c = config
-        self._rows: dict = {}
+        self._rows: dict = {}       # state -> row, in cache order
         self._cached: list = []     # rows by cache index
-        self._order: list = []      # (state order, row), kept sorted
-        self._by_state = None       # _order as arrays, see _state_arrays
         self._valid: dict = {}      # target that passed assert_valid -> the
                                     # one object the rows share
         self._templates: dict = {}  # (builder, masked state) -> template
@@ -244,6 +217,7 @@ class FleetSimulator:
                   for k in range(1, c.units + 1)}
         self._alpha = _support(c.internal.init)
         self._gamma = _support(c.shock.init)
+        self._shock_start = _support(renewal_stationary(c.shock))
         self._omega = _support(c.damage_init)
         self._eta = _support(c.inspection.init)
         self._upsilon = _support(c.vacation.init)
@@ -289,7 +263,7 @@ class FleetSimulator:
             return dist[-1][1]
         return SimState(self.c.units, 0, (), True,
                         draw(self._alpha),
-                        draw(_support(renewal_stationary(self.c.shock))),
+                        draw(self._shock_start),
                         draw(self._omega), draw(self._eta),
                         draw(self._upsilon))
 
@@ -408,7 +382,6 @@ class FleetSimulator:
         if cached is None:
             cached = self._rows[st] = self._build_row(st, len(self._cached))
             self._cached.append(cached)
-            bisect.insort(self._order, (_state_order(st), cached))
         return cached
 
     def _template(self, builder: str, masked: tuple) -> list:
@@ -478,7 +451,7 @@ class FleetSimulator:
             _apply(st, exits[w], self._template(
                 builder, (k, s, queue, vacation, *keep[4:])), out)
         rates, targets, events = out
-        total = _pairwise_sum(rates)
+        total = float(np.add.reduce(rates))
         if total <= 0:
             raise SimulationError(f"absorbing simulator state {st}")
         valid = self._valid
@@ -596,57 +569,57 @@ class FleetSimulator:
                 remaining = left[-1]
                 row = r
                 ptr = end
-            # zip drops the last code, no event
             batches.append((time, counts))
+        by_state = self._state_arrays()
         # zip drops the last code, no event
-        return [self._fold(per, time, dict(zip(EVENT_NAMES, counts.tolist())))
+        return [self._fold(per, time, dict(zip(EVENT_NAMES, counts.tolist())),
+                           by_state)
                 for time, counts in batches]
 
     def _state_arrays(self) -> tuple:
-        """The cached rows in state order as arrays: cache index, and with
-        a leading place that reads 0.0, the positions of the up rows, the
-        reward rates and the occupancy slots.  Rebuilt only when rows
-        were added."""
-        if self._by_state is None or self._by_state[0].size < len(self._order):
-            rows = [row for _, row in self._order]
-            slots: dict = {}
-            self._by_state = (
-                np.array([row.index for row in rows]),
+        """The cached rows in state order, by one sort of the cached
+        states, as arrays: cache index, and with a leading place that
+        reads 0.0, the positions of the up rows, the reward rates and the
+        occupancy slots; then the occupancy key of each slot.  Slots come
+        in the state order of their key's first row."""
+        order = [_state_order(st) for st in self._rows]
+        index = sorted(range(len(order)), key=order.__getitem__)
+        rows = [self._cached[p] for p in index]
+        slots: dict = {}
+        return (np.array(index),
                 np.array([0] + [p for p, row in enumerate(rows, 1) if row.up]),
                 np.array([0.0] + [row.reward for row in rows]),
                 np.array([0] + [slots.setdefault(row.occ_key, len(slots))
-                                for row in rows]))
-        return self._by_state
+                                for row in rows]),
+                list(slots))
 
-    def _fold(self, per: float, time, counts: dict) -> dict:
+    def _fold(self, per: float, time, counts: dict, by_state: tuple) -> dict:
         """Batch time-averages from the batch's dwell time per row.
 
         time[i] is the batch dwell of the row with cache index i, summed
-        in visit order.  Rows are folded in state order, never in cache
-        order, so a run gives the same figures whatever earlier runs left
-        in the cache.  Each sum runs left to right from 0.0, by cumsum
-        for the up time and the reward and by add.at into one slot per
-        occupancy key; a row with no time adds an exact zero.  The
-        occupancy keys come in the state order of their first row with
-        time, and a key none of whose rows has time is left out.
+        in visit order; by_state is _state_arrays' at the end of the run.
+        Rows are folded in state order, never in cache order, so a run
+        gives the same figures whatever earlier runs left in the cache.
+        Each sum runs left to right from 0.0, by cumsum for the up time
+        and the reward and by add.at into one slot per occupancy key; a
+        row with no time adds an exact zero.  Times are >= 0, so a slot
+        has time iff one of its rows has; only those keys are kept.
         """
-        index, up_at, rewards, slots = self._state_arrays()
+        index, up_at, rewards, slots, occ_keys = by_state
         # rows first cached after the batch have no time in it
         dwell = np.zeros(index.size)
         dwell[:time.size] = time
         t = np.concatenate(([0.0], dwell[index]))
-        occ = np.zeros(t.size)
+        occ = np.zeros(len(occ_keys))
         np.add.at(occ, slots, t)
-        timed = np.flatnonzero(t)
-        # each timed key at its first row with time
-        first = timed[np.sort(np.unique(slots[timed], return_index=True)[1])]
+        timed = np.flatnonzero(occ)
         up = float(np.cumsum(t[up_at])[-1])
         reward = float(np.cumsum(t * rewards)[-1])
         fixed = sum(counts[e] * cost for e, cost in self._event_costs.items())
         return {
             "up": up / per,
-            "occ": {self._cached[index[p - 1]].occ_key: val / per for p, val
-                    in zip(first.tolist(), occ[slots[first]].tolist())},
+            "occ": {occ_keys[p]: val / per for p, val
+                    in zip(timed.tolist(), occ[timed].tolist())},
             "counts": {e: counts[e] / per for e in EVENT_NAMES},
             "profit": (reward - fixed) / per,
         }

@@ -268,8 +268,9 @@ class BorderedPattern:
     its bordered matrix in the order q, B(x)[q][:, q] in CSC, has one fixed
     `indices` and `indptr` and the data b_0 + sum_w x_w b_w: b_0 holds the
     entries of D_0 and the row of ones in their slots of B, and b_w the
-    entries of dD in rows of group w, kept as (slots, values).  A solve
-    forms that data by one vector update and factors it in its natural
+    entries of dD in rows of group w, kept for all w as one (slots, rows,
+    values) triple.  A solve takes rho(x), forms that data by one vector
+    update, adding rho(x)[rows] * values, and factors it in its natural
     order, with no sparse matrix built, and gives the pi and LU that
     SuperLU's natural-order LU of B(D(x))[q][:, q] gives, bit for bit.
     The ordering, more than half the cost of an LU of the bordered
@@ -284,7 +285,7 @@ class BorderedPattern:
 
     def __init__(self, D0: sp.csr_matrix, dD: sp.csr_matrix,
                  group: np.ndarray, order: np.ndarray):
-        self.D0, self.dD, self.group, self.order = D0, dD, group, order
+        self.D0, self.dD, self.order = D0, dD, order
         self.n = D0.shape[0]
         rows = np.repeat(np.arange(self.n), np.diff(dD.indptr))
         m = dD.nnz + 2
@@ -303,22 +304,20 @@ class BorderedPattern:
         self.base[f == 1] = 1.0
         at = np.flatnonzero(f > 1)
         f = f[at] - 2
-        w = group[rows[f]]
-        self.deltas = [(at[w == g], dD.data[f[w == g]])
-                       for g in range(group.max() + 1)]
+        self.delta = at, rows[f], dD.data[f]
         self.diagonals = D0.diagonal(), dD.diagonal()
 
-    def solve(self, x) -> tuple:
-        """pi and the bordered LU at x, checked as `bordered_stationary`
-        checks them, with pi D(x) and the diagonal of D(x) from the split."""
+    def solve(self, rho) -> tuple:
+        """pi and the bordered LU at rho = rho(x), checked as
+        `bordered_stationary` checks them, with pi D(x) and the diagonal of
+        D(x) from the split."""
+        at, rows, values = self.delta
         data = self.base.copy()
-        for xw, (at, values) in zip(x, self.deltas):
-            data[at] += xw * values
+        data[at] += rho[rows] * values
         B = sp.csc_matrix((data, self.indices, self.indptr),
                           shape=(self.n, self.n))
         lu = OrderedLU(_lu(B, "NATURAL"), self.order, permuted=True)
         pi = lu.solve(np.eye(1, self.n)[0])
-        rho = np.append(np.asarray(x, dtype=float), 0.0)[self.group]
         balance = pi @ self.D0 + (pi * rho) @ self.dD
         diagonal = self.diagonals[0] + rho * self.diagonals[1]
         return _checked(pi, balance, diagonal), lu

@@ -51,7 +51,8 @@ def reference_run(sim, horizon, rng):
     Each jump adds its dwell to its row's batch total and subtracts it from
     the batch's remaining time; a batch ends at the first draw whose dwell
     reaches the remaining time, and that draw is consumed.  The fold is
-    the same state-order sum as FleetSimulator._fold.
+    the same state-order sum as FleetSimulator._fold, over the cached rows
+    sorted here by state.
     """
     per = horizon / simulator.BATCHES
     row = sim.row(sim.initial_state(rng))
@@ -83,7 +84,8 @@ def reference_run(sim, horizon, rng):
             row = sim.row(row.targets[idx])
         up = reward = 0.0
         occ = {}
-        for _, cached in sim._order:
+        for state in sorted(sim._rows, key=simulator._state_order):
+            cached = sim._rows[state]
             t = time.get(cached, 0.0)
             if t:
                 if cached.up:

@@ -82,13 +82,6 @@ def test_rows_match_the_per_state_builders_on_random_models(config):
     assert_rows_match_the_reference(config)
 
 
-def test_row_totals_are_numpy_sums():
-    rng = np.random.default_rng(4)
-    for n in [*range(1, 40), 127, 128, 129, 300, 1000]:
-        rates = (rng.random(n) * 10.0 ** rng.integers(-6, 3, n)).tolist()
-        assert simulator._pairwise_sum(rates) == float(np.sum(rates)), n
-
-
 def rows_that_raise(sim, states):
     raised = []
     for state in states:
@@ -217,6 +210,23 @@ def test_run_does_not_depend_on_cache_history():
     fresh = FleetSimulator(config)
     assert (warm.run(5000.0, np.random.default_rng(3))
             == fresh.run(5000.0, np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_fleet_config(2, 1),
+    lambda: example_fleet_config(pm_enabled=False),
+], ids=["2-1", "pm-off"])
+def test_fold_ignores_the_order_rows_were_cached_in(make):
+    """Every reachable row cached first, in reverse state order: the batch
+    fold must sort the cache, not take it as it comes."""
+    config = make()
+    warm = FleetSimulator(config)
+    for state in sorted(reachable_states(config), key=simulator._state_order,
+                        reverse=True):
+        warm.row(state)
+    fresh = FleetSimulator(config)
+    assert (warm.run(2e4, np.random.default_rng(3))
+            == fresh.run(2e4, np.random.default_rng(3)))
 
 
 def test_each_batch_folds_exactly_its_own_time():
