@@ -23,9 +23,14 @@ dense matrix of one source queue, a Kronecker product or sum.  Few of these
 blocks differ (43 among 151 placements at n = 4, R = 3 with PM, 43 among 310
 at n = 6), so `_Assembly.place` forms each distinct block and its nonzero
 entries once per assembly, and repeats them over all the queues by index
-arithmetic, the i-th copy shifted by i times the block's shape.  Each label,
-like the total of all nine, becomes one CSR matrix built from the
-concatenated triplets: no sparse matrix is made per block or per label sum.
+arithmetic, the i-th copy shifted by i times the block's shape.
+
+The builders' triplets are concatenated once, in label order.  From them
+`assemble_all` builds the total in one CSR pass and the flow table F, whose
+column l is D_l 1, from each arrival label's slice, and checks the signs of
+each label's entries.  The measures read nothing else, so no label becomes a
+sparse matrix of its own; `label_matrices` builds the nine from the same
+builders for reports and tests.
 """
 
 from dataclasses import dataclass, field
@@ -51,16 +56,17 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True)
 class MmapGenerators:
-    """The labelled generators, their sum, and the layout they live on."""
+    """The chain of the marked MAP on its layout: the generator D, the sum
+    of the nine labelled generators D_l, and the flow table F, whose column
+    l is D_l 1 over ARRIVAL_LABELS.  Every pi, Phi and event rate reads
+    these two alone; the D_l themselves are not kept (see
+    `label_matrices`)."""
 
     layout: StateSpaceLayout
-    matrices: dict     # label -> csr_matrix
     total: sp.csr_matrix
+    flows: np.ndarray   # states x ARRIVAL_LABELS
     # pi of `total`, kept read-only by solvers.stationary_direct
     _pi: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def __getitem__(self, label: str) -> sp.csr_matrix:
-        return self.matrices[label]
 
 
 def _nonzeros(block: np.ndarray) -> tuple:
@@ -165,15 +171,22 @@ class _Assembly:
             known = self._numbered[id(f)] = (f, number)
         return known[1]
 
-    def matrix(self, *labels: str) -> sp.csr_matrix:
-        """The sum of the labels' generators, built in one pass from their
-        concatenated triplets."""
-        shape = (self.lay.total, self.lay.total)
-        entries = [e for label in labels for e in self.entries[label]]
-        if not entries:
-            return sp.csr_matrix(shape)
-        rows, cols, data = map(np.concatenate, zip(*entries))
-        return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    def triplets(self) -> tuple:
+        """(rows, cols, values, parts): every label's entries concatenated
+        once, in EVENT_LABELS order, and label -> the slice of its own.
+        Each label's entry list is dropped from `entries` as it is copied."""
+        size = sum(v.size for pieces in self.entries.values()
+                   for *_, v in pieces)
+        out = (np.empty(size, np.int64), np.empty(size, np.int64),
+               np.empty(size))
+        parts, stop = {}, 0
+        for label in EVENT_LABELS:
+            pieces = self.entries.pop(label)
+            start, stop = stop, stop + sum(v.size for *_, v in pieces)
+            for column, part in zip(out, zip(*pieces)):
+                np.concatenate(part, out=column[start:stop])
+            parts[label] = slice(start, stop)
+        return (*out, parts)
 
     # -- event builders: each walks the second-level blocks ---------------
 
@@ -272,43 +285,83 @@ class _Assembly:
                            self.core(k, s), self.clock(x, head), op=kron_sum)
 
 
-def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,
-                 blocks: UnitBlocks | None = None,
-                 validate: bool = True) -> MmapGenerators:
-    """Build all nine labelled generators and their sum."""
-    layout = layout or enumerate_states(config)
-    blocks = blocks or build_unit_blocks(config)
-    asm = _Assembly(config, layout, blocks)
+def _built(config: ModelConfig, layout: StateSpaceLayout | None,
+           blocks: UnitBlocks | None) -> _Assembly:
+    """The assembly of the model with every builder run."""
+    asm = _Assembly(config, layout or enumerate_states(config),
+                    blocks or build_unit_blocks(config))
     asm.phase_moves()
     asm.failures_to_facility()
     asm.unit_losses()
     asm.vacation_ends()
     asm.service_completions()
     asm.fleet_renewal()
-    gens = MmapGenerators(layout=layout,
-                          matrices={label: asm.matrix(label)
-                                    for label in EVENT_LABELS},
-                          total=asm.matrix(*EVENT_LABELS))
+    return asm
+
+
+def _csr(size: int, rows, cols, values) -> sp.csr_matrix:
+    return sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+
+
+def _row_sums(size: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sum of each row's entries: `np.add.reduceat` over each run of
+    one row's entries, as scipy sums a CSR row, and a row's runs added.
+    A builder emits each row of a label as one run in column order, so
+    these are the label matrix's row sums bit for bit; a weighted bincount
+    adds in sequence and can differ in the last bit."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return np.bincount(rows[starts], weights=np.add.reduceat(values, starts),
+                       minlength=size)
+
+
+def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,
+                 blocks: UnitBlocks | None = None,
+                 validate: bool = True) -> MmapGenerators:
+    """The generator D and the flow table F from one concatenation of the
+    builders' triplets: D in one CSR pass, and column l of F, D_l 1, as the
+    row sums of label l's entries."""
+    asm = _built(config, layout, blocks)
+    rows, cols, values, parts = triplets = asm.triplets()
+    size = asm.lay.total
+    flows = np.column_stack([
+        _row_sums(size, rows[parts[label]], values[parts[label]])
+        for label in ARRIVAL_LABELS])
+    total = _csr(size, rows, cols, values)
     if validate:
-        _validate(gens)
-    return gens
+        _validate(asm.lay, total, triplets)
+    return MmapGenerators(asm.lay, total, flows)
 
 
-def _validate(gens: MmapGenerators):
-    lay = gens.layout
-    rowsums = np.asarray(gens.total.sum(axis=1)).ravel()
+def label_matrices(config: ModelConfig, layout: StateSpaceLayout | None = None,
+                   blocks: UnitBlocks | None = None) -> dict:
+    """label -> the labelled generator D_l as a CSR matrix, for all nine,
+    from the builders `assemble_all` runs; they sum to its total.  The
+    measures read only the total and F: these serve `build`'s nnz report
+    and the tests."""
+    asm = _built(config, layout, blocks)
+    rows, cols, values, parts = asm.triplets()
+    return {label: _csr(asm.lay.total, rows[part], cols[part], values[part])
+            for label, part in parts.items()}
+
+
+def _validate(layout: StateSpaceLayout, total: sp.csr_matrix, triplets):
+    """Raise AssemblyError unless every row of the total sums to zero
+    within CONSERVATION_TOL, and, among the builders' triplets (rows, cols,
+    values, parts), no event label has a negative entry and O none off its
+    diagonal."""
+    rowsums = np.asarray(total.sum(axis=1)).ravel()
     worst = int(np.argmax(np.abs(rowsums)))
     if abs(rowsums[worst]) > CONSERVATION_TOL:
-        key, phase = lay.decode(worst)
+        key, phase = layout.decode(worst)
         raise AssemblyError(
             f"generator row {worst} (macro-state {key}, phase {phase}) "
             f"has residual {rowsums[worst]:.3e}")
-    for label in EVENT_LABELS:
-        mat = gens[label]
+    rows, cols, values, parts = triplets
+    for label, part in parts.items():
+        entries = values[part]
         if label == "O":
-            off = mat - sp.diags(mat.diagonal())
-            if off.nnz and off.data.min() < -CONSERVATION_TOL:
+            off = entries[rows[part] != cols[part]]
+            if off.size and off.min() < -CONSERVATION_TOL:
                 raise AssemblyError("negative off-diagonal entry in O block")
-        elif mat.nnz and mat.data.min() < -CONSERVATION_TOL:
+        elif entries.size and entries.min() < -CONSERVATION_TOL:
             raise AssemblyError(f"negative entry in {label} block")
-

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembler import AssemblyError, EVENT_LABELS, assemble_all
+from .assembler import AssemblyError, assemble_all, label_matrices
 # the model-file names stay importable from here
 from .config import (VACATION_ALIASES, VACATION_FAMILIES, ConfigError,
                      ModelConfig, ModelFileError, bundled_model_path,
@@ -123,11 +123,11 @@ def _fmt(x: float) -> str:
 # commands
 
 def cmd_build(args) -> int:
-    _, gens = _assembled(args)
+    config, gens = _assembled(args)
     residual = float(np.max(np.abs(gens.total.sum(axis=1))))
     print(f"states: {gens.layout.total}")
-    for label in EVENT_LABELS:
-        print(f"nnz[{label}]: {gens[label].nnz}")
+    for label, matrix in label_matrices(config, gens.layout).items():
+        print(f"nnz[{label}]: {matrix.nnz}")
     print(f"conservation residual: {residual:.3e}")
     return 0
 

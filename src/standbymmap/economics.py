@@ -14,7 +14,7 @@ import numpy as np
 
 from .assembler import ARRIVAL_LABELS, MmapGenerators
 from .config import ModelConfig
-from .measures import down_mask, label_flows
+from .measures import down_mask
 from .solvers import transient_integral
 from .statespace import StateSpaceLayout
 
@@ -79,7 +79,7 @@ def _charges(config: ModelConfig, layout: StateSpaceLayout) -> tuple:
 def profit_stationary(pi: np.ndarray, gens: MmapGenerators,
                       config: ModelConfig) -> ProfitBreakdown:
     """Mean net total profit per unit of time in stationary regime."""
-    return _profit(pi, pi @ label_flows(gens), *_charges(config, gens.layout))
+    return _profit(pi, pi @ gens.flows, *_charges(config, gens.layout))
 
 
 def profit_transient(gens: MmapGenerators, phi: np.ndarray, t,
@@ -87,11 +87,10 @@ def profit_transient(gens: MmapGenerators, phi: np.ndarray, t,
     """Mean net total profit accumulated over [0, t], including the
     purchase of the initial fleet.  For a sequence of times, a list with
     one breakdown per t, all from one uniformization sweep."""
-    flows = label_flows(gens)
     charges = _charges(config, gens.layout)
     profits = []
     for ip in np.atleast_2d(transient_integral(gens, phi, t)):
-        counts = ip @ flows
+        counts = ip @ gens.flows
         # the initial fleet is bought like one more fleet renewal
         counts[ARRIVAL_LABELS.index("NS")] += 1.0
         profits.append(_profit(ip, counts, *charges))

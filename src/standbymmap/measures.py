@@ -86,13 +86,7 @@ class EventRates:
                       for name, labels in RATE_LABELS.items()})
 
 
-def label_flows(gens: MmapGenerators) -> np.ndarray:
-    """The flow table F: column l is D_l 1, over ARRIVAL_LABELS."""
-    return np.column_stack([np.asarray(gens[label].sum(axis=1)).ravel()
-                            for label in ARRIVAL_LABELS])
-
-
 def event_rates_stationary(vec: np.ndarray, gens: MmapGenerators) -> EventRates:
     """Labelled event flows under any row vector: the stationary rates
     under pi, the mean counts over [0, t] under int_0^t p."""
-    return EventRates.from_flows(vec @ label_flows(gens))
+    return EventRates.from_flows(vec @ gens.flows)

@@ -25,7 +25,7 @@ from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
                      vacation_from_params)
 from .economics import build_nc, build_nr, event_costs, profit_stationary
 from .measures import (EventRates, availability_stationary, down_mask,
-                       event_rates_stationary, label_flows)
+                       event_rates_stationary)
 from .solvers import BorderedPattern, bordered_stationary, stationary_direct
 from .statespace import enumerate_states
 from .unit import build_unit_blocks
@@ -82,9 +82,8 @@ class _CellEvaluator:
         one, two = (assemble_all(config.with_policy(
             vacation=vacation_from_params(family, [rate] * self.dim)),
             self.layout, blocks, validate=False) for rate in (1.0, 2.0))
-        flows = label_flows(one)
-        dD, dF = two.total - one.total, label_flows(two) - flows
-        self.D, self.F = (one.total - dD, dD), (flows - dF, dF)
+        dD, dF = two.total - one.total, two.flows - one.flows
+        self.D, self.F = (one.total - dD, dD), (one.flows - dF, dF)
         net = (build_nr(self.config, self.layout)
                - build_nc(self.config, self.layout))
         costs = event_costs(self.config)

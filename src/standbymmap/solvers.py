@@ -345,7 +345,7 @@ def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     as a read-only array that later calls return.  The LUs are not kept,
     nor is a failure.  The LUs of the levels fill far less than one LU of
     the whole generator: `standbymmap steady --n 8` (73,492 states) takes
-    1.3 s and 170 MB against 7.3 s and 354 MB by the bordered solve."""
+    1.4 s and 131 MB against 7.3 s and 354 MB by the bordered solve."""
     pi = getattr(gens, "_pi", None)
     if pi is None:
         pi = stationary_block(gens)
@@ -414,10 +414,13 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
 
     Every level block D_kk, D_nn included (a sub-generator, nonsingular
     as every level-n state leads down out of the level), is factored once
-    in COLAMD order.  At n = 1 there is one level, the renewal lies inside
-    it, D_11 is singular, and the route is the bordered solve of D itself,
-    as it is for a generator without a layout (`gens.layout` None or
-    absent), whose levels are unknown.  Raises SolverError if any other
+    in COLAMD order.  Y needs only D_nn's LU, and W and the downward sweep
+    only the LUs of levels 1..n-1, so D_nn is factored first and its LU
+    dropped once Y is solved: the LUs alive at once fill no more than the
+    larger of D_nn's and the other levels' together.  At n = 1 there is
+    one level, the renewal lies inside it, D_11 is singular, and the route
+    is the bordered solve of D itself, as it is for a generator without a
+    layout (`gens.layout` None or absent), whose levels are unknown.  Raises SolverError if any other
     block breaks that structure.
     """
     lay, D = getattr(gens, "layout", None), gens.total.tocsr()
@@ -430,16 +433,16 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
         (r0, r1), (c0, c1) = lay.k_span(i), lay.k_span(j)
         return D[r0:r1, c0:c1]
 
-    lus = {k: _factor(blk(k, k), "COLAMD")
-           for k in range(1, n + 1)}
     renewal = blk(1, n).tocsc()
     cols = np.flatnonzero(np.diff(renewal.indptr))
+    entries = np.zeros((renewal.shape[1], cols.size))
+    entries[cols, np.arange(cols.size)] = 1.0
+    # D_nn's LU goes as soon as Y is solved, before any other level's
+    Y = -_factor(blk(n, n), "COLAMD").solve(entries, trans="T").T
+    lus = {k: _factor(blk(k, k), "COLAMD") for k in range(1, n)}
     W = renewal[:, cols].toarray()
     for k in range(1, n):
         W = -(blk(k + 1, k) @ lus[k].solve(W))
-    entries = np.zeros((W.shape[0], cols.size))
-    entries[cols, np.arange(cols.size)] = 1.0
-    Y = -lus[n].solve(entries, trans="T").T
     pieces = [_gth(Y @ W) @ Y]
     for k in range(n - 1, 0, -1):
         pieces.append(-lus[k].solve(pieces[-1] @ blk(k + 1, k), trans="T"))

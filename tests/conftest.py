@@ -1,7 +1,7 @@
 import pytest
 
 from standbymmap import solvers
-from standbymmap.assembler import assemble_all
+from standbymmap.assembler import assemble_all, label_matrices
 from standbymmap.solvers import stationary_direct
 
 from example_model import example_fleet_config
@@ -20,6 +20,12 @@ def optimal_config():
 @pytest.fixture(scope="session")
 def optimal_gens(optimal_config):
     return assemble_all(optimal_config, validate=False)
+
+
+@pytest.fixture(scope="session")
+def optimal_labels(optimal_config, optimal_gens):
+    """label -> the labelled generator D_l of the bundled fleet."""
+    return label_matrices(optimal_config, optimal_gens.layout)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,8 @@ TABLE4_REPAIRABLE_FIXED and the sets below it).
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from standbymmap.assembler import MmapGenerators, assemble_all
+from standbymmap.assembler import ARRIVAL_LABELS, MmapGenerators, assemble_all
 from standbymmap.config import vacation_from_params
 from standbymmap.economics import profit_stationary, profit_transient
 from standbymmap.measures import (availability_stationary,
@@ -264,7 +263,8 @@ def test_criterion_6_occupancy_and_rates(optimal_pi, optimal_gens):
 
 
 def test_criterion_7_simulation_oracle(optimal_config, optimal_gens,
-                                       optimal_pi, oracle_report):
+                                       optimal_labels, optimal_pi,
+                                       oracle_report):
     rates = event_rates_stationary(optimal_pi, optimal_gens)
     analytic = {
         "availability": availability_stationary(optimal_pi, optimal_gens.layout),
@@ -279,10 +279,10 @@ def test_criterion_7_simulation_oracle(optimal_config, optimal_gens,
 
     # fault injection: drop one event block and recompute the "analytic"
     # quantities from the corrupted generator -- validation must now fail
-    matrices = dict(optimal_gens.matrices)
-    matrices["F"] = sp.csr_matrix(optimal_gens.total.shape)
-    corrupted = MmapGenerators(optimal_gens.layout, matrices,
-                               optimal_gens.total - optimal_gens["F"])
+    flows = optimal_gens.flows.copy()
+    flows[:, ARRIVAL_LABELS.index("F")] = 0.0
+    corrupted = MmapGenerators(optimal_gens.layout,
+                               optimal_gens.total - optimal_labels["F"], flows)
     try:
         pi_c = stationary_direct(corrupted)
         rates_c = event_rates_stationary(pi_c, corrupted)

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 
 from standbymmap import assembler
 from standbymmap.assembler import (ARRIVAL_LABELS, EVENT_LABELS,
-                                   AssemblyError, MmapGenerators, _Assembly,
-                                   _validate, assemble_all)
+                                   AssemblyError, _Assembly, assemble_all,
+                                   label_matrices)
 from standbymmap.config import vacation_from_params
 from standbymmap.ph import PhDistribution
 from standbymmap.statespace import enumerate_states
@@ -33,8 +33,8 @@ def test_conservation(n, R, pm):
     assert residual < 1e-10
 
 
-def test_labels_sum_to_total(optimal_gens):
-    acc = sum(optimal_gens[label] for label in EVENT_LABELS)
+def test_labels_sum_to_total(optimal_gens, optimal_labels):
+    acc = sum(optimal_labels[label] for label in EVENT_LABELS)
     diff = (acc - optimal_gens.total)
     assert abs(diff).max() < 1e-12
 
@@ -43,9 +43,10 @@ def test_labels_sum_to_total(optimal_gens):
 def test_total_is_the_label_sum_bit_for_bit(pm):
     """The one-pass total equals the sum of the nine label matrices added
     one after another, entry for entry and in the same sparse structure."""
-    gens = assemble_all(example_fleet_config(pm_enabled=pm))
+    config = example_fleet_config(pm_enabled=pm)
+    gens = assemble_all(config)
     shape = gens.total.shape
-    added = sum(gens.matrices.values(), sp.csr_matrix(shape))
+    added = sum(label_matrices(config).values(), sp.csr_matrix(shape))
     total = gens.total.copy()
     for mat in (added, total):
         mat.sort_indices()
@@ -53,46 +54,48 @@ def test_total_is_the_label_sum_bit_for_bit(pm):
         assert np.array_equal(getattr(total, part), getattr(added, part)), part
 
 
-def test_sign_structure(optimal_gens):
+def test_sign_structure(optimal_labels):
     for label in ARRIVAL_LABELS:
-        assert optimal_gens[label].min() >= 0.0
-    O = optimal_gens["O"].toarray()
+        assert optimal_labels[label].min() >= 0.0
+    O = optimal_labels["O"].toarray()
     assert np.all(np.diag(O) < 0)
     assert np.min(O - np.diag(np.diag(O))) >= 0.0
 
 
 def test_single_unit_fleet_structure():
     """With one unit there is nothing to discard or interrupt."""
-    gens = assemble_all(small(n=1, R=1), validate=True)
-    assert gens["C"].nnz == 0
-    assert gens["CD"].nnz == 0
+    assemble_all(small(n=1, R=1), validate=True)
+    labels = label_matrices(small(n=1, R=1))
+    assert labels["C"].nnz == 0
+    assert labels["CD"].nnz == 0
     for label in ("O", "A", "B", "NS"):
-        assert gens[label].nnz > 0
+        assert labels[label].nnz > 0
 
 
 def test_interrupted_vacations_only_at_the_threshold_level():
     config = example_fleet_config(units=4, vacation_threshold=3)
-    gens = assemble_all(config, validate=False)
-    lay = gens.layout
-    rows = gens["CD"].tocoo().row
+    lay = enumerate_states(config)
+    rows = label_matrices(config, lay)["CD"].tocoo().row
     lo, hi = lay.k_span(3)
     assert rows.size > 0
     assert np.all((rows >= lo) & (rows < hi))
     # no interruptions possible when the threshold is one unit
-    assert assemble_all(small(n=3, R=1), validate=False)["CD"].nnz == 0
+    assert label_matrices(small(n=3, R=1))["CD"].nnz == 0
 
 
-def test_fleet_renewal_targets_the_fresh_vacation_block(optimal_gens):
+def test_fleet_renewal_targets_the_fresh_vacation_block(optimal_gens,
+                                                        optimal_labels):
     lay = optimal_gens.layout
-    cols = optimal_gens["NS"].tocoo().col
+    cols = optimal_labels["NS"].tocoo().col
     lo, hi = lay.span(lay.n, 0, "v")
     assert cols.size > 0
     assert np.all((cols >= lo) & (cols < hi))
 
 
-def test_post_repair_vacations_enter_the_threshold_block(optimal_gens):
+def test_post_repair_vacations_enter_the_threshold_block(optimal_gens,
+                                                         optimal_labels):
     lay = optimal_gens.layout
-    coo = optimal_gens["F"].tocoo()
+    coo = optimal_labels["F"].tocoo()
     R = 3
     for row, col in zip(coo.row, coo.col):
         key = lay.key_of(int(row))
@@ -102,22 +105,23 @@ def test_post_repair_vacations_enter_the_threshold_block(optimal_gens):
 
 
 def test_pm_off_empties_the_inspection_generator():
-    gens = assemble_all(example_fleet_config(pm_enabled=False), validate=True)
-    assert gens["B"].nnz == 0
+    config = example_fleet_config(pm_enabled=False)
+    assemble_all(config, validate=True)
+    assert label_matrices(config)["B"].nnz == 0
 
 
-def test_loss_events_decrease_the_level(optimal_gens):
+def test_loss_events_decrease_the_level(optimal_gens, optimal_labels):
     lay = optimal_gens.layout
     for label in ("C", "CD"):
-        coo = optimal_gens[label].tocoo()
+        coo = optimal_labels[label].tocoo()
         for row, col in zip(coo.row, coo.col):
             assert lay.key_of(int(row)).k == lay.key_of(int(col)).k + 1
 
 
-def test_arrivals_keep_the_level(optimal_gens):
+def test_arrivals_keep_the_level(optimal_gens, optimal_labels):
     lay = optimal_gens.layout
     for label in ("A", "B", "D", "E", "F"):
-        coo = optimal_gens[label].tocoo()
+        coo = optimal_labels[label].tocoo()
         kr = np.array([lay.key_of(int(r)).k for r in coo.row[:200]])
         kc = np.array([lay.key_of(int(c)).k for c in coo.col[:200]])
         assert np.array_equal(kr, kc)
@@ -157,10 +161,10 @@ def test_label_structure_is_pinned(policy):
     if len(policy) > 3:
         config = replace(config, preventive=PhDistribution(
             np.array(policy[3]), config.preventive.subgen))
-    gens = assemble_all(config, validate=False)
+    labels = label_matrices(config)
     for label, (nnz, total) in PINNED[policy].items():
-        assert gens[label].nnz == nnz, label
-        assert gens[label].sum() == pytest.approx(total, rel=1e-12, abs=0.0), label
+        assert labels[label].nnz == nnz, label
+        assert labels[label].sum() == pytest.approx(total, rel=1e-12, abs=0.0), label
 
 
 def _assembly(config):
@@ -198,10 +202,10 @@ def test_place_repeats_the_block_like_kron_of_the_identity(src, dst):
     assert np.array_equal(rows, expected.row + r0)
     assert np.array_equal(cols, expected.col + c0)
     assert data.tobytes() == expected.data.tobytes()
-    shifted = sp.csr_matrix((expected.data, (expected.row + r0,
-                                             expected.col + c0)),
-                            shape=(asm.lay.total,) * 2)
-    assert (asm.matrix("A") != shifted).nnz == 0
+    all_rows, all_cols, values, parts = asm.triplets()
+    assert parts["A"] == slice(0, expected.nnz)
+    assert np.array_equal(all_rows, rows) and np.array_equal(all_cols, cols)
+    assert values.tobytes() == expected.data.tobytes()
 
 
 def test_place_skips_an_empty_block():
@@ -210,7 +214,7 @@ def test_place_skips_an_empty_block():
     _, h, w = _share(asm, src, dst)
     asm.place("O", src, dst, np.zeros((h, w)))
     assert asm.entries["O"] == []
-    assert asm.matrix("O").nnz == 0
+    assert asm.triplets()[2].size == 0
 
 
 @pytest.mark.parametrize("extra_rows,extra_cols", [(1, 0), (0, 1)])
@@ -227,12 +231,21 @@ def _formed_afresh(asm, op, factors):
     return assembler._nonzeros(op(*factors))
 
 
+def _generators(config) -> tuple:
+    """The nine label matrices and the total, by name, and the flows."""
+    gens = assemble_all(config, validate=False)
+    return ({**label_matrices(config, gens.layout), "total": gens.total},
+            gens.flows)
+
+
 def _assert_same_generators(gens, other):
-    for name in (*EVENT_LABELS, "total"):
-        a, b = ((g.total if name == "total" else g[name]) for g in (gens, other))
+    (mats, flows), (other_mats, other_flows) = gens, other
+    for name, a in mats.items():
+        b = other_mats[name]
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, part), getattr(b, part)), \
                 (name, part)
+    assert np.array_equal(flows, other_flows)
 
 
 @pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False),
@@ -241,19 +254,19 @@ def test_block_cache_gives_the_blocks_formed_afresh(n, R, pm, monkeypatch):
     """Every label and the total, structure and entries, are those of an
     assembly that forms each block at every placement."""
     config = example_fleet_config(n, R, pm)
-    cached = assemble_all(config)
+    cached = _generators(config)
     monkeypatch.setattr(_Assembly, "_block", _formed_afresh)
-    _assert_same_generators(assemble_all(config), cached)
+    _assert_same_generators(_generators(config), cached)
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_models())
 def test_block_cache_gives_the_blocks_formed_afresh_on_random_models(config):
-    cached = assemble_all(config, validate=False)
+    cached = _generators(config)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Assembly, "_block", _formed_afresh)
-        _assert_same_generators(assemble_all(config, validate=False), cached)
+        _assert_same_generators(_generators(config), cached)
 
 
 @pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False),
@@ -279,46 +292,72 @@ def test_one_assembly_forms_each_distinct_block_once(n, R, pm, monkeypatch):
     assert len(formed) < len(placed)
 
 
-def _tampered(gens, **labels):
-    """gens with some labels replaced and the total summed again."""
-    matrices = {**gens.matrices,
-                **{label: sp.csr_matrix(m) for label, m in labels.items()}}
-    total = sum(matrices.values(), sp.csr_matrix(gens.total.shape))
-    return MmapGenerators(gens.layout, matrices, sp.csr_matrix(total))
+def _emitting(monkeypatch, *entries):
+    """Make the fleet-renewal builder also emit each (label, row, col,
+    value) triplet."""
+    renewal = _Assembly.fleet_renewal
+
+    def builder(asm):
+        renewal(asm)
+        for label, *triplet in entries:
+            asm.entries[label].append(tuple(map(np.atleast_1d, triplet)))
+    monkeypatch.setattr(_Assembly, "fleet_renewal", builder)
 
 
-@pytest.fixture(scope="module")
-def small_gens():
-    gens = assemble_all(small(n=2, R=1), validate=False)
-    _validate(gens)
-    return gens
-
-
-def test_validate_rejects_a_non_conservative_row(small_gens):
-    O = small_gens["O"].tolil()
-    O[5, 5] += 1e-6
+def test_validate_rejects_a_non_conservative_row(monkeypatch):
+    _emitting(monkeypatch, ("O", 5, 5, 1e-6))
     with pytest.raises(AssemblyError,
                        match=r"generator row 5 .* residual 1\.000e-06"):
-        _validate(_tampered(small_gens, O=O))
+        assemble_all(small(n=2, R=1))
 
 
-def test_validate_rejects_a_negative_off_diagonal_entry_of_O(small_gens):
-    coo = small_gens["O"].tocoo()
-    i, j, v = next((i, j, v) for i, j, v in zip(coo.row, coo.col, coo.data)
-                   if i != j and v > 0)
-    O = small_gens["O"].tolil()
-    O[i, j] = -v
-    O[i, i] += 2 * v     # the row still sums to zero
+def test_validate_rejects_a_negative_off_diagonal_entry_of_O(monkeypatch):
+    # the row still sums to zero
+    _emitting(monkeypatch, ("O", 5, 6, -0.5), ("O", 5, 5, 0.5))
     with pytest.raises(AssemblyError, match="negative off-diagonal"):
-        _validate(_tampered(small_gens, O=O))
+        assemble_all(small(n=2, R=1))
 
 
-@pytest.mark.parametrize("label", ["A", "NS"])
-def test_validate_rejects_a_negative_event_entry(small_gens, label):
-    coo = small_gens[label].tocoo()
-    i, j, v = coo.row[0], coo.col[0], coo.data[0]
-    D, O = small_gens[label].tolil(), small_gens["O"].tolil()
-    D[i, j] = -v
-    O[i, i] += 2 * v     # the row still sums to zero
+@pytest.mark.parametrize("label", ARRIVAL_LABELS)
+def test_validate_rejects_a_negative_event_entry(label, monkeypatch):
+    # the row still sums to zero
+    _emitting(monkeypatch, (label, 5, 6, -0.5), ("O", 5, 5, 0.5))
     with pytest.raises(AssemblyError, match=f"negative entry in {label} "):
-        _validate(_tampered(small_gens, O=O, **{label: D}))
+        assemble_all(small(n=2, R=1))
+
+
+def test_the_untampered_small_model_validates():
+    assemble_all(small(n=2, R=1), validate=True)
+
+
+def _assert_flows_are_label_row_sums(config):
+    gens = assemble_all(config, validate=False)
+    labels = label_matrices(config, gens.layout)
+    sums = np.column_stack([np.asarray(labels[label].sum(axis=1)).ravel()
+                            for label in ARRIVAL_LABELS])
+    assert np.array_equal(gens.flows, sums)
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False), (6, 3, True),
+                                    (2, 1, True), (5, 2, False)])
+def test_flows_are_the_label_row_sums_bit_for_bit(n, R, pm):
+    _assert_flows_are_label_row_sums(example_fleet_config(n, R, pm))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models())
+def test_flows_are_the_label_row_sums_on_random_models(config):
+    _assert_flows_are_label_row_sums(config)
+
+
+def test_assembly_builds_one_sparse_matrix(monkeypatch):
+    """Of the sparse constructors, assemble_all calls one, once: the CSR
+    of the total.  No label becomes a matrix."""
+    made, kinds = [], {name: getattr(sp, name)
+                       for name in ("csr_matrix", "csc_matrix", "coo_matrix")}
+    for name, kind in kinds.items():
+        monkeypatch.setattr(sp, name, lambda *a, kind=kind, **kw:
+                            made.append(kind) or kind(*a, **kw))
+    assemble_all(example_fleet_config())
+    assert made == [kinds["csr_matrix"]]

@@ -1,6 +1,7 @@
 """Solvers: uniformized transients and the two stationary routes."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
 from standbymmap import solvers
-from standbymmap.assembler import MmapGenerators, assemble_all
+from standbymmap.assembler import ARRIVAL_LABELS, MmapGenerators, assemble_all
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
 from standbymmap.solvers import (SolverError, _checked, _gth, _poisson_pmf,
@@ -177,7 +178,7 @@ def factored(monkeypatch):
                                     (5, 3, True)])
 def test_level_cycle_factors_each_level_block_once(n, R, pm, factored,
                                                    monkeypatch):
-    """One LU per level block D_kk, k = 1..n, D_nn included, and no
+    """One LU per level block D_kk, D_nn first and then k = 1..n-1, and no
     bordered solve: the cycle closes on the renewal's entry states by GTH."""
     gens = assemble_all(example_fleet_config(n, R, pm), validate=False)
     bordered, solve = [], solvers.bordered_stationary
@@ -185,7 +186,7 @@ def test_level_cycle_factors_each_level_block_once(n, R, pm, factored,
                         lambda *a, **kw: bordered.append(a) or solve(*a, **kw))
     stationary_block(gens)
     levels = [hi - lo for lo, hi in map(gens.layout.k_span, range(1, n + 1))]
-    assert [rows for rows, _ in factored] == levels
+    assert [rows for rows, _ in factored] == levels[-1:] + levels[:-1]
     assert bordered == []
 
 
@@ -205,6 +206,59 @@ def test_level_cycle_fill_stays_low(factored):
     stationary_block(assemble_all(example_fleet_config(6, 3, True),
                                   validate=False))
     assert sum(lu.fill for _, lu in factored) < 8.0e5
+
+
+def _level_cycle_all_lus_at_once(gens) -> np.ndarray:
+    """pi by the level cycle with all n level LUs factored first, D_nn's
+    last, and held to the end: the operations of `stationary_block` on the
+    same data, in another order."""
+    lay, D = gens.layout, gens.total.tocsr()
+    n = lay.n
+
+    def blk(i, j):
+        (r0, r1), (c0, c1) = lay.k_span(i), lay.k_span(j)
+        return D[r0:r1, c0:c1]
+
+    lus = {k: solvers._factor(blk(k, k), "COLAMD") for k in range(1, n + 1)}
+    renewal = blk(1, n).tocsc()
+    cols = np.flatnonzero(np.diff(renewal.indptr))
+    W = renewal[:, cols].toarray()
+    for k in range(1, n):
+        W = -(blk(k + 1, k) @ lus[k].solve(W))
+    entries = np.zeros((W.shape[0], cols.size))
+    entries[cols, np.arange(cols.size)] = 1.0
+    Y = -lus[n].solve(entries, trans="T").T
+    pieces = [_gth(Y @ W) @ Y]
+    for k in range(n - 1, 0, -1):
+        pieces.append(-lus[k].solve(pieces[-1] @ blk(k + 1, k), trans="T"))
+    pi = np.concatenate(pieces)
+    return pi / pi.sum()
+
+
+def test_top_level_lu_is_dropped_before_the_other_levels_are_factored(
+        monkeypatch):
+    """At n = 6, PM on, the LUs alive at once, counted at each `_factor`
+    call, never fill more than the larger of D_66's LU and the five other
+    level LUs together, and pi is bit for bit that of the cycle that holds
+    all six LUs at once."""
+    gens = assemble_all(example_fleet_config(6, 3, True), validate=False)
+    reference = _level_cycle_all_lus_at_once(gens)
+    alive, fills, peak = {}, [], [0]
+    factor = solvers._factor
+
+    def tracked(A, *args, **kwargs):
+        lu = factor(A, *args, **kwargs)
+        alive[id(lu)] = lu.fill
+        weakref.finalize(lu, alive.pop, id(lu))
+        fills.append(lu.fill)
+        peak[0] = max(peak[0], sum(alive.values()))
+        return lu
+    monkeypatch.setattr(solvers, "_factor", tracked)
+    pi = stationary_block(gens)
+    top, others = fills[0], sum(fills[1:])
+    assert len(fills) == 6
+    assert peak[0] <= max(top, others) < top + others
+    assert np.array_equal(pi, reference)
 
 
 @pytest.mark.parametrize("P,a", [
@@ -402,7 +456,8 @@ def test_failed_stationary_solve_is_not_kept(solves):
     its solve fails, and the sweep sums exactly; the next solve fails
     again, as nothing of the failure was kept."""
     D = np.array([[-1.5, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    gens = MmapGenerators(None, {}, sp.csr_matrix(D))
+    gens = MmapGenerators(None, sp.csr_matrix(D),
+                          np.zeros((3, len(ARRIVAL_LABELS))))
     phi = np.eye(3)[0]
     row = transient(gens, phi, [1000.0])[0]
     assert np.max(np.abs(row - expm_multiply(D.T * 1000.0, phi))) <= 1e-9
