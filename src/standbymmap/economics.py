@@ -61,11 +61,18 @@ def event_costs(config: ModelConfig) -> np.ndarray:
     return np.array([cost.get(label, 0.0) for label in ARRIVAL_LABELS])
 
 
+def state_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i over the states by numpy's pairwise reduction.  A
+    ddot (a @ b) splits the sum across OpenBLAS threads above 10,000
+    states, so its last digit would depend on the BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _profit(vec: np.ndarray, flows: np.ndarray, nr: np.ndarray,
             nc: np.ndarray, costs: np.ndarray) -> ProfitBreakdown:
     """Profit of the occupation vector vec whose label flows are `flows`."""
-    phi_w = float(vec @ nr)
-    phi_rf = float(vec @ nc)
+    phi_w = state_sum(vec, nr)
+    phi_rf = state_sum(vec, nc)
     fixed = float(flows @ costs)
     return ProfitBreakdown(phi_w, phi_rf, fixed, phi_w - phi_rf - fixed)
 

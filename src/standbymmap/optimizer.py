@@ -9,9 +9,16 @@ pattern by one vector update and factors it, with no sparse matrix built.
 The profit is Phi = pi r with the per-state profit rate
 r(x) = (nr - nc) - F(x) c and the cost table c of economics.event_costs.
 Its exact gradient costs one more triangular solve through the same LU
-(the adjoint of the stationary solve), so one L-BFGS-B search on log x
-serves every family; it stops once a further step could gain no more
-than Phi resolves.
+(the adjoint of the stationary solve), so one projected quasi-Newton
+search on log x (_search) serves every family; it stops once a further
+step could gain no more than Phi resolves.
+
+The search lives here, not in scipy.optimize: with one or two rates and an
+exact gradient it takes a few lines, and the same evaluations as scipy's
+L-BFGS-B on every study-grid cell.  L-BFGS-B's LAPACK calls woke scipy's
+OpenBLAS worker pool, whose worker then spun through every later SuperLU
+factorisation, doubling the CPU time of an optimization; importing
+scipy.optimize also cost 13 MB and about 0.1 s of each CLI `optimize`.
 """
 
 import io
@@ -23,7 +30,8 @@ import numpy as np
 from .assembler import assemble_all
 from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
                      vacation_from_params)
-from .economics import build_nc, build_nr, event_costs, profit_stationary
+from .economics import (build_nc, build_nr, event_costs, profit_stationary,
+                        state_sum)
 from .measures import (EventRates, availability_stationary, down_mask,
                        event_rates_stationary)
 from .solvers import BorderedPattern, bordered_stationary, stationary_direct
@@ -31,6 +39,8 @@ from .statespace import enumerate_states
 from .unit import build_unit_blocks
 
 EPS = float(np.finfo(float).eps)
+ARMIJO = 1e-4           # a step must gain this share of its first-order gain
+MAX_EVALUATIONS = 100   # _search's cap on objective calls
 GRID_CELLS = [(n, R) for n in (4, 3, 2) for R in range(n, 0, -1)]
 
 
@@ -115,7 +125,7 @@ class _CellEvaluator:
         """How finely the last gradient call resolved Phi = sum_i pi_i r_i:
         eps sum_i pi_i |r_i|, the rounding of the sum."""
         x, pi = self._last
-        return EPS * float(pi @ np.abs(self._reward(x)))
+        return EPS * state_sum(pi, np.abs(self._reward(x)))
 
     def evaluate(self, x):
         """Phi, availability and event rates at x from one stationary solve,
@@ -124,7 +134,7 @@ class _CellEvaluator:
         if not np.array_equal(last_x, x):
             pi, _ = self._solve(x)
         flows = self.F[0] + self._rates(x)[:, None] * self.F[1]
-        return (float(pi @ self._reward(x)), float(pi[self.up_mask].sum()),
+        return (state_sum(pi, self._reward(x)), float(pi[self.up_mask].sum()),
                 EventRates.from_flows(pi @ flows))
 
     def gradient(self, x):
@@ -137,9 +147,9 @@ class _CellEvaluator:
         reward = self._reward(x)
         g = lu.solve(reward, trans="T")[1:]
         stages = [np.where(self.stage == i, pi, 0.0) for i in range(self.dim)]
-        grad = [float(p @ self.reward[1] - g @ (p @ self.D[1])[1:])
-                for p in stages]
-        return float(pi @ reward), np.array(grad)
+        grad = [state_sum(p, self.reward[1])
+                - state_sum(g, (p @ self.D[1])[1:]) for p in stages]
+        return state_sum(pi, reward), np.array(grad)
 
 
 def evaluate(config: ModelConfig, family: str, x):
@@ -154,11 +164,12 @@ def evaluate(config: ModelConfig, family: str, x):
 
 def _remaining_gain(iterates, lo: float, hi: float) -> float:
     """Gain in Phi a further step could still make from the last of the
-    iterates, a list of (z, g) with z = log x and g the gradient of -Phi
-    in z: |p|^2 / (2h) for the projected gradient p = clip(z - g) - z and
-    the secant curvature h = s.y / s.s of the last step, s = dz, y = dg.
-    Zero when the box stops every descent direction; infinite before the
-    second iterate, or where h is not positive."""
+    iterates, the points _search accepted after its start as a list of
+    (z, g) with z = log x and g the gradient of -Phi in z: |p|^2 / (2h)
+    for the projected gradient p = clip(z - g) - z and the secant
+    curvature h = s.y / s.s of the last step, s = dz, y = dg.  Zero when
+    the box stops every descent direction; infinite before the second
+    iterate, or where h is not positive."""
     z, g = iterates[-1]
     p = np.clip(z - g, lo, hi) - z
     if not p.any():
@@ -170,10 +181,82 @@ def _remaining_gain(iterates, lo: float, hi: float) -> float:
     return float(p @ p) * float(s @ s) / (2 * sy) if sy > 0 else np.inf
 
 
+def _cubic_step(f0, d0, f1, d1) -> float:
+    """Where in [0.1, 0.5] to try next on a rejected step, as a fraction
+    of it: the minimiser of the cubic through f and its slope f' at both
+    ends (f0, d0 at 0 and f1, d1 at 1; d0 < 0), clamped into the interval,
+    or 0.5 where the cubic has no minimiser."""
+    theta = 3 * (f0 - f1) + d0 + d1
+    disc = theta * theta - d0 * d1
+    if disc < 0:
+        return 0.5
+    root = np.sqrt(disc)
+    a = 1 - (d1 + root - theta) / (d1 - d0 + 2 * root)
+    return min(max(a, 0.1), 0.5)
+
+
+def _search(objective, start, lo: float, hi: float):
+    """Minimize f over the box [lo, hi]^d from start, objective(z) giving
+    f(z), its gradient g and f's resolution delta there.  Returns the last
+    accepted z, the number of objective calls and whether the stop rule
+    held (False when MAX_EVALUATIONS ended the search first).
+
+    A projected quasi-Newton search (Bertsekas 1982).  The first step is
+    -g, later ones the quasi-Newton step of the BFGS inverse Hessian H,
+    both on the free coordinates: a coordinate on a bound whose gradient
+    points out of the box is held there, and the free ones step by the
+    inverse of the free block of H^-1.  A step s, clipped into the box, is
+    accepted when f falls by at least ARMIJO g.s; otherwise the next trial
+    along s is the minimiser of the cubic through f and g.s at both of its
+    ends (Moré & Thuente 1994), using the gradient every call returns.
+    The search stops once _remaining_gain of the accepted points after the
+    start is at most delta, which includes a vanishing projected
+    gradient."""
+    z = np.asarray(start, dtype=float)
+    f, g, delta = objective(z)
+    calls, iterates, H = 1, [], None
+    if _remaining_gain([(z, g)], lo, hi) <= delta:   # a vanishing p alone
+        return z, calls, True
+    while calls < MAX_EVALUATIONS:
+        free = ~(((z <= lo) & (g > 0)) | ((z >= hi) & (g < 0)))
+        descent = -g * free
+        step = np.clip(z + descent, lo, hi) - z
+        if H is not None:
+            # the inverse of the Hessian's free block: H with each held
+            # coordinate eliminated, a Schur complement
+            reduced = H.copy()
+            for k in np.flatnonzero(~free):
+                reduced -= np.outer(reduced[:, k], reduced[k]) / reduced[k, k]
+            newton = np.clip(z + reduced @ descent, lo, hi) - z
+            if newton @ g < 0:   # else the clipped -g step, which descends
+                step = newton
+        while True:
+            trial = z + step
+            f_t, g_t, delta_t = objective(trial)
+            calls += 1
+            if f_t <= f + ARMIJO * (g @ step):
+                break
+            if calls >= MAX_EVALUATIONS:
+                return z, calls, False
+            step = step * _cubic_step(f, g @ step, f_t, g_t @ step)
+        s, y = trial - z, g_t - g
+        z, f, g, delta = trial, f_t, g_t, delta_t
+        iterates.append((z, g))
+        if _remaining_gain(iterates, lo, hi) <= delta:
+            return z, calls, True
+        sy = float(s @ y)
+        if sy > 0:
+            if H is None:
+                H = sy / float(y @ y) * np.eye(z.size)
+            V = np.eye(z.size) - np.outer(s, y) / sy
+            H = V @ H @ V.T + np.outer(s, s) / sy
+    return z, calls, False
+
+
 def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
-    """Maximize stationary profit over the vacation rates: L-BFGS-B on
-    log x in [log 1e-3, log 1e2] with the exact gradient, from x0 (clipped
-    into the box) or from x = 1.
+    """Maximize stationary profit over the vacation rates: _search on
+    z = log x in [log 1e-3, log 1e2] with the exact gradient, from x0
+    (clipped into the box) or from x = 1.
 
     The search stops once a further step could gain no more than Phi's
     rounding.  Phi = sum_i pi_i r_i is summed from a pi accurate to
@@ -181,51 +264,31 @@ def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     the machine epsilon.  (At the study grid's optima, Phi computed at 41
     points within 1e-9 of x* scatters about its trend line by 0.4 to 4.6
     delta, standard deviation.)  Near the optimum -Phi is close to
-    quadratic in z = log x, and a Newton step along the projected gradient
-    p gains about |p|^2 / (2h) with h the curvature.  The secant curvature
-    of the last step, h = s.y / s.s, lies between the Hessian's smallest
-    and largest eigenvalues, so the estimate errs low by at most their
-    ratio (about 3 on the study grid).  Once it is at most delta the next
-    line search would compare values that differ in rounding alone, and
-    the search stops and reports convergence.  L-BFGS-B's own gradient and
-    reduction tests are off (gtol = ftol = 0): besides this rule only an
-    exactly vanishing projected gradient, the iteration limit or a failed
-    line search ends the search, and the last two report no convergence."""
-    # imported here, not at module level: every CLI command imports this
-    # module, and only optimizing needs scipy.optimize's start-up cost
-    from scipy.optimize import minimize
-
+    quadratic in z, and a Newton step along the projected gradient p gains
+    about |p|^2 / (2h) with h the curvature.  The secant curvature of the
+    last step, h = s.y / s.s, lies between the Hessian's smallest and
+    largest eigenvalues, so the estimate errs low by at most their ratio
+    (about 3 on the study grid).  Once it is at most delta the next line
+    search would compare values that differ in rounding alone, and the
+    search stops and reports convergence.  Only that rule, an exactly
+    vanishing projected gradient or the evaluation cap ends the search,
+    and the cap reports no convergence."""
     family = vacation_family(family)
     cell = _CellEvaluator(config, family)
     lo, hi = np.log(1e-3), np.log(1e2)
-    points = {}     # z -> (gradient of -Phi in z, resolution of Phi) there
-    iterates = []   # (z, gradient of -Phi in z) at L-BFGS-B's iterates
-    resolved = False
 
     def objective(z):
         x = np.exp(z)
         phi, grad = cell.gradient(x)
-        points[z.tobytes()] = (-grad * x, cell.resolution())
-        return -phi, -grad * x
-
-    def stop_at_resolution(z):
-        nonlocal resolved
-        g, delta = points[z.tobytes()]
-        iterates.append((z, g))
-        resolved = _remaining_gain(iterates, lo, hi) <= delta
-        if resolved:
-            raise StopIteration
+        return -phi, -grad * x, cell.resolution()
 
     start = np.zeros(cell.dim) if x0 is None else np.clip(np.log(x0), lo, hi)
-    res = minimize(objective, start, jac=True, method="L-BFGS-B",
-                   bounds=[(lo, hi)] * cell.dim, callback=stop_at_resolution,
-                   options={"gtol": 0.0, "ftol": 0.0})
-    x = np.exp(res.x)
+    z, calls, converged = _search(objective, start, lo, hi)
+    x = np.exp(z)
     phi, avail, rates = cell.evaluate(x)
     return OptimizationResult(config.units, config.vacation_threshold,
                               config.pm_enabled, family, x, phi, avail,
-                              int(res.nfev), bool(res.success) or resolved,
-                              rates)
+                              calls, converged, rates)
 
 
 def run_grid(config: ModelConfig) -> list:

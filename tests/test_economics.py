@@ -1,10 +1,15 @@
 """Reward vectors and net-profit measures."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from standbymmap import economics
 from standbymmap.assembler import assemble_all
 from standbymmap.config import CostBlock
 from standbymmap.economics import (build_nc, build_nr, profit_stationary,
@@ -116,3 +121,31 @@ def test_profit_rate_converges(optimal_config, optimal_gens, optimal_pi):
     t = 5000.0
     acc = profit_transient(optimal_gens, phi, t, optimal_config).total
     assert acc / t == pytest.approx(stat, abs=0.2)
+
+
+PROFIT_AT_N6 = """
+from standbymmap.assembler import assemble_all
+from standbymmap.config import bundled_model_path, load_model
+from standbymmap.economics import profit_stationary
+from standbymmap.solvers import stationary_direct
+config = load_model(bundled_model_path()).with_policy(units=6)
+gens = assemble_all(config)
+print(repr(profit_stationary(stationary_direct(gens), gens, config)))
+"""
+
+
+def test_stationary_profit_does_not_depend_on_the_blas_thread_count():
+    """At (6, 3, PM on), 17,556 states: OpenBLAS splits a dot product that
+    long across its threads, so a ddot's last digit would follow
+    OPENBLAS_NUM_THREADS.  Each run is a fresh interpreter, as OpenBLAS
+    reads the variable when it loads."""
+    package_root = str(Path(economics.__file__).resolve().parents[1])
+    reprs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        reprs.append(subprocess.run(
+            [sys.executable, "-c", PROFIT_AT_N6], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert reprs[0] == reprs[1]

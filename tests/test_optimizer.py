@@ -1,5 +1,10 @@
 """Vacation-rate optimization: caching, oracles, robustness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -8,8 +13,9 @@ from scipy.optimize import minimize_scalar
 from standbymmap import optimizer
 from standbymmap.assembler import assemble_all
 from standbymmap.config import vacation_from_params
-from standbymmap.optimizer import (EPS, _CellEvaluator, evaluate, grid_to_csv,
-                                   optimize)
+from standbymmap.optimizer import (EPS, MAX_EVALUATIONS, _CellEvaluator,
+                                   _search, evaluate, grid_to_csv, optimize,
+                                   run_grid)
 from standbymmap.solvers import PIVOT_THRESH, _bordered, bordered_stationary
 
 from example_model import example_fleet_config
@@ -17,6 +23,8 @@ from example_model import example_fleet_config
 # the study-grid cells of the optimize-cells benchmark workload
 BENCH_CELLS = [(4, 3, True, "exponential"), (4, 3, True, "erlang2"),
                (3, 2, False, "exponential"), (3, 2, False, "erlang2")]
+# evaluations scipy's L-BFGS-B took on them, with the same stop rule
+LBFGSB_EVALUATIONS = dict(zip(BENCH_CELLS, [5, 5, 5, 4]))
 BOX_CORNERS = ([1e-3, 1e-3], [1e2, 1e2], [1e-3, 1e2])
 
 
@@ -244,6 +252,7 @@ def test_evaluation_count_does_not_depend_on_the_last_digits(
     assert fresh.evaluations == result.evaluations
     assert fresh.profit == pytest.approx(result.profit, abs=1e-12)
     assert fresh.converged and result.converged
+    assert result.evaluations <= LBFGSB_EVALUATIONS[(n, R, pm, family)]
 
 
 @pytest.mark.parametrize("pm", [True, False])
@@ -286,3 +295,91 @@ def test_compiled_pattern_is_the_ordered_bordered_generator(family, pm,
         reward = cell._reward(x)
         assert (lu.solve(reward, trans="T").tobytes()
                 == solve_ref(reward, trans="T").tobytes()), x
+
+
+def quadratic(centre, hessian=((2.0, 0.6), (0.6, 1.0))):
+    """f(z) = (z - c) A (z - c) / 2 as a _search objective, resolved to
+    eps (1 + |f|)."""
+    A, c = np.array(hessian), np.array(centre)
+
+    def objective(z):
+        f = 0.5 * (z - c) @ A @ (z - c)
+        return f, A @ (z - c), EPS * (1 + abs(f))
+    return objective
+
+
+@pytest.mark.parametrize("start", [[0.0, 0.0], [-2.0, -2.0], [2.0, -2.0]])
+def test_search_finds_an_interior_minimum(start):
+    """From the middle of the box [-2, 2]^2 and from two of its corners."""
+    z, calls, converged = _search(quadratic([0.5, -0.3]), np.array(start),
+                                  -2.0, 2.0)
+    assert converged and calls < 20
+    np.testing.assert_allclose(z, [0.5, -0.3], atol=1e-6)
+
+
+def test_search_stops_on_the_bound_of_an_outside_minimum():
+    """With c = (3, -0.8) outside [-1, 1]^2 the box minimum has z_0 = 1
+    and z_1 minimising f along that edge, c_1 - A_10 (1 - c_0) / A_11.
+    Once z_0 is held, the step of z_1 is Newton's along the edge, so a
+    few calls reach it (11 when z_1 stepped by H's own free block)."""
+    z, calls, converged = _search(quadratic([3.0, -0.8]), np.zeros(2),
+                                  -1.0, 1.0)
+    assert converged and calls <= 5
+    assert z[0] == 1.0
+    assert z[1] == pytest.approx(-0.8 + 0.6 * 2.0, abs=1e-6)
+
+
+def test_search_stops_at_once_in_a_corner_that_is_the_minimum():
+    z, calls, converged = _search(quadratic([3.0, 3.0]),
+                                  np.array([1.0, 1.0]), -1.0, 1.0)
+    assert converged and calls == 1
+    np.testing.assert_array_equal(z, [1.0, 1.0])
+
+
+def test_search_in_one_dimension():
+    """f(z) = e^z - 2z, minimum at log 2, not quadratic."""
+    def objective(z):
+        f = float(np.exp(z[0]) - 2 * z[0])
+        return f, np.exp(z) - 2, EPS * (np.exp(z[0]) + 2 * abs(z[0]))
+    z, calls, converged = _search(objective, np.array([-3.0]), -5.0, 5.0)
+    assert converged and calls < 20
+    assert z[0] == pytest.approx(np.log(2), abs=1e-6)
+
+
+def test_search_reports_no_convergence_at_its_evaluation_cap():
+    """A resolution of -1 no gain can reach: the cap ends the search."""
+    def objective(z):
+        f, g, _ = quadratic([0.5, -0.3])(z)
+        return f, g, -1.0
+    z, calls, converged = _search(objective, np.zeros(2), -2.0, 2.0)
+    assert calls == MAX_EVALUATIONS and not converged
+    np.testing.assert_allclose(z, [0.5, -0.3], atol=1e-6)
+
+
+def test_grid_takes_no_more_evaluations_than_lbfgsb():
+    """L-BFGS-B took 180 evaluations over the 36 cells, 4 to 6 each."""
+    results = run_grid(example_fleet_config())
+    assert all(r.converged for r in results)
+    assert sum(r.evaluations for r in results) <= 180
+    assert max(r.evaluations for r in results) <= 6
+
+
+OPTIMIZE_ALONE = """
+import sys
+from standbymmap.config import bundled_model_path, load_model
+from standbymmap.optimizer import optimize
+config = load_model(bundled_model_path()).with_policy(units=2,
+                                                      vacation_threshold=2)
+assert optimize(config, "erlang2").converged
+print(*(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+
+
+def test_optimize_does_not_import_scipy_optimize():
+    """In a fresh interpreter, as a CLI `optimize` runs."""
+    package_root = str(Path(optimizer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", OPTIMIZE_ALONE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
