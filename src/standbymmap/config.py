@@ -220,8 +220,9 @@ def vacation_from_params(family: str, params) -> PhDistribution:
     entered at the first."""
     family = vacation_family(family)
     params = np.atleast_1d(np.asarray(params, dtype=float))
-    if np.any(params <= 0):
-        raise ConfigError("configuration error: vacation rates must be positive")
+    if not np.all((params > 0) & np.isfinite(params)):
+        raise ConfigError("configuration error: vacation rates must be "
+                          "positive and finite")
     if params.size != VACATION_FAMILIES[family]:
         raise ConfigError(f"configuration error: {family} vacation takes "
                           f"{VACATION_FAMILIES[family]} rate(s)")
@@ -246,6 +247,8 @@ def _matrix(doc, key, where, ndim):
     if arr.ndim != ndim:
         raise ModelFileError(f"{where}.{key}: expected {ndim}-dimensional "
                              f"array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelFileError(f"{where}.{key}: not finite")
     return arr
 
 
@@ -280,8 +283,11 @@ def _from_doc(cls, doc, where: str):
         elif ndim is not None:
             kw[f.name] = _matrix(doc, f.name, where, ndim)
         else:
+            value = _get(doc, f.name, where)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ModelFileError(f"{where}.{f.name}: not finite")
             try:
-                kw[f.name] = f.type(_get(doc, f.name, where))
+                kw[f.name] = f.type(value)
             except (TypeError, ValueError) as exc:
                 raise ModelFileError(f"{where}.{f.name}: {exc}") from None
     try:

@@ -256,7 +256,7 @@ def _search(objective, start, lo: float, hi: float):
 def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     """Maximize stationary profit over the vacation rates: _search on
     z = log x in [log 1e-3, log 1e2] with the exact gradient, from x0
-    (clipped into the box) or from x = 1.
+    (the family's rates, all positive, clipped into the box) or from x = 1.
 
     The search stops once a further step could gain no more than Phi's
     rounding.  Phi = sum_i pi_i r_i is summed from a pi accurate to
@@ -274,6 +274,11 @@ def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
     vanishing projected gradient or the evaluation cap ends the search,
     and the cap reports no convergence."""
     family = vacation_family(family)
+    if x0 is not None:
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x0.shape != (VACATION_FAMILIES[family],) or not np.all(x0 > 0):
+            raise ValueError(f"x0 must hold {VACATION_FAMILIES[family]} "
+                             f"positive {family} rate(s), got {x0}")
     cell = _CellEvaluator(config, family)
     lo, hi = np.log(1e-3), np.log(1e2)
 

@@ -6,10 +6,10 @@ without touching the assembled generator matrices.  For every visited state
 the full outcome distribution -- rates, successor states and event labels --
 is built once and cached, so the jump loop is a bisect over cumulative
 probabilities and long horizons stay cheap.  A row is built from outcome
-templates: each clock exit's outcomes are expanded once per macro-state,
-with the phases the exit neither reads nor sets masked, and applied to
-every state that shares them; each distinct target is checked once.  The
-rates are the same products, summed in the same order, as a per-state
+templates: each clock exit's outcomes are expanded once per state with
+the fields the exit neither reads nor sets masked, and applied to every
+state that shares them; each distinct target is checked once.  The rates
+are the same products, summed in the same order, as a per-state
 expansion gives.
 
 The loop only walks: each draw picks an outcome of the current row and
@@ -29,7 +29,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -143,6 +143,11 @@ def _spread(label, st, onlines, clocks, **fields):
             for po, (i, h, u) in onlines for pc, w in clocks]
 
 
+def _scaled(weight, outcomes) -> list:
+    """A builder's outcomes at weight times their probabilities."""
+    return [(weight * p, target, label) for p, target, label in outcomes]
+
+
 def _moves(ph) -> list:
     """Per phase of a PH clock: the (rate, (new phase,)) of each move that
     stays inside the clock."""
@@ -170,26 +175,6 @@ def _apply(st, rate, template, out):
             targets.append(tuple.__new__(SimState,
                                          head + st[start:stop] + tail))
             events.append(label)
-
-
-def _shock_exit(st, rate, pattern, templates, out):
-    """Append the shock clock's exit to out's lists: the pattern of st's
-    online phases (see FleetSimulator._shock_pattern) over the templates
-    of st's macro-state, which copy only the shock phase."""
-    if rate > 0:
-        rates, targets, events = out
-        head, tail = st[:4], st[7:]
-        for weight, builder, fields in pattern:
-            if builder is None:
-                rates.append(rate * weight)
-                targets.append(tuple.__new__(SimState, head + fields + tail))
-                events.append(None)
-                continue
-            for p, label, before, _, _, after in templates[builder]:
-                rates.append(rate * (weight * p))
-                targets.append(tuple.__new__(SimState,
-                                             before + fields + after))
-                events.append(label)
 
 
 _DOWN = [(1.0, (None, None, None))]     # no unit online
@@ -237,9 +222,6 @@ class FleetSimulator:
         self._service = (None,
                          *((_moves(ph), ph.exit_vector.tolist())
                            for ph in (c.corrective, c.preventive)))
-        self._shock_patterns = {
-            (i, h): self._shock_pattern(i, h)
-            for i, h in [(None, None), *product(range(c.m), range(c.d))]}
         costs = c.costs
         self._phase_costs = (costs.operational.tolist(), costs.damage.tolist(),
                              (None, costs.corrective.tolist(),
@@ -315,40 +297,41 @@ class FleetSimulator:
                            k=k, on_vacation=False)
         return _spread("C", st, online, [(1.0, st.clock)], k=k)
 
-    def _shock_pattern(self, i, h):
-        """Shock arrival with the online unit in internal phase i and damage
-        phase h (None when no unit is online): the clock renews, then
-        total failure / damage / effect.  Each item is (probability,
-        builder, fields): with no builder, the target is the state with
-        (internal, shock, damage) set to fields; else each outcome of the
-        builder's template, at its probability times this one, with the
-        shock phase set to fields[0]."""
+    def _shock_outcomes(self, st: SimState):
+        """Shock arrival: the clock renews, then, with a unit online, total
+        failure / damage / effect, each failure by the drop or repair
+        builder on st with the new shock phase."""
         c = self.c
+        i, h = st.internal, st.damage
         w0 = float(c.total_failure_prob)
         out = []
         for pg, j2 in self._gamma:
+            renewed = st._replace(shock=j2)
             if i is None:
                 # no unit online to harm: phase renewal only
-                out.append((pg, None, (None, j2, None)))
+                out.append((pg, renewed, None))
                 continue
+            drop = self._drop_unit(renewed)
             if w0 > 0:
-                out.append((pg * w0, "_drop_unit", (j2,)))
+                out += _scaled(pg * w0, drop)
             rest = pg * (1.0 - w0)
             if rest == 0:
                 continue
             damage_exit = float(c.damage_exit[h])
             if damage_exit > 0:
-                out.append((rest * damage_exit, "_drop_unit", (j2,)))
+                out += _scaled(rest * damage_exit, drop)
             effects = _support(c.shock_effect[i])
             pr = float(c.shock_repairable[i])
             pnr = float(c.shock_nonrepairable[i])
+            repair = self._repairable_failure(renewed)
             for ph, h2 in _support(c.damage_matrix[h]):
                 base = rest * ph
-                out += [(base * pw, None, (i2, j2, h2)) for pw, i2 in effects]
+                out += [(base * pw, renewed._replace(internal=i2, damage=h2),
+                         None) for pw, i2 in effects]
                 if pr > 0:
-                    out.append((base * pr, "_repairable_failure", (j2,)))
+                    out += _scaled(base * pr, repair)
                 if pnr > 0:
-                    out.append((base * pnr, "_drop_unit", (j2,)))
+                    out += _scaled(base * pnr, drop)
         return out
 
     def _major_inspection(self, st: SimState):
@@ -409,11 +392,10 @@ class FleetSimulator:
 
         Clocks come in a fixed order (internal, inspection, shock, then
         vacation or service), and each rate is the product the event
-        semantics give, in the same order.  An exit's outcomes come from a
-        template kept per builder and masked state (st with the fields
+        semantics give, in the same order.  Each exit's outcomes come from
+        a template kept per builder and masked state (st with the fields
         the builder neither reads nor sets masked), so states that differ
-        only there share it; the shock exit is a pattern per online phase
-        over such templates.  Each distinct target is checked once per
+        only there share it.  Each distinct target is checked once per
         simulator and kept as one object; the pathwise event identities
         are checked on every edge.
         """
@@ -421,16 +403,15 @@ class FleetSimulator:
         k, s, queue, vacation, i, j, h, u, w = st
         keep = self._keep
         out = [], [], []        # rates, targets, events
-        templates = {}          # the shock exit's, by builder
         if s < k:
             # st with the online and shock phases masked
             macro = (k, s, queue, vacation, *keep[4:8], w)
-            templates = {builder: self._template(builder, macro) for builder
-                         in ("_repairable_failure", "_drop_unit")}
             moves, repairable, nonrepairable = self._internal
             _move(st, 4, moves[i], out)
-            _apply(st, repairable[i], templates["_repairable_failure"], out)
-            _apply(st, nonrepairable[i], templates["_drop_unit"], out)
+            _apply(st, repairable[i],
+                   self._template("_repairable_failure", macro), out)
+            _apply(st, nonrepairable[i], self._template("_drop_unit", macro),
+                   out)
             moves, exits = self._inspection
             _move(st, 7, moves[u], out)
             major = i >= c.minor_internal or h >= c.minor_damage
@@ -439,7 +420,10 @@ class FleetSimulator:
                 else "_minor_inspection", macro), out)
         moves, exits = self._shock
         _move(st, 5, moves[j], out)
-        _shock_exit(st, exits[j], self._shock_patterns[i, h], templates, out)
+        # the shock builder reads the internal and damage phases
+        _apply(st, exits[j], self._template(
+            "_shock_outcomes", (k, s, queue, vacation, i, keep[5], h,
+                                *keep[7:])), out)
         if vacation or s >= 1:
             if vacation:
                 (moves, exits), builder = self._vacation, "_vacation_outcomes"

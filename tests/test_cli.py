@@ -80,12 +80,38 @@ def test_bundled_file_is_the_example_model():
     (lambda doc: doc.update(damage_init=[[1.0, 0.0]]),
      "model.damage_init: expected 1-dimensional array"),
     (lambda doc: doc.update(units="four"), "model.units:"),
+    # json reads NaN and Infinity; a model file must not
+    (lambda doc: doc["costs"].update(gross_profit=float("nan")),
+     "model.costs.gross_profit: not finite"),
+    (lambda doc: doc["costs"]["operational"].__setitem__(0, float("inf")),
+     "model.costs.operational: not finite"),
+    (lambda doc: doc["shock_effect"][0].__setitem__(0, float("nan")),
+     "model.shock_effect: not finite"),
+    (lambda doc: doc["internal"]["subgen"][0].__setitem__(0, float("-inf")),
+     "model.internal.subgen: not finite"),
+    (lambda doc: doc.update(units=float("inf")), "model.units: not finite"),
+    (lambda doc: doc.update(vacation={"family": "exponential",
+                                      "params": [float("nan")]}),
+     "model.vacation: .*finite"),
 ])
 def test_model_errors_name_the_field(edit, message):
     doc = config_to_dict(example_fleet_config())
     edit(doc)
     with pytest.raises(ModelFileError, match=message):
         config_from_dict(doc)
+
+
+def test_profit_rejects_a_nan_in_the_model_file(tmp_path, capsys):
+    """json.dumps writes NaN, which json.loads reads back."""
+    doc = config_to_dict(example_fleet_config())
+    doc["costs"]["gross_profit"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()
+    assert run(["profit", "--model", str(bad)], tmp_path) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ModelFileError"
+    assert "gross_profit: not finite" in record["message"]
 
 
 def test_build_reports_structure(capsys):

@@ -154,6 +154,26 @@ def test_restart_robustness():
     assert max(profits) - min(profits) < 1e-8
 
 
+@pytest.mark.parametrize("family,x0", [
+    ("erlang2", [1.0]), ("erlang2", [1.0, 1.0, 1.0]),
+    ("exponential", [1.0, 2.0]), ("erlang2", [-1.0, 1.0]),
+    ("erlang2", [0.0, 1.0]), ("erlang2", [np.nan, 1.0]),
+])
+def test_optimize_refuses_an_x0_the_family_does_not_take(family, x0):
+    """Neither a short x0 (its missing rate would read rho's 0 for the
+    vacation states) nor a rate log x cannot take."""
+    config = example_fleet_config(units=2, vacation_threshold=2)
+    with pytest.raises(ValueError, match="x0"):
+        optimize(config, family, x0=x0)
+
+
+def test_optimize_clips_an_x0_outside_the_box():
+    config = example_fleet_config(units=2, vacation_threshold=2)
+    outside = optimize(config, "erlang2", x0=[1e-6, np.inf])
+    corner = optimize(config, "erlang2", x0=[1e-3, 1e2])
+    assert outside.as_record() == corner.as_record()
+
+
 def test_result_record_round_trips():
     config = example_fleet_config(units=2, vacation_threshold=1)
     result = optimize(config, "exponential")
@@ -327,6 +347,22 @@ def test_search_stops_on_the_bound_of_an_outside_minimum():
     assert converged and calls <= 5
     assert z[0] == 1.0
     assert z[1] == pytest.approx(-0.8 + 0.6 * 2.0, abs=1e-6)
+
+
+def test_search_holds_a_bound_coordinate_whose_gradient_points_out():
+    """With c = (2, 0) outside [-1, 1]^2 and A_01 = -1.8 the box minimum
+    is on the face z_0 = 1, at z_1 = c_1 - A_10 (1 - c_0) / A_11 = -0.45,
+    where g_0 = -1 - 1.8 z_1 < 0 points out of the box.  Held on its
+    bound, z_0 drops out of the quasi-Newton step and z_1 steps by the
+    inverse of H's free block.  Left free, the step of z_1 also carries
+    H_10 g_0, the pull of a coordinate that cannot move; then the step
+    either ascends (and the -g step is taken) or barely descends, and the
+    search stalls short of the face minimum until its evaluation cap."""
+    objective = quadratic([2.0, 0.0], hessian=((1.0, -1.8), (-1.8, 4.0)))
+    z, calls, converged = _search(objective, np.array([1.0, 1.0]), -1.0, 1.0)
+    assert converged
+    assert z[0] == 1.0
+    assert z[1] == pytest.approx(-0.45, abs=1e-6)
 
 
 def test_search_stops_at_once_in_a_corner_that_is_the_minimum():

@@ -67,11 +67,46 @@ def preventive_init_config():
         np.array([0.0, 0.6, 0.4]), config.preventive.subgen))
 
 
+def no_nonrepairable_config():
+    """The example fleet with every non-repairable path closed: internal
+    and shock failures all repairable, and a damage chain that never
+    exits."""
+    c = example_fleet_config()
+    return replace(
+        c,
+        internal_exit_repairable=(c.internal_exit_repairable
+                                  + c.internal_exit_nonrepairable),
+        internal_exit_nonrepairable=np.zeros(c.m),
+        total_failure_prob=0.0,
+        shock_repairable=c.shock_repairable + c.shock_nonrepairable,
+        shock_nonrepairable=np.zeros(c.m),
+        damage_matrix=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        damage_exit=np.zeros(2),
+    )
+
+
+def no_repairable_shock_config():
+    """The example fleet with every shock failure non-repairable."""
+    c = example_fleet_config()
+    return replace(c, shock_repairable=np.zeros(c.m),
+                   shock_nonrepairable=(c.shock_repairable
+                                        + c.shock_nonrepairable))
+
+
 @pytest.mark.parametrize("make", [
     lambda: example_fleet_config(pm_enabled=True),
     lambda: example_fleet_config(pm_enabled=False),
     preventive_init_config,
-], ids=["pm-on", "pm-off", "preventive-init"])
+    # the shock exit's closed branches: no total failure, every shock a
+    # total failure (nothing left for damage or effects), neither
+    # non-repairable shock failures nor damage exits, and no repairable
+    # shock failures
+    lambda: replace(example_fleet_config(), total_failure_prob=0.0),
+    lambda: replace(example_fleet_config(), total_failure_prob=1.0),
+    no_nonrepairable_config,
+    no_repairable_shock_config,
+], ids=["pm-on", "pm-off", "preventive-init", "omega0-0", "omega0-1",
+        "no-nonrepairable", "no-repairable-shock"])
 def test_rows_match_the_per_state_builders(make):
     assert_rows_match_the_reference(make())
 
@@ -289,19 +324,8 @@ def test_walk_matches_the_per_jump_loop_on_random_models(config, seed):
 
 def test_no_nonrepairable_channel_means_no_renewals():
     """Closing every non-repairable path keeps the fleet alive forever."""
-    c = example_fleet_config()
-    config = replace(
-        c,
-        internal_exit_repairable=(c.internal_exit_repairable
-                                  + c.internal_exit_nonrepairable),
-        internal_exit_nonrepairable=np.zeros(c.m),
-        total_failure_prob=0.0,
-        shock_repairable=c.shock_repairable + c.shock_nonrepairable,
-        shock_nonrepairable=np.zeros(c.m),
-        damage_matrix=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        damage_exit=np.zeros(2),
-    )
-    report = simulate(config, horizon=20000.0, replications=2, seed=3)
+    report = simulate(no_nonrepairable_config(), horizon=20000.0,
+                      replications=2, seed=3)
     for name in ("C", "CD", "NS"):
         assert report.event_rates[name].mean == 0.0
     assert report.rates["nonrepairable"].mean == 0.0
