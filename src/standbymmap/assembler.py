@@ -33,7 +33,7 @@ sparse matrix of its own; `label_matrices` builds the nine from the same
 builders for reports and tests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,13 +60,12 @@ class MmapGenerators:
     of the nine labelled generators D_l, and the flow table F, whose column
     l is D_l 1 over ARRIVAL_LABELS.  Every pi, Phi and event rate reads
     these two alone; the D_l themselves are not kept (see
-    `label_matrices`)."""
+    `label_matrices`).  solvers.stationary_direct attaches pi to the
+    instance it solves."""
 
     layout: StateSpaceLayout
     total: sp.csr_matrix
     flows: np.ndarray   # states x ARRIVAL_LABELS
-    # pi of `total`, kept read-only by solvers.stationary_direct
-    _pi: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
 
 def _nonzeros(block: np.ndarray) -> tuple:

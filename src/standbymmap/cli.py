@@ -119,6 +119,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _time_key(t: float) -> str:
+    """JSON key of a time: its 6 digits where they read back as t, else
+    every digit, so distinct times keep distinct keys."""
+    key = _fmt(t)
+    return key if float(key) == t else repr(float(t))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -198,7 +205,7 @@ def cmd_profit(args) -> int:
     if grid:
         phi = initial_distribution(config, gens.layout)
         record["accumulated"] = {
-            _fmt(t): prof_t.total for t, prof_t in
+            _time_key(t): prof_t.total for t, prof_t in
             zip(grid, profit_transient(gens, phi, grid, config))}
     out = _outdir(args)
     rows = ["component,value"]

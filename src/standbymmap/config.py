@@ -14,6 +14,7 @@ file data/example_model.json is the one definition of the example fleet.
 
 import json
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Annotated, get_args
 
@@ -270,6 +271,29 @@ def _ph(doc, key, where):
         raise ModelFileError(f"{path}: {exc}") from None
 
 
+def _scalar(value, kind: type, path: str):
+    """A scalar field's value as its type kind: pm_enabled takes true or
+    false alone, an int field an integral number, a float field a finite
+    number; a bool or a string is no number."""
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ModelFileError(f"{path}: expected true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ModelFileError(f"{path}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, Integral):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:   # an integer past the range of a float
+        number = np.inf
+    if not np.isfinite(number):
+        raise ModelFileError(f"{path}: not finite")
+    if kind is int and not number.is_integer():
+        raise ModelFileError(f"{path}: expected an integer, got {value!r}")
+    return kind(number)
+
+
 def _from_doc(cls, doc, where: str):
     """Instance of the dataclass cls from its document, field by field."""
     kw = {}
@@ -283,13 +307,8 @@ def _from_doc(cls, doc, where: str):
         elif ndim is not None:
             kw[f.name] = _matrix(doc, f.name, where, ndim)
         else:
-            value = _get(doc, f.name, where)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ModelFileError(f"{where}.{f.name}: not finite")
-            try:
-                kw[f.name] = f.type(value)
-            except (TypeError, ValueError) as exc:
-                raise ModelFileError(f"{where}.{f.name}: {exc}") from None
+            kw[f.name] = _scalar(_get(doc, f.name, where), f.type,
+                                 f"{where}.{f.name}")
     try:
         return cls(**kw)
     except (ConfigError, ValueError) as exc:

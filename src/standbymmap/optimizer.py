@@ -32,7 +32,7 @@ from .config import (VACATION_FAMILIES, ModelConfig, vacation_family,
                      vacation_from_params)
 from .economics import (build_nc, build_nr, event_costs, profit_stationary,
                         state_sum)
-from .measures import (EventRates, availability_stationary, down_mask,
+from .measures import (EventRates, availability_stationary,
                        event_rates_stationary)
 from .solvers import BorderedPattern, bordered_stationary, stationary_direct
 from .statespace import enumerate_states
@@ -78,7 +78,8 @@ class _CellEvaluator:
     compiles B(x) in that order, split as D(x) is (solvers.BorderedPattern).
     Every later evaluation adds x_w times the stage-w entries to the fixed
     entries, factors the result in its natural order and solves, as a
-    fresh LU of B(D(x)) in that order does, bit for bit."""
+    fresh LU of B(D(x)) in that order does, bit for bit.  `gradient` gives
+    Phi's resolution too; availability comes from `measures`."""
 
     def __init__(self, config: ModelConfig, family: str):
         self.dim = VACATION_FAMILIES[family]
@@ -98,7 +99,6 @@ class _CellEvaluator:
                - build_nc(self.config, self.layout))
         costs = event_costs(self.config)
         self.reward = (net - self.F[0] @ costs, -dF @ costs)
-        self.up_mask = ~down_mask(self.layout)
         self._last = (None, None)   # (x, pi) of the last gradient solve
         self._pattern = None        # every B(x) in the first solve's order
 
@@ -118,14 +118,8 @@ class _CellEvaluator:
         if self._pattern is not None:
             return self._pattern.solve(self._rates(x))
         pi, lu = bordered_stationary(self.generator(x))
-        self._pattern = BorderedPattern(*self.D, self.stage, lu.order)
+        self._pattern = BorderedPattern(*self.D, lu.order)
         return pi, lu
-
-    def resolution(self) -> float:
-        """How finely the last gradient call resolved Phi = sum_i pi_i r_i:
-        eps sum_i pi_i |r_i|, the rounding of the sum."""
-        x, pi = self._last
-        return EPS * state_sum(pi, np.abs(self._reward(x)))
 
     def evaluate(self, x):
         """Phi, availability and event rates at x from one stationary solve,
@@ -134,14 +128,16 @@ class _CellEvaluator:
         if not np.array_equal(last_x, x):
             pi, _ = self._solve(x)
         flows = self.F[0] + self._rates(x)[:, None] * self.F[1]
-        return (state_sum(pi, self._reward(x)), float(pi[self.up_mask].sum()),
+        return (state_sum(pi, self._reward(x)),
+                availability_stationary(pi, self.layout),
                 EventRates.from_flows(pi @ flows))
 
     def gradient(self, x):
-        """Phi and dPhi/dx at x from one bordered LU.  With B pi^T = e_0 and
-        dB/dx_i = (K_i^T with row 0 cleared), K_i the rows of dD in stage i,
-        the adjoint g = B^-T r gives dPhi/dx_i = -g[1:] (pi K_i)[1:] + pi r_i,
-        r_i = dr/dx_i: one extra triangular solve whatever the dimension."""
+        """Phi = pi r, dPhi/dx and Phi's rounding eps sum_i pi_i |r_i| at x
+        from one bordered LU.  With B pi^T = e_0 and dB/dx_i = (K_i^T with
+        row 0 cleared), K_i the rows of dD in stage i, the adjoint g = B^-T r
+        gives dPhi/dx_i = -g[1:] (pi K_i)[1:] + pi r_i, r_i = dr/dx_i: one
+        extra triangular solve whatever the dimension."""
         pi, lu = self._solve(x)
         self._last = (np.array(x, dtype=float), pi)
         reward = self._reward(x)
@@ -149,7 +145,8 @@ class _CellEvaluator:
         stages = [np.where(self.stage == i, pi, 0.0) for i in range(self.dim)]
         grad = [state_sum(p, self.reward[1])
                 - state_sum(g, (p @ self.D[1])[1:]) for p in stages]
-        return state_sum(pi, reward), np.array(grad)
+        return (state_sum(pi, reward), np.array(grad),
+                EPS * state_sum(pi, np.abs(reward)))
 
 
 def evaluate(config: ModelConfig, family: str, x):
@@ -284,8 +281,8 @@ def optimize(config: ModelConfig, family: str, x0=None) -> OptimizationResult:
 
     def objective(z):
         x = np.exp(z)
-        phi, grad = cell.gradient(x)
-        return -phi, -grad * x, cell.resolution()
+        phi, grad, delta = cell.gradient(x)
+        return -phi, -grad * x, delta
 
     start = np.zeros(cell.dim) if x0 is None else np.clip(np.log(x0), lo, hi)
     z, calls, converged = _search(objective, start, lo, hi)

@@ -259,18 +259,19 @@ def bordered_stationary(D: sp.spmatrix) -> tuple:
 
 
 class BorderedPattern:
-    """The bordered solves of the generators D(x) = D_0 + diag(rho(x)) dD,
-    rho(x)_i = x[group_i] and 0 where group_i = -1, in one fixed order q,
-    compiled once.
+    """The bordered solves of the generators D(x) = D_0 + diag(rho) dD, in
+    one fixed order q, compiled once.  The caller forms rho = rho(x), x_w
+    in each vacation state of stage w and 0 elsewhere; dD has entries in
+    vacation rows alone, so each of them is part of D(x).
 
-    Each entry of D(x) is d_0 + x_w d with w the group of its row, summed as
-    D(x) sums it.  While no entry cancels, every D(x) has one pattern, and
-    its bordered matrix in the order q, B(x)[q][:, q] in CSC, has one fixed
+    Each entry of D(x) is d_0 + rho_i d with i its row, summed as D(x) sums
+    it.  While no entry cancels, every D(x) has one pattern, and its
+    bordered matrix in the order q, B(x)[q][:, q] in CSC, has one fixed
     `indices` and `indptr` and the data b_0 + sum_w x_w b_w: b_0 holds the
     entries of D_0 and the row of ones in their slots of B, and b_w the
-    entries of dD in rows of group w, kept for all w as one (slots, rows,
-    values) triple.  A solve takes rho(x), forms that data by one vector
-    update, adding rho(x)[rows] * values, and factors it in its natural
+    entries of dD in rows of stage w, kept for all w as one (slots, rows,
+    values) triple.  A solve takes rho, forms that data by one vector
+    update, adding rho[rows] * values, and factors it in its natural
     order, with no sparse matrix built, and gives the pi and LU that
     SuperLU's natural-order LU of B(D(x))[q][:, q] gives, bit for bit.
     The ordering, more than half the cost of an LU of the bordered
@@ -284,18 +285,16 @@ class BorderedPattern:
     B reads e and f back from its tag, and the row of ones reads 1."""
 
     def __init__(self, D0: sp.csr_matrix, dD: sp.csr_matrix,
-                 group: np.ndarray, order: np.ndarray):
+                 order: np.ndarray):
         self.D0, self.dD, self.order = D0, dD, order
         self.n = D0.shape[0]
         rows = np.repeat(np.arange(self.n), np.diff(dD.indptr))
         m = dD.nnz + 2
-        # the entries of dD in rows of no group are not part of D(x); each
-        # temporary goes before the next is made, as the first LU is alive
+        # each temporary goes before the next is made, as the first LU is alive
         B = _bordered(
             sp.csr_matrix((np.arange(1.0, D0.nnz + 1) * m, D0.indices,
                            D0.indptr), shape=D0.shape)
-            + sp.csr_matrix((np.where(group[rows] >= 0, np.arange(2.0, m),
-                                      0.0), dD.indices, dD.indptr),
+            + sp.csr_matrix((np.arange(2.0, m), dD.indices, dD.indptr),
                             shape=dD.shape))[order][:, order].tocsc()
         self.indices, self.indptr = B.indices, B.indptr
         e, f = np.divmod(B.data.astype(np.int64), m)
@@ -308,7 +307,7 @@ class BorderedPattern:
         self.diagonals = D0.diagonal(), dD.diagonal()
 
     def solve(self, rho) -> tuple:
-        """pi and the bordered LU at rho = rho(x), checked as
+        """pi and the bordered LU at rho, checked as
         `bordered_stationary` checks them, with pi D(x) and the diagonal of
         D(x) from the split."""
         at, rows, values = self.delta
@@ -341,11 +340,12 @@ def _checked(pi: np.ndarray, balance: np.ndarray,
 
 def stationary_direct(gens: MmapGenerators) -> np.ndarray:
     """Stationary distribution of the assembled generator by the level
-    cycle, `stationary_block`, solved on the first call and kept on `gens`
-    as a read-only array that later calls return.  The LUs are not kept,
-    nor is a failure.  The LUs of the levels fill far less than one LU of
-    the whole generator: `standbymmap steady --n 8` (73,492 states) takes
-    1.4 s and 131 MB against 7.3 s and 354 MB by the bordered solve."""
+    cycle, `stationary_block`, solved on the first call and attached to
+    `gens` as a read-only `_pi` that later calls return (a
+    `dataclasses.replace` copy has none).  The LUs are not kept, nor is a
+    failure.  The LUs of the levels fill far less than one LU of the whole
+    generator: `standbymmap steady --n 8` (73,492 states) takes 1.4 s and
+    131 MB against 7.3 s and 354 MB by the bordered solve."""
     pi = getattr(gens, "_pi", None)
     if pi is None:
         pi = stationary_block(gens)

@@ -93,12 +93,50 @@ def test_bundled_file_is_the_example_model():
     (lambda doc: doc.update(vacation={"family": "exponential",
                                       "params": [float("nan")]}),
      "model.vacation: .*finite"),
+    # scalars keep their type: no fraction, bool or string for a number
+    (lambda doc: doc.update(units=4.5), "model.units: expected an integer"),
+    (lambda doc: doc.update(minor_internal=1.9),
+     "model.minor_internal: expected an integer"),
+    (lambda doc: doc.update(units=True), "model.units: expected a number"),
+    (lambda doc: doc.update(units="4"), "model.units: expected a number"),
+    (lambda doc: doc.update(pm_enabled="false"),
+     "model.pm_enabled: expected true or false"),
+    (lambda doc: doc.update(pm_enabled=0),
+     "model.pm_enabled: expected true or false"),
+    (lambda doc: doc.update(total_failure_prob=True),
+     "model.total_failure_prob: expected a number"),
+    (lambda doc: doc["costs"].update(new_unit="150"),
+     "model.costs.new_unit: expected a number"),
+    (lambda doc: doc["costs"].update(new_unit=10 ** 400),
+     "model.costs.new_unit: not finite"),
 ])
 def test_model_errors_name_the_field(edit, message):
     doc = config_to_dict(example_fleet_config())
     edit(doc)
     with pytest.raises(ModelFileError, match=message):
         config_from_dict(doc)
+
+
+def test_an_integral_float_loads_as_an_int():
+    doc = config_to_dict(example_fleet_config())
+    doc.update(units=4.0, minor_internal=2.0)
+    config = config_from_dict(doc)
+    assert type(config.units) is int and config.units == 4
+    assert config_to_dict(config) == config_to_dict(example_fleet_config())
+
+
+@pytest.mark.parametrize("field,value", [("units", 4.5),
+                                         ("pm_enabled", "false"),
+                                         ("minor_internal", 1.9)])
+def test_build_refuses_a_wrong_typed_scalar(field, value, tmp_path, capsys):
+    doc = config_to_dict(example_fleet_config())
+    doc[field] = value
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["build", "--model", str(bad)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ModelFileError"
+    assert f"{field}: expected" in record["message"]
 
 
 def test_profit_rejects_a_nan_in_the_model_file(tmp_path, capsys):
@@ -184,6 +222,17 @@ def test_profit_at_zero_is_the_initial_fleet_purchase(tmp_path):
     assert list(accumulated) == ["0", "100"]
     # four units at 150 each, bought at t = 0 like one fleet renewal
     assert accumulated["0"] == pytest.approx(-600.0, abs=1e-9)
+
+
+def test_profit_keeps_times_that_share_their_six_digits(tmp_path):
+    """1e6 and 1,000,001 print alike to 6 digits; the JSON keys every time
+    that would not read back by all its digits."""
+    assert run(["profit", "--t-grid", "1000000,1000001,2e6"], tmp_path) == 0
+    accumulated = json.loads((tmp_path / "profit.json").read_text())["accumulated"]
+    assert list(accumulated) == ["1e+06", "1000001.0", "2e+06"]
+    assert [float(key) for key in accumulated] == [1e6, 1000001.0, 2e6]
+    values = list(accumulated.values())
+    assert values[0] < values[1] < values[2]
 
 
 def test_profit_rejects_a_negative_time(tmp_path, capsys):

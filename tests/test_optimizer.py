@@ -8,17 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from standbymmap import optimizer
 from standbymmap.assembler import assemble_all
-from standbymmap.config import vacation_from_params
-from standbymmap.optimizer import (EPS, MAX_EVALUATIONS, _CellEvaluator,
-                                   _search, evaluate, grid_to_csv, optimize,
-                                   run_grid)
+from standbymmap.config import VACATION_FAMILIES, vacation_from_params
+from standbymmap.measures import availability_stationary
+from standbymmap.optimizer import (EPS, GRID_CELLS, MAX_EVALUATIONS,
+                                   _CellEvaluator, _search, evaluate,
+                                   grid_to_csv, optimize, run_grid)
 from standbymmap.solvers import PIVOT_THRESH, _bordered, bordered_stationary
 
 from example_model import example_fleet_config
+from random_models import small_models
 
 # the study-grid cells of the optimize-cells benchmark workload
 BENCH_CELLS = [(4, 3, True, "exponential"), (4, 3, True, "erlang2"),
@@ -90,6 +94,37 @@ def test_stage_split_matches_a_fresh_assembly(family, pm):
         assert np.abs(D.data - fresh.data).max() <= bound, x
 
 
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_models(), st.sampled_from(sorted(VACATION_FAMILIES)))
+def test_rate_entries_lie_in_vacation_rows(config, family):
+    """The cell's dD = D(2) - D(1) has no entry outside the vacation rows,
+    on random models too, so `BorderedPattern` may take every entry of dD
+    and rho(x) alone decides where x enters."""
+    cell = _CellEvaluator(config, family)
+    rows, _ = cell.D[1].nonzero()
+    assert cell.layout.states["vacation"][rows].all()
+
+
+def test_availability_is_the_measures_sum_of_the_searched_pi():
+    """At every study-grid cell, the availability `evaluate` reports at
+    the last gradient call's x is measures.availability_stationary of that
+    call's pi, to the bit: 1 - sum of pi over the down states, not the sum
+    over the up states, which differs in its last digits at most cells."""
+    config = example_fleet_config()
+    for n, R in GRID_CELLS:
+        for pm in (True, False):
+            for family in VACATION_FAMILIES:
+                cell = _CellEvaluator(config.with_policy(
+                    units=n, vacation_threshold=R, pm_enabled=pm), family)
+                x = np.array([0.8, 1.3][:cell.dim])
+                cell.gradient(x)
+                _, pi = cell._last
+                _, avail, _ = cell.evaluate(x)
+                assert avail == availability_stationary(pi, cell.layout), \
+                    (n, R, pm, family)
+
+
 @pytest.mark.parametrize("pm", [True, False])
 @pytest.mark.parametrize("family", ["exponential", "erlang2"])
 def test_gradient_matches_central_differences(family, pm):
@@ -102,7 +137,7 @@ def test_gradient_matches_central_differences(family, pm):
     cell.evaluate(np.ones(cell.dim))
     for x in ([0.4, 1.7], BOX_CORNERS[0]):
         x = np.array(x[:cell.dim])
-        phi, grad = cell.gradient(x)
+        phi, grad, _ = cell.gradient(x)
         assert phi == pytest.approx(cell.evaluate(x)[0], abs=1e-12)
         for i in range(cell.dim):
             step = np.zeros(cell.dim)
@@ -116,7 +151,7 @@ def test_log_gradient_vanishes_at_an_interior_optimum():
     config = example_fleet_config(units=3, vacation_threshold=2)
     result = optimize(config, "erlang2")
     assert np.all((result.x > 1e-3) & (result.x < 1e2))
-    _, grad = _CellEvaluator(config, "erlang2").gradient(result.x)
+    _, grad, _ = _CellEvaluator(config, "erlang2").gradient(result.x)
     assert np.max(np.abs(result.x * grad)) <= 1e-6
 
 
