@@ -8,7 +8,8 @@ units), NS (total loss of the last unit, fleet replacement).  Their sum is
 the conservative generator of the chain.
 
 Six builders write them.  Each walks the second-level blocks of the layout
-and emits the labels that one physical event can produce:
+and emits the labels that one physical event can produce, routed by the
+blocks the layout holds, so that the layout alone applies the threshold R:
 
 - failures_to_facility: A, B (the online unit joins the repair queue)
 - unit_losses: C, CD (the online unit is discarded)
@@ -86,6 +87,7 @@ class _Assembly:
                  blocks: UnitBlocks):
         self.c = config
         self.lay = layout
+        self.keys = set(layout.macro_keys())   # the blocks (k, s, x) held
         self.b = blocks
         c = config
         self.V0 = c.vacation.exit_vector[:, None]
@@ -215,14 +217,14 @@ class _Assembly:
 
     def unit_losses(self):
         """C and CD: a non-repairable failure with k > 1 discards the online
-        unit (k -> k - 1).  At k = R it interrupts the vacation (CD) and the
-        queue head, if any, starts service."""
-        R = self.lay.R
+        unit (k -> k - 1).  With no vacation block (k - 1, s, v) in the
+        layout, as at k = R, it interrupts the vacation (CD) and the queue
+        head, if any, starts service."""
         for k, s, x in self.lay.macro_keys():
             if s == k or k == 1:
                 continue
             H = self.b.HC if s + 1 < k else self.b.HC_p
-            to = "nv" if k == R else x
+            to = x if (k - 1, s, x) in self.keys else "nv"
             for head, prefix in self.heads(s):
                 if to == x:
                     label, clock = "C", (self.keep(x, head),)
@@ -232,15 +234,15 @@ class _Assembly:
                            H, *clock)
 
     def vacation_ends(self):
-        """D and E: the vacation ends.  With at least N = k - R + 1 units
-        waiting the head starts service (D), with fewer a new vacation
-        starts at once (E)."""
+        """D and E: the vacation ends.  If the layout holds the at-work block
+        (k, s, nv), as with N = k - R + 1 or more units waiting, the head
+        starts service (D); else a new vacation starts at once (E)."""
         renew = self.V0 @ self.upsilon
         for k, s, x in self.lay.macro_keys():
             if x != "v":
                 continue
             online = self.eye(len(self.core(k, s)))
-            if s < k - self.lay.R + 1:
+            if (k, s, "nv") not in self.keys:
                 self.place("E", (k, s, x, ()), (k, s, x, ()),
                            online, renew)
                 continue
@@ -251,14 +253,14 @@ class _Assembly:
     def service_completions(self):
         """O and F: the head's repair ends (s -> s - 1), the unit goes
         online (fresh if none was) and the next queued unit, if any, starts
-        service.  The completion that restores R operational units starts
-        a new vacation instead (F)."""
+        service.  With no at-work block (k, s - 1, nv) in the layout, R
+        units are operational again and a new vacation starts instead (F)."""
         for k, s, x in self.lay.macro_keys():
             if x != "nv" or s == 0:
                 continue
             G = self.eye(len(self.b.H0)) if s < k else self.b.theta
             for head, prefix in self.heads(s):
-                if s == k - self.lay.R + 1:
+                if (k, s - 1, "nv") not in self.keys:
                     self.place("F", (k, s, x, prefix), (k, s - 1, "v", ()),
                                G, self.upsilon, self.S0[head])
                     continue
@@ -269,7 +271,7 @@ class _Assembly:
     def fleet_renewal(self):
         """NS: non-repairable failure of the last unit, whole fleet renewed
         on a fresh vacation."""
-        x = "v" if self.lay.R == 1 else "nv"    # the one block E_0^{1,x}
+        x = "v" if (1, 0, "v") in self.keys else "nv"   # the one E_0^{1,x}
         end = self.ones_v @ self.upsilon if x == "v" else self.upsilon
         self.place("NS", (1, 0, x, ()), (self.lay.n, 0, "v", ()),
                    self.b.HC, end)

@@ -10,7 +10,9 @@ A flag can also be set by its STANDBYMMAP_ variable (e.g. STANDBYMMAP_SEED=7),
 read only by the commands that take the flag; on/off switches accept on|off,
 true|false and 1|0.
 
-CSV output carries 6 significant digits; JSON keeps full precision.
+CSV files carry 6 significant digits, except occupancy.csv (psi to 6
+decimals) and grid.csv (x to 6 decimals, profit and availability to 4);
+validate prints its table to 6 decimals.  JSON keeps full precision.
 Exit code 0 means no validation or numerical failure; errors are emitted
 to stderr as one-line JSON records.
 """
@@ -32,7 +34,7 @@ from .config import (VACATION_ALIASES, VACATION_FAMILIES, ConfigError,
 from .economics import profit_stationary, profit_transient
 from .measures import (availability_stationary, down_mask,
                        event_rates_stationary, occupancy)
-from .optimizer import grid_to_csv, grid_to_json, optimize, run_grid
+from .optimizer import optimize, run_grid
 from .simulator import simulate, validate
 from .solvers import SolverError, initial_distribution, stationary_direct, transient
 
@@ -126,6 +128,35 @@ def _time_key(t: float) -> str:
     return key if float(key) == t else repr(float(t))
 
 
+def occupancy_to_csv(table) -> str:
+    rows = ["k,s,regime,psi"]
+    rows += [f"{k},{s},{x},{val:.6f}"
+             for (k, s, x), val in sorted(table.psi.items(), reverse=True)]
+    return "\n".join(rows) + "\n"
+
+
+def grid_to_csv(results) -> str:
+    rows = ["n,R,pm,family,x,profit,availability,evaluations,converged"]
+    for r in results:
+        xs = ";".join(f"{v:.6f}" for v in r.x)
+        rows.append(f"{r.units},{r.threshold},{int(r.pm_enabled)},{r.family},"
+                    f"{xs},{r.profit:.4f},{r.availability:.4f},"
+                    f"{r.evaluations},{int(r.converged)}")
+    return "\n".join(rows) + "\n"
+
+
+def validation_to_text(report) -> str:
+    band = f"{report.width:g} s.e."
+    lines = [f"{'quantity':<28}{'analytic':>14}{'simulated':>14}"
+             f"{band:>12}  status"]
+    for r in report.rows:
+        lines.append(f"{r.name:<28}{r.analytic:>14.6f}{r.estimate:>14.6f}"
+                     f"{report.width * r.stderr:>12.6f}  "
+                     f"{'ok' if r.ok else 'FAIL'}")
+    lines.append("overall: " + ("pass" if report.passed else "FAIL"))
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -183,7 +214,7 @@ def cmd_measures(args) -> int:
     rates = event_rates_stationary(pi, gens)
     avail = availability_stationary(pi, gens.layout)
     out = _outdir(args)
-    _write(out / "occupancy.csv", table.to_csv())
+    _write(out / "occupancy.csv", occupancy_to_csv(table))
     rrows = ["rate,value"]
     rrows += [f"{name},{_fmt(val)}" for name, val in rates.as_dict().items()]
     _write(out / "rates.csv", "\n".join(rrows) + "\n")
@@ -228,7 +259,8 @@ def cmd_optimize(args) -> int:
     if sweep:
         results = run_grid(config)
         _write(out / "grid.csv", grid_to_csv(results))
-        _write(out / "grid.json", grid_to_json(results))
+        _write(out / "grid.json",
+               json.dumps([r.as_record() for r in results], indent=2))
         best = max(results, key=lambda r: r.profit)
         print(f"best cell: n={best.units} R={best.threshold} "
               f"pm={'on' if best.pm_enabled else 'off'} {best.family} "
@@ -300,7 +332,7 @@ def cmd_validate(args) -> int:
     }
     report = _simulate(args, config)
     result = validate(analytic, report)
-    print(result.to_text())
+    print(validation_to_text(result))
     out = _outdir(args)
     _write(out / "validate.json", json.dumps(
         [{"name": r.name, "analytic": r.analytic, "estimate": r.estimate,

@@ -6,7 +6,6 @@ the result.  Event flows read the flow table F, whose column l is D_l 1:
 vec @ F gives the rates under pi, the mean counts over [0, t] under int p.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +42,9 @@ def availability_transient(gens: MmapGenerators, phi: np.ndarray, times) -> np.n
 
 @dataclass(frozen=True)
 class OccupancyTable:
-    """Proportions of time per second-level macro-state."""
+    """Proportions of time per second-level macro-state; cli renders them."""
 
     psi: dict   # (k, s, x) -> value
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("k,s,regime,psi\n")
-        for (k, s, x), val in sorted(self.psi.items(), reverse=True):
-            out.write(f"{k},{s},{x},{val:.6f}\n")
-        return out.getvalue()
 
 
 def occupancy(pi: np.ndarray, layout: StateSpaceLayout) -> OccupancyTable:

@@ -21,8 +21,6 @@ factorisation, doubling the CPU time of an optimization; importing
 scipy.optimize also cost 13 MB and about 0.1 s of each CLI `optimize`.
 """
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,18 +301,3 @@ def run_grid(config: ModelConfig) -> list:
                                          pm_enabled=pm)
                 results.append(optimize(cfg, family))
     return results
-
-
-def grid_to_csv(results) -> str:
-    out = io.StringIO()
-    out.write("n,R,pm,family,x,profit,availability,evaluations,converged\n")
-    for r in results:
-        xs = ";".join(f"{v:.6f}" for v in r.x)
-        out.write(f"{r.units},{r.threshold},{int(r.pm_enabled)},{r.family},"
-                  f"{xs},{r.profit:.4f},{r.availability:.4f},"
-                  f"{r.evaluations},{int(r.converged)}\n")
-    return out.getvalue()
-
-
-def grid_to_json(results) -> str:
-    return json.dumps([r.as_record() for r in results], indent=2)

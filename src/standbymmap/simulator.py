@@ -89,7 +89,6 @@ class SimState(NamedTuple):
 class SimEstimate:
     mean: float
     stderr: float
-    samples: int
 
     def covers(self, value: float, width: float = 3.0) -> bool:
         return abs(value - self.mean) <= width * max(self.stderr, 1e-12)
@@ -613,7 +612,7 @@ def _combine(samples) -> SimEstimate:
     arr = np.asarray(samples, dtype=float)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return SimEstimate(mean, se, arr.size)
+    return SimEstimate(mean, se)
 
 
 def _replications(config, horizon, seeds) -> list:
@@ -679,23 +678,14 @@ class ValidationRow:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Analytic values against the simulator's bands; cli renders the table."""
+
     rows: tuple
     width: float
 
     @property
     def passed(self) -> bool:
         return all(r.ok for r in self.rows)
-
-    def to_text(self) -> str:
-        band = f"{self.width:g} s.e."
-        lines = [f"{'quantity':<28}{'analytic':>14}{'simulated':>14}"
-                 f"{band:>12}  status"]
-        for r in self.rows:
-            lines.append(f"{r.name:<28}{r.analytic:>14.6f}{r.estimate:>14.6f}"
-                         f"{self.width * r.stderr:>12.6f}  "
-                         f"{'ok' if r.ok else 'FAIL'}")
-        lines.append("overall: " + ("pass" if self.passed else "FAIL"))
-        return "\n".join(lines)
 
 
 def validate(analytic: dict, sim: SimReport, width: float = 3.0) -> ValidationReport:

@@ -116,7 +116,7 @@ class StateSpaceLayout:
     # -- structure ---------------------------------------------------------
 
     def second_level_keys(self, k: int):
-        """(s, x) pairs of U^k in layout order."""
+        """(s, x) pairs of U^k in layout order, the blocks R allows."""
         if k >= self.R:
             n_min = k - self.R + 1
             return ([(s, "v") for s in range(k + 1)]

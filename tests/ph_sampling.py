@@ -32,5 +32,4 @@ def sample_ph_mean(ph: PhDistribution, samples: int = 10 ** 6,
         phase[alive] = nxt
         alive = alive[nxt < order]
     return SimEstimate(float(times.mean()),
-                       float(times.std(ddof=1) / math.sqrt(samples)),
-                       samples)
+                       float(times.std(ddof=1) / math.sqrt(samples)))

@@ -127,6 +127,48 @@ def test_arrivals_keep_the_level(optimal_gens, optimal_labels):
         assert np.array_equal(kr, kc)
 
 
+@pytest.mark.parametrize("pm", [True, False])
+@pytest.mark.parametrize("n,R", [(n, R) for n in range(1, 5)
+                                 for R in range(1, n + 1)])
+def test_labels_follow_the_vacation_threshold(n, R, pm):
+    """Each label joins the macro-states that the repairperson's rule
+    gives, with N = k - R + 1 worked out here from the state table and not
+    from the layout's blocks: below N waiting units a vacation ends in a
+    new one (E), else service starts (D); the repair that leaves N - 1
+    waiting starts a vacation (F); a loss at k = R recalls the
+    repairperson (CD), a loss above R keeps the regime (C); and the
+    renewal leaves the one block at k = 1."""
+    config = example_fleet_config(units=n, vacation_threshold=R,
+                                  pm_enabled=pm)
+    states = enumerate_states(config).states
+    labels = label_matrices(config)
+
+    def moves(label):
+        coo = labels[label].tocoo()
+        src, dst = states[coo.row], states[coo.col]
+        return (src["k"].astype(int), src["s"].astype(int), src["vacation"],
+                dst["k"].astype(int), dst["s"].astype(int), dst["vacation"])
+
+    k, s, v, k2, s2, v2 = moves("E")
+    assert k.size and (v & (s < k - R + 1)).all()
+    assert ((k2 == k) & (s2 == s) & v2).all()
+    k, s, v, k2, s2, v2 = moves("D")
+    assert k.size and (v & (s >= k - R + 1)).all()
+    assert ((k2 == k) & (s2 == s) & ~v2).all()
+    k, s, v, k2, s2, v2 = moves("F")
+    assert k.size and (~v & (s == k - R + 1)).all()
+    assert ((k2 == k) & (s2 == k - R) & v2).all()
+    k, s, v, k2, s2, v2 = moves("CD")
+    assert bool(k.size) == (R > 1) and (v & (k == R)).all()
+    assert ((k2 == R - 1) & (s2 == s) & ~v2).all()
+    k, s, v, k2, s2, v2 = moves("C")
+    assert ((k > R) | ~v).all()
+    assert ((k2 == k - 1) & (s2 == s) & (v2 == v)).all()
+    k, s, v, k2, s2, v2 = moves("NS")
+    assert k.size and ((k == 1) & (s == 0) & (v == (R == 1))).all()
+    assert ((k2 == n) & (s2 == 0) & v2).all()
+
+
 # (n, R, PM[, preventive init]) -> label -> (nnz, entry sum) of the bundled
 # model.  The PM-off values are those of the layout over every queue of
 # {corrective, preventive} restricted to the states without a preventive

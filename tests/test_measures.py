@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from standbymmap.cli import occupancy_to_csv
 from standbymmap.measures import (RATE_LABELS, availability_stationary,
                                   event_rates_stationary, occupancy)
 from standbymmap.solvers import initial_distribution, transient_integral
@@ -78,7 +79,7 @@ def test_by_units_marginals(optimal_pi, optimal_gens):
 
 
 def test_occupancy_csv_schema(optimal_pi, optimal_gens):
-    text = occupancy(optimal_pi, optimal_gens.layout).to_csv()
+    text = occupancy_to_csv(occupancy(optimal_pi, optimal_gens.layout))
     lines = text.strip().splitlines()
     assert lines[0] == "k,s,regime,psi"
     assert len(lines) == 1 + len(optimal_gens.layout.macro_keys())

@@ -14,11 +14,12 @@ from scipy.optimize import minimize_scalar
 
 from standbymmap import optimizer
 from standbymmap.assembler import assemble_all
+from standbymmap.cli import grid_to_csv
 from standbymmap.config import VACATION_FAMILIES, vacation_from_params
 from standbymmap.measures import availability_stationary
 from standbymmap.optimizer import (EPS, GRID_CELLS, MAX_EVALUATIONS,
                                    _CellEvaluator, _search, evaluate,
-                                   grid_to_csv, optimize, run_grid)
+                                   optimize, run_grid)
 from standbymmap.solvers import PIVOT_THRESH, _bordered, bordered_stationary
 
 from example_model import example_fleet_config

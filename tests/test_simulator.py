@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from standbymmap import simulator
 from standbymmap.assembler import assemble_all
+from standbymmap.cli import validation_to_text
 from standbymmap.ph import PhDistribution
 from standbymmap.simulator import (FleetSimulator, SimulationError, simulate,
                                    validate)
@@ -368,14 +369,15 @@ def test_validate_flags_a_shifted_quantity():
     bad = {"availability": report.availability.mean + 0.05}
     result = validate(bad, report)
     assert not result.passed
-    assert "FAIL" in result.to_text()
+    assert "FAIL" in validation_to_text(result)
 
 
 def test_validation_table_names_its_band_width():
     report = simulate(example_fleet_config(), horizon=500.0,
                       replications=2, seed=0)
-    header = validate({"availability": report.availability.mean}, report,
-                      width=4.0).to_text().splitlines()[0]
+    header = validation_to_text(validate(
+        {"availability": report.availability.mean}, report,
+        width=4.0)).splitlines()[0]
     assert "4 s.e." in header and "3 s.e." not in header
 
 
