@@ -287,7 +287,7 @@ class _Assembly:
 
 
 def _built(config: ModelConfig, layout: StateSpaceLayout | None,
-           blocks: UnitBlocks | None) -> _Assembly:
+           blocks: UnitBlocks | None = None) -> _Assembly:
     """The assembly of the model with every builder run."""
     asm = _Assembly(config, layout or enumerate_states(config),
                     blocks or build_unit_blocks(config))
@@ -333,13 +333,13 @@ def assemble_all(config: ModelConfig, layout: StateSpaceLayout | None = None,
     return MmapGenerators(asm.lay, total, flows)
 
 
-def label_matrices(config: ModelConfig, layout: StateSpaceLayout | None = None,
-                   blocks: UnitBlocks | None = None) -> dict:
+def label_matrices(config: ModelConfig,
+                   layout: StateSpaceLayout | None = None) -> dict:
     """label -> the labelled generator D_l as a CSR matrix, for all nine,
     from the builders `assemble_all` runs; they sum to its total.  The
     measures read only the total and F: these serve `build`'s nnz report
     and the tests."""
-    asm = _built(config, layout, blocks)
+    asm = _built(config, layout)
     rows, cols, values, parts = asm.triplets()
     return {label: _csr(asm.lay.total, rows[part], cols[part], values[part])
             for label, part in parts.items()}

@@ -255,9 +255,9 @@ def cmd_optimize(args) -> int:
                 "optimize --all sweeps n, R, PM and the vacation family; "
                 f"it takes no --{name} or {_env_var(name)}")
     config = build_config(args)
-    out = _outdir(args)
     if sweep:
         results = run_grid(config)
+        out = _outdir(args)
         _write(out / "grid.csv", grid_to_csv(results))
         _write(out / "grid.json",
                json.dumps([r.as_record() for r in results], indent=2))
@@ -267,6 +267,7 @@ def cmd_optimize(args) -> int:
               f"profit={best.profit:.4f}")
         return 0
     result = optimize(config, _resolve(args, "vacation", str, "erlang2"))
+    out = _outdir(args)
     _write(out / "optimize.json", json.dumps(result.as_record(), indent=2))
     xs = ", ".join(f"{v:.6f}" for v in result.x)
     print(f"optimal rates: ({xs})  profit={result.profit:.4f}  "

@@ -32,7 +32,8 @@ from .economics import (build_nc, build_nr, event_costs, profit_stationary,
                         state_sum)
 from .measures import (EventRates, availability_stationary,
                        event_rates_stationary)
-from .solvers import BorderedPattern, bordered_stationary, stationary_direct
+from .solvers import (BorderedPattern, bordered_stationary, renewal_entries,
+                      stationary_direct)
 from .statespace import enumerate_states
 from .unit import build_unit_blocks
 
@@ -91,6 +92,8 @@ class _CellEvaluator:
         one, two = (assemble_all(config.with_policy(
             vacation=vacation_from_params(family, [rate] * self.dim)),
             self.layout, blocks, validate=False) for rate in (1.0, 2.0))
+        if self.layout.n > 1:   # one level keeps pi unique unrenewed
+            renewal_entries(one.total, self.layout)
         dD, dF = two.total - one.total, two.flows - one.flows
         self.D, self.F = (one.total - dD, dD), (one.flows - dF, dF)
         net = (build_nr(self.config, self.layout)

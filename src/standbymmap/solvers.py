@@ -368,6 +368,17 @@ def _check_levels(D: sp.spmatrix, layout: StateSpaceLayout) -> None:
                           f"{src[i]} to level {dst[i]}")
 
 
+def renewal_entries(D: sp.csr_matrix, layout: StateSpaceLayout) -> np.ndarray:
+    """Columns of level n >= 2 that the fleet renewal from level 1 enters.
+    Raises SolverError when there are none, as pi is then not unique."""
+    (r0, r1), (c0, c1) = layout.k_span(1), layout.k_span(layout.n)
+    cols = np.flatnonzero(np.diff(D[r0:r1, c0:c1].tocsc().indptr))
+    if not cols.size:
+        raise SolverError("no fleet renewal: with no non-repairable failure "
+                          "each unit count is a closed class, pi not unique")
+    return cols
+
+
 def _gth(P: np.ndarray) -> np.ndarray:
     """Stationary vector a of a small irreducible stochastic matrix P,
     a P = a, a 1 = 1, by Grassmann, Taksar and Heyman's elimination (Oper.
@@ -421,7 +432,7 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
     one level, the renewal lies inside it, D_11 is singular, and the route
     is the bordered solve of D itself, as it is for a generator without a
     layout (`gens.layout` None or absent), whose levels are unknown.  Raises SolverError if any other
-    block breaks that structure.
+    block breaks that structure, or if no renewal occurs (`renewal_entries`).
     """
     lay, D = getattr(gens, "layout", None), gens.total.tocsr()
     if lay is None or lay.n == 1:
@@ -433,8 +444,7 @@ def stationary_block(gens: MmapGenerators) -> np.ndarray:
         (r0, r1), (c0, c1) = lay.k_span(i), lay.k_span(j)
         return D[r0:r1, c0:c1]
 
-    renewal = blk(1, n).tocsc()
-    cols = np.flatnonzero(np.diff(renewal.indptr))
+    renewal, cols = blk(1, n), renewal_entries(D, lay)
     entries = np.zeros((renewal.shape[1], cols.size))
     entries[cols, np.arange(cols.size)] = 1.0
     # D_nn's LU goes as soon as Y is solved, before any other level's

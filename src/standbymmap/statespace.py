@@ -21,12 +21,12 @@ The service phase r is carried only in nv states with s >= 1 and belongs to
 the queue head i_1.
 
 State table: `states` has one row per global index, with the integer
-columns queue (the position of the state's queue in `queue_spans()`), k,
-s, vacation (x == "v"), head (i_1), the online unit's phases i, j, h, u and
-the clock phase w (the vacation phase w or the service phase r).  Phases
-are 0-based; a column that a state does not carry reads -1.  Per-state
-quantities read the phases they need by name, so only this module knows
-the order of the phase tuple.
+columns k, s, vacation (x == "v"), head (i_1), the online unit's phases i,
+j, h, u and the clock phase w (the vacation phase w or the service phase
+r).  Phases are 0-based; a column that a state does not carry reads -1.
+Per-state quantities read the phases they need by name, so only this
+module knows the order of the phase tuple.  The queue of a state is not a
+column: `key_of` walks it down the prefix spans.
 """
 
 from dataclasses import dataclass
@@ -60,48 +60,36 @@ class StateSpaceLayout:
         # (k, s, x) -> global boundaries of its queues, one entry more
         self._bounds: dict[tuple, tuple] = {}
         self._k_spans: dict[int, tuple] = {}
-        spans = []
         offset = 0
         for k in range(self.n, 0, -1):
             k_start = offset
             for s, x in self.second_level_keys(k):
-                queues = self.queues(s)
-                bounds = tuple(accumulate(
-                    (self.phase_count(k, s, x, q) for q in queues),
+                self._bounds[(k, s, x)] = bounds = tuple(accumulate(
+                    (prod(self.phase_dims(k, s, x, q)) for q in self.queues(s)),
                     initial=offset))
-                spans += [(MacroStateKey(k, s, x, q), lo, hi)
-                          for q, lo, hi in zip(queues, bounds, bounds[1:])]
-                self._bounds[(k, s, x)] = bounds
                 offset = bounds[-1]
             self._k_spans[k] = (k_start, offset)
-        self._queue_spans = tuple(spans)
         self.total = offset
         self.states = self._state_table()
 
     def _state_table(self) -> np.ndarray:
-        """The state table: the macro-state columns repeat over each queue,
-        and the phase grid of a (k, s, x, head) span over its queues."""
+        """The state table: each (k, s, x, head) span repeats its
+        macro-state columns over its states and tiles its phase grid over
+        its queues."""
         c = self.config
         small = np.min_scalar_type(-max(self.n, c.m, c.t, c.d, c.eps, c.v,
                                         *c.z[1:]))
-        keys = [key for key, _, _ in self._queue_spans]
-        sizes = np.array([hi - lo for _, lo, hi in self._queue_spans])
         table = np.empty(self.total, dtype=[
-            ("queue", np.min_scalar_type(-len(keys))), ("k", small),
-            ("s", small), ("vacation", bool), ("head", small),
+            ("k", small), ("s", small), ("vacation", bool), ("head", small),
             *((name, small) for name in "ijhuw")])
-        table["queue"] = np.repeat(np.arange(len(keys)), sizes)
-        for name, per_queue in (
-                ("k", [key.k for key in keys]), ("s", [key.s for key in keys]),
-                ("vacation", [key.x == "v" for key in keys]),
-                ("head", [key.queue[0] if key.s else -1 for key in keys])):
-            table[name] = np.repeat(per_queue, sizes)
         phases = np.full((5, self.total), -1, dtype=small)   # i, j, h, u, w
         grids = {}   # phase dims -> their coordinates, one row per factor
         for k, s, x in self._bounds:
             rows = [0, 1, 2, 3, 4] if s < k else [1, 4]
             for head in self.queues(min(s, 1)):
                 start, stop = self.span(k, s, x, head)
+                table[["k", "s", "vacation", "head"]][start:stop] = (
+                    k, s, x == "v", head[0] if head else -1)
                 dims = self.phase_dims(k, s, x, head)
                 if dims not in grids:
                     grids[dims] = np.indices(dims).reshape(len(dims), -1)
@@ -127,9 +115,6 @@ class StateSpaceLayout:
         """Repair queues of length s over the marks, lexicographic."""
         return list(product(self.marks, repeat=s))
 
-    def phase_count(self, k: int, s: int, x: str, queue: tuple) -> int:
-        return prod(self.phase_dims(k, s, x, queue))
-
     # -- lookups -----------------------------------------------------------
 
     def span(self, k: int, s: int, x: str, prefix: tuple = ()) -> tuple:
@@ -154,7 +139,13 @@ class StateSpaceLayout:
         """Third-level macro-state containing a global index."""
         if not 0 <= index < self.total:
             raise KeyError(f"index {index} out of range 0..{self.total - 1}")
-        return self._queue_spans[self.states["queue"][index]][0]
+        row = self.states[index]
+        k, s, x = int(row["k"]), int(row["s"]), "v" if row["vacation"] else "nv"
+        queue = ()
+        for _ in range(s):   # the first mark whose prefix span ends past it
+            queue += next((mark,) for mark in self.marks
+                          if self.span(k, s, x, queue + (mark,))[1] > index)
+        return MacroStateKey(k, s, x, queue)
 
     def phase_dims(self, k: int, s: int, x: str, queue: tuple) -> tuple:
         """Factor sizes of the phase tuple, rightmost fastest."""
@@ -171,11 +162,6 @@ class StateSpaceLayout:
         key, row = self.key_of(index), self.states[index]
         return key, tuple(int(row[name]) + 1 for name in "ijhuw"
                           if row[name] >= 0)
-
-    def queue_spans(self) -> tuple:
-        """(MacroStateKey, start, stop) of every repair queue, in layout
-        order."""
-        return self._queue_spans
 
     def macro_keys(self):
         """Second-level keys (k, s, x) in layout order."""

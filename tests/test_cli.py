@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ def test_bundled_model_loads():
 # the modules a CLI start-up must not load: together they were half of it
 START_UP = """
 import sys
+import warnings
 from standbymmap.cli import bundled_model_path, load_model
 load_model(bundled_model_path())
 print(*(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules))
@@ -398,3 +400,41 @@ def test_every_assembling_command_checks_conservation(command, tmp_path,
     assert "row 3654" in record["message"]
     assert "k=1, s=0, x='nv'" in record["message"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture
+def no_renewal_model(tmp_path):
+    """The example fleet with every non-repairable failure made repairable,
+    as a model file: the fleet is never renewed."""
+    from test_simulator import no_nonrepairable_config
+    path = tmp_path / "no-renewal.json"
+    path.write_text(json.dumps(config_to_dict(no_nonrepairable_config())))
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    "steady", "measures", "profit", "validate", "optimize",
+    "optimize --vacation exp"])
+def test_a_fleet_that_is_never_renewed_is_refused(command, no_renewal_model,
+                                                  tmp_path, capsys):
+    """Every unit count is then a closed class and pi is not unique: the
+    level cycle and the optimizer refuse the model before any solve, with
+    no RuntimeWarning, and write nothing."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*command.split(), "--model", str(no_renewal_model),
+                     "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SolverError"
+    assert record["message"].startswith("no fleet renewal")
+    assert not out.exists()
+
+
+def test_a_one_unit_fleet_that_is_never_renewed_still_solves(no_renewal_model,
+                                                             tmp_path):
+    """One level is one class, renewal or not: the bordered solve stands."""
+    assert main(["steady", "--model", str(no_renewal_model), "--n", "1",
+                 "--R", "1", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "steady.json").read_text())
+    assert summary["mass"] == pytest.approx(1.0)

@@ -108,16 +108,16 @@ def test_decode_round_trip():
         assert all(1 <= p <= dim for p, dim in zip(phases, dims))  # 1-based
 
 
-@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (3, 2, False)])
+CELLS = [(4, 3, True), (3, 2, False), (6, 3, True)]
+
+
+@pytest.mark.parametrize("n,R,pm", CELLS)
 def test_state_table_reads_each_queue_and_phase(n, R, pm):
-    """The queue column gives key_of, the phase columns are compact and
-    read -1 where a state carries no such phase."""
+    """The phase columns are compact and read -1 where a state carries no
+    such phase."""
     layout = enumerate_states(example_fleet_config(n, R, pm))
     st = layout.states
     assert all(st[name].dtype == np.int8 for name in "ijhuw")
-    for q, (key, start, stop) in enumerate(layout.queue_spans()):
-        assert np.all(st["queue"][start:stop] == q)
-        assert layout.key_of(start) == layout.key_of(stop - 1) == key
     down = st["s"] == st["k"]
     for name in "ihu":
         assert np.all((st[name] == -1) == down)
@@ -137,11 +137,11 @@ def test_all_down_states_track_only_the_shock_clock():
             assert dims == (config.t, head)
 
 
-@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (3, 2, False)])
+@pytest.mark.parametrize("n,R,pm", CELLS)
 def test_prefix_spans_partition_each_block(n, R, pm):
+    """The prefixes tile each block, and key_of reads each queue back from
+    the first and the last index of its span."""
     layout = enumerate_states(example_fleet_config(n, R, pm))
-    queue_span = {key: (start, stop)
-                  for key, start, stop in layout.queue_spans()}
     for (k, s, x) in layout.macro_keys():
         whole = layout.span(k, s, x)
         assert whole == layout.span(k, s, x, ())
@@ -154,8 +154,9 @@ def test_prefix_spans_partition_each_block(n, R, pm):
                 pos = stop
             assert pos == whole[1]
         for queue in layout.queues(s):
+            start, stop = layout.span(k, s, x, queue)
             key = MacroStateKey(k, s, x, queue)
-            assert layout.span(k, s, x, queue) == queue_span[key]
+            assert layout.key_of(start) == layout.key_of(stop - 1) == key
         with pytest.raises(KeyError):
             layout.span(k, s, x, (1,) * (s + 1))
         if s:
