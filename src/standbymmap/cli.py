@@ -32,7 +32,7 @@ from .config import (VACATION_ALIASES, VACATION_FAMILIES, ConfigError,
                      config_from_dict, config_to_dict, load_model,
                      vacation_family, vacation_from_params)
 from .economics import profit_stationary, profit_transient
-from .measures import (availability_stationary, down_mask,
+from .measures import (availability_rows, availability_stationary,
                        event_rates_stationary, occupancy)
 from .optimizer import optimize, run_grid
 from .simulator import simulate, validate
@@ -193,7 +193,7 @@ def cmd_transient(args) -> int:
     config, gens = _assembled(args)
     phi = initial_distribution(config, gens.layout)
     dist = transient(gens, phi, grid)
-    avail = 1.0 - dist[:, down_mask(gens.layout)].sum(axis=1)
+    avail = availability_rows(dist, gens.layout)
     out = _outdir(args)
     rows = ["t,index,probability"]
     for t, row in zip(grid, dist):

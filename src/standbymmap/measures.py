@@ -35,9 +35,16 @@ def availability_stationary(pi: np.ndarray, layout: StateSpaceLayout) -> float:
     return float(1.0 - pi[down_mask(layout)].sum())
 
 
+def availability_rows(p: np.ndarray, layout: StateSpaceLayout) -> np.ndarray:
+    """1 minus the down mass of each row of p, each row summed as a 1-D
+    sum is, so its value does not depend on the other rows.  p[:, mask]
+    would be stored column by column, and its sum over axis 1 then adds
+    the entries in an order set by the number of rows."""
+    return 1.0 - np.compress(down_mask(layout), p, axis=1).sum(axis=1)
+
+
 def availability_transient(gens: MmapGenerators, phi: np.ndarray, times) -> np.ndarray:
-    p = transient(gens, phi, times)
-    return 1.0 - p[:, down_mask(gens.layout)].sum(axis=1)
+    return availability_rows(transient(gens, phi, times), gens.layout)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Transient quantities use one uniformization sweep over the whole time grid.
 The sweep detects stationarity (Sericola 1999; Malhotra, Muppala and
 Trivedi 1994): once successive iterates agree to the tolerance it reads the
 model's one stationary solve, and once phi P^k is within the tolerance of pi
-it replaces the rest of each long time's sum by a stationary tail whose
-weight has a closed form, so a horizon costs no more steps than the mixing
-time.  Its truncated mass stays in the result: p(t) 1 falls short of 1, and
-int_0^t p 1 short of t, by the truncation defect, which callers can check.
+it replaces the rest of the sum of every time that goes past k by a
+stationary tail whose weight has a closed form, so a horizon costs no more
+steps than the mixing time.  Its truncated mass stays in the result: p(t) 1
+falls short of 1, and int_0^t p 1 short of t, by the truncation defect,
+which callers can check.
 The stationary distribution comes from a level cycle over the unit-count
 levels: it censors the chain on the few full-fleet states the fleet
 renewal enters, solves that small chain by GTH (Grassmann, Taksar and
@@ -35,6 +36,7 @@ from .statespace import StateSpaceLayout
 
 UNIFORMIZATION_TOL = 1e-10
 WEIGHT_BLOCK = 512       # sweep steps whose Poisson weights are formed at once
+TRIGGER_STRIDE = 8       # the sweep's trigger is tested at steps k % 8 == 0
 PIVOT_THRESH = 0.1
 RESIDUAL_TOL = 1e-9
 
@@ -112,17 +114,27 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
 
     One sweep forms v_k = phi P^k for the whole grid, with the weights
     formed WEIGHT_BLOCK steps at a time, and stops once the chain has mixed.
-    Trigger: when ||v_k - v_(k-1)||_1 <= tol, pi is read from
-    `stationary_direct`, the model's one stationary solve.  Certificate:
-    from then on the first step K with ||v_K - pi||_1 <= tol is the tail
-    point; a trigger without it (a nearly decomposable chain, or several
-    closed classes, where the solve fails) costs only that solve.  Every t
-    with kmax(t) > 2K, whose sweep would be more than twice the one already
-    run, adds (sum_{k=K}^{kmax} w_k) pi in closed form in place of its steps
-    from K on.  P is stochastic, so ||v_j - pi||_1 <= tol for every j >= K,
-    and the tail is off by at most tol times its weight: tol for p(t), tol t
-    for int_0^t p.  The other times sum exactly, so which rule a t takes,
-    and its row, depend on t alone and not on the rest of the grid."""
+    Trigger: at a step k that is a multiple of TRIGGER_STRIDE, when
+    ||v_k - v_(k-1)||_1 <= tol, pi is read from `stationary_direct`, the
+    model's one stationary solve.  Certificate: from then on the first step
+    K with ||v_K - pi||_1 <= tol is the tail point.  A trigger without it (a
+    nearly decomposable chain) costs that solve and one norm per step; one
+    whose solve fails (several closed classes, no unique pi) ends both
+    tests.  Every t with kmax(t) > K adds (sum_{k=K}^{kmax} w_k) pi in
+    closed form in place of its steps from K on.  P is stochastic, so
+    ||v_j - pi||_1 <= tol for every j >= K, and the tail is off by at most
+    tol times its weight: tol for p(t), tol t for int_0^t p.  The other
+    times sum exactly.
+
+    Both tests look at iterates and step numbers that do not depend on the
+    grid, and run while k < kmax of the grid's longest time, so K is the
+    same for every grid whose longest time passes it: a t with kmax(t) > K
+    takes the tail at K in any grid, and any other t sums exactly, so its
+    row depends on t alone.  The worst case is a grid whose longest time
+    ends between the trigger and K: it reads pi (solved once and kept on
+    `gens`) and still sums every step.  A step adds its iterate only to the
+    rows whose weight is not 0; at t = 5000 on the bundled fleet every
+    weight before K underflows to 0."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not times.size or not np.all(np.isfinite(times) & (times >= 0)):
         raise SolverError("uniformization needs a nonempty grid of finite "
@@ -140,7 +152,12 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                           f"counts: lam = {lam}, t = {times[order[0]]}")
     kmax = _truncation(lamt, tol / np.maximum(lamt, 1.0))
     acc = np.zeros((times.size, phi.size))
-    vec, prev, pi = phi, None, None
+    buf = np.empty(phi.size)
+
+    def gap(a, b):                  # ||a - b||_1, formed in `buf`
+        return np.abs(np.subtract(a, b, out=buf), out=buf).sum()
+    vec, pi = phi, None
+    search = kmax[0]                # both tests run while k < search
     k = done = 0                    # rows [0, done) took the stationary tail
     while done < times.size and k <= kmax[done]:
         steps = np.arange(k, min(k + WEIGHT_BLOCK, kmax[done] + 1))
@@ -149,21 +166,26 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
         weights = (_poisson_sf(steps, rows) / lam if integral
                    else _poisson_pmf(steps, rows))
         for w, n in zip(weights, live):
-            # a tail taken at step k serves only the times with kmax > 2k
-            if not done and 2 * k < kmax[0]:
-                if (pi is None and prev is not None
-                        and np.abs(vec - prev).sum() <= tol):
+            # a tail taken at step k serves every time with kmax > k
+            if not done and k < search:
+                if (pi is None and k and not k % TRIGGER_STRIDE
+                        and gap(vec, prev) <= tol):
                     try:
                         pi = stationary_direct(gens)
                     except RuntimeError:    # no unique pi: nothing to certify
-                        pi = np.full(phi.size, np.nan)
-                if pi is not None and np.abs(vec - pi).sum() <= tol:
-                    done = np.count_nonzero(kmax > 2 * k)
+                        search = 0
+                if pi is not None and gap(vec, pi) <= tol:
+                    done = np.count_nonzero(kmax > k)
                     tail = _tail_weights(k, kmax[:done], lamt[:done], lam,
                                          integral)
                     acc[:done] += tail[:, None] * pi
                     break
-            acc[done:n] += w[:n - done, None] * vec
+            # a step's weights are unimodal along the times, so the rows
+            # where they do not underflow to 0 are contiguous
+            nonzero = np.flatnonzero(w[:n - done])
+            if nonzero.size:
+                lo, hi = nonzero[0], nonzero[-1] + 1
+                acc[done + lo:done + hi] += w[lo:hi, None] * vec
             prev, vec = vec, PT @ vec
             k += 1
     return acc[np.argsort(order)]

@@ -374,6 +374,7 @@ def test_validate_passes_on_the_bundled_model(tmp_path, capsys):
     ("measures", 1),
     ("profit", 1),
     ("profit --t-grid 1e6", 1),
+    ("transient", 1),
     ("transient --t-grid 0,1e4,1e6", 1),
     ("transient --t-grid 0,10,100", 0),
     ("validate --horizon 2e4 --reps 2", 1)])

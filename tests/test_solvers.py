@@ -17,11 +17,11 @@ from standbymmap import solvers
 from standbymmap.assembler import ARRIVAL_LABELS, MmapGenerators, assemble_all
 from standbymmap.economics import profit_transient
 from standbymmap.measures import availability_stationary, availability_transient
-from standbymmap.solvers import (SolverError, _checked, _gth, _poisson_pmf,
-                                 _poisson_sf, _truncation, bordered_stationary,
-                                 initial_distribution, stationary_block,
-                                 stationary_direct, transient,
-                                 transient_integral)
+from standbymmap.solvers import (UNIFORMIZATION_TOL, SolverError, _checked,
+                                 _gth, _poisson_pmf, _poisson_sf, _truncation,
+                                 bordered_stationary, initial_distribution,
+                                 stationary_block, stationary_direct,
+                                 transient, transient_integral)
 
 from example_model import example_fleet_config
 from random_models import small_models
@@ -499,19 +499,49 @@ def test_one_solve_serves_a_transient_curve(solves):
 def test_grid_rows_equal_single_calls_across_the_tail(n, R, pm):
     """Whether a t takes the stationary tail depends on t alone, so one
     sweep gives each row bit for bit as the call for that t does, on both
-    sides of the detection step."""
+    sides of the detection step; so do the availability and the profit
+    read from the rows."""
     config = example_fleet_config(n, R, pm)
     gens = assemble_all(config, validate=False)
     phi = initial_distribution(config, gens.layout)
     grid = [1000.0, 5000.0, 1e4, 50.0, 2000.0, 3000.0, 1e6]
     rows = transient(gens, phi, grid)
+    availabilities = availability_transient(gens, phi, grid)
     integrals = transient_integral(gens, phi, grid)
     profits = profit_transient(gens, phi, grid, config)
     for i, t in enumerate(grid):
         np.testing.assert_array_equal(rows[i], transient(gens, phi, [t])[0])
+        assert availabilities[i] == availability_transient(gens, phi, [t])[0]
         np.testing.assert_array_equal(integrals[i],
                                       transient_integral(gens, phi, t))
         assert profits[i] == profit_transient(gens, phi, t, config)
+
+
+def test_a_time_short_of_twice_the_tail_step_takes_the_tail(
+        optimal_config, optimal_gens, monkeypatch):
+    """t = 1000 on the bundled fleet sums to kmax = 2,802, short of twice
+    the certified step K = 2,130, and still stops at K: fewer than
+    kmax + 1 products, at least kmax / 2, and rows within tol of the sums
+    at tol = 1e-17, which never take the tail."""
+    tol, t = UNIFORMIZATION_TOL, 1000.0
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    lam = 1.01 * np.max(np.abs(optimal_gens.total.diagonal()))
+    kmax = _truncation(np.array([lam * t]), np.array([tol / (lam * t)]))[0]
+    products = [0]
+    matmul = sp.csr_matrix.__matmul__
+
+    def counted(self, other):
+        products[0] += np.ndim(other) == 1
+        return matmul(self, other)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    p = transient(optimal_gens, phi, [t], tol=tol)[0]
+    assert kmax / 2 <= products[0] < kmax + 1
+    monkeypatch.undo()
+    p_ref = transient(optimal_gens, phi, [t], tol=1e-17)[0]
+    assert np.abs(p - p_ref).sum() <= 2 * tol
+    integral = transient_integral(optimal_gens, phi, t, tol=tol)
+    integral_ref = transient_integral(optimal_gens, phi, t, tol=1e-17)
+    assert np.abs(integral - integral_ref).sum() <= tol * t
 
 
 def test_long_sweep_memory_does_not_grow_with_the_horizon():
