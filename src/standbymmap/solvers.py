@@ -104,6 +104,42 @@ def _tail_weights(K: int, kmax: np.ndarray, lamt: np.ndarray, lam: float,
     return (excess(K) - excess(kmax + 1)) / lam
 
 
+class _Products:
+    """x -> PT x for the uniformization sweep, PT @ x bit for bit.  A
+    product zero-fills its output and runs scipy's csr_matvec, the kernel
+    that `csr_matrix @ vector` itself runs after `np.zeros` and its
+    dispatch, into one of two state vectors made once: the one its
+    argument is not, so an iterate outlives the next product and the one
+    after overwrites it.  The kernel checks no size; PT is checked here,
+    and any argument other than the two vectors before each product."""
+
+    def __init__(self, PT: sp.csr_matrix):
+        from scipy.sparse._sparsetools import csr_matvec
+        n = PT.shape[0]
+        if not (PT.format == "csr" and PT.dtype == np.float64
+                and PT.shape == (n, n) and PT.indptr.size == n + 1
+                and PT.indices.dtype == PT.indptr.dtype):
+            raise ValueError("the sweep's products need a square float64 "
+                             f"CSR matrix: {PT.format} {PT.dtype} {PT.shape}")
+        self._kernel, self._matrix = csr_matvec, (n, n, PT.indptr,
+                                                  PT.indices, PT.data)
+        self._out = np.empty(n), np.empty(n)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        a, b = self._out
+        if x is a:
+            a = b
+        elif x is not b and not (x.dtype == np.float64
+                                 and x.shape == a.shape
+                                 and x.flags.c_contiguous):
+            raise ValueError("the sweep's products need a contiguous "
+                             f"float64 vector of {a.size} states: "
+                             f"{x.dtype} {x.shape}")
+        a.fill(0.0)
+        self._kernel(*self._matrix, x, a)
+        return a
+
+
 def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                     integral: bool) -> np.ndarray:
     """Rows sum_k w_k(t) phi P^k, one per t, with P = I + D / lam and w_k
@@ -132,10 +168,20 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
     takes the tail at K in any grid, and any other t sums exactly, so its
     row depends on t alone.  The worst case is a grid whose longest time
     ends between the trigger and K: it reads pi (solved once and kept on
-    `gens`) and still sums every step.  A step adds its iterate only to the
-    rows whose weight is not 0; at t = 5000 on the bundled fleet every
-    weight before K underflows to 0."""
+    `gens`) and still sums every step.
+
+    A step adds its iterate to the rows whose weight is not 0 (at t = 5000
+    on the bundled fleet every weight before K underflows to 0), a window
+    of rows found for a whole block of steps at once; a window of one row
+    is updated in place through a scratch vector, by the two roundings of
+    acc[r] += w * vec.  It then forms the next iterate by one `_Products`
+    call, scipy's own CSR kernel run into two reused vectors, PT @ vec bit
+    for bit: at 3,668 states the sparse product is most of a step, and a
+    fresh vector and a dispatch per step would be a good part of the
+    rest.  No iterate is formed past the last step: an exact sum forms
+    kmax products, and a tail taken at step K forms K."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    phi = np.ascontiguousarray(phi, dtype=float)
     if not times.size or not np.all(np.isfinite(times) & (times >= 0)):
         raise SolverError("uniformization needs a nonempty grid of finite "
                           f"times t >= 0: {times}")
@@ -152,20 +198,31 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                           f"counts: lam = {lam}, t = {times[order[0]]}")
     kmax = _truncation(lamt, tol / np.maximum(lamt, 1.0))
     acc = np.zeros((times.size, phi.size))
-    buf = np.empty(phi.size)
+    product, scratch = _Products(PT), np.empty(phi.size)
 
-    def gap(a, b):                  # ||a - b||_1, formed in `buf`
-        return np.abs(np.subtract(a, b, out=buf), out=buf).sum()
+    def gap(a, b):                  # ||a - b||_1, formed in `scratch`
+        return np.abs(np.subtract(a, b, out=scratch), out=scratch).sum()
     vec, pi = phi, None
-    search = kmax[0]                # both tests run while k < search
+    search = int(kmax[0])           # both tests run while k < search
     k = done = 0                    # rows [0, done) took the stationary tail
     while done < times.size and k <= kmax[done]:
-        steps = np.arange(k, min(k + WEIGHT_BLOCK, kmax[done] + 1))
+        last = int(kmax[done])      # the sweep's last step, if no tail
+        steps = np.arange(k, min(k + WEIGHT_BLOCK, last + 1))
         live = np.searchsorted(-kmax, -steps, side="right")
         steps, rows = steps[:, None], lamt[done:live[0]]
         weights = (_poisson_sf(steps, rows) / lam if integral
                    else _poisson_pmf(steps, rows))
-        for w, n in zip(weights, live):
+        # a step's weights are unimodal along the times, so the rows still
+        # live at that step whose weight does not underflow to 0 are one
+        # window [lo, hi) of the block's rows, empty (lo = hi) if none is
+        nonzero = (weights != 0) & (np.arange(rows.size)
+                                    < (live - done)[:, None])
+        some = nonzero.any(axis=1)
+        lo = np.where(some, nonzero.argmax(axis=1), 0)
+        hi = np.where(some, rows.size - nonzero[:, ::-1].argmax(axis=1), 0)
+        w_lo = weights[np.arange(steps.size), lo]
+        for s, (r0, r1, w) in enumerate(zip(lo.tolist(), hi.tolist(),
+                                            w_lo.tolist())):
             # a tail taken at step k serves every time with kmax > k
             if not done and k < search:
                 if (pi is None and k and not k % TRIGGER_STRIDE
@@ -180,14 +237,14 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                                          integral)
                     acc[:done] += tail[:, None] * pi
                     break
-            # a step's weights are unimodal along the times, so the rows
-            # where they do not underflow to 0 are contiguous
-            nonzero = np.flatnonzero(w[:n - done])
-            if nonzero.size:
-                lo, hi = nonzero[0], nonzero[-1] + 1
-                acc[done + lo:done + hi] += w[lo:hi, None] * vec
-            prev, vec = vec, PT @ vec
+            if r1 - r0 == 1:        # the two roundings of acc[r] += w * vec
+                row = acc[done + r0]
+                np.add(row, np.multiply(vec, w, out=scratch), out=row)
+            elif r1 > r0:
+                acc[done + r0:done + r1] += weights[s, r0:r1, None] * vec
             k += 1
+            if k <= last:
+                prev, vec = vec, product(vec)
     return acc[np.argsort(order)]
 
 

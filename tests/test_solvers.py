@@ -25,6 +25,7 @@ from standbymmap.solvers import (UNIFORMIZATION_TOL, SolverError, _checked,
 
 from example_model import example_fleet_config
 from random_models import small_models
+from reference_sweep import reference_sweep
 
 
 def test_initial_distribution_lives_in_the_fresh_block(optimal_config, optimal_gens):
@@ -517,6 +518,18 @@ def test_grid_rows_equal_single_calls_across_the_tail(n, R, pm):
         assert profits[i] == profit_transient(gens, phi, t, config)
 
 
+def counted_products(monkeypatch):
+    """A one-entry list that counts the sweep's products from now on."""
+    products = [0]
+    product = solvers._Products.__call__
+
+    def counted(self, x):
+        products[0] += 1
+        return product(self, x)
+    monkeypatch.setattr(solvers._Products, "__call__", counted)
+    return products
+
+
 def test_a_time_short_of_twice_the_tail_step_takes_the_tail(
         optimal_config, optimal_gens, monkeypatch):
     """t = 1000 on the bundled fleet sums to kmax = 2,802, short of twice
@@ -527,13 +540,7 @@ def test_a_time_short_of_twice_the_tail_step_takes_the_tail(
     phi = initial_distribution(optimal_config, optimal_gens.layout)
     lam = 1.01 * np.max(np.abs(optimal_gens.total.diagonal()))
     kmax = _truncation(np.array([lam * t]), np.array([tol / (lam * t)]))[0]
-    products = [0]
-    matmul = sp.csr_matrix.__matmul__
-
-    def counted(self, other):
-        products[0] += np.ndim(other) == 1
-        return matmul(self, other)
-    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    products = counted_products(monkeypatch)
     p = transient(optimal_gens, phi, [t], tol=tol)[0]
     assert kmax / 2 <= products[0] < kmax + 1
     monkeypatch.undo()
@@ -542,6 +549,102 @@ def test_a_time_short_of_twice_the_tail_step_takes_the_tail(
     integral = transient_integral(optimal_gens, phi, t, tol=tol)
     integral_ref = transient_integral(optimal_gens, phi, t, tol=1e-17)
     assert np.abs(integral - integral_ref).sum() <= tol * t
+
+
+def test_an_exact_sum_forms_no_iterate_past_its_last_step(
+        optimal_config, optimal_gens, monkeypatch):
+    """t = 100 on the bundled fleet sums steps 0..kmax = 363 exactly: 363
+    products, none after the last step."""
+    phi = initial_distribution(optimal_config, optimal_gens.layout)
+    products = counted_products(monkeypatch)
+    transient(optimal_gens, phi, [100.0])
+    assert products[0] == 363
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_sweep_products_equal_the_sparse_product(n):
+    """The sweep's products run scipy's private CSR kernel; they must stay
+    PT @ v bit for bit, whatever scipy's version."""
+    gens = assemble_all(example_fleet_config(n, 3, True), validate=False)
+    D = gens.total
+    PT = (sp.identity(D.shape[0], format="csr")
+          + D / (1.01 * np.max(np.abs(D.diagonal())))).T.tocsr()
+    product = solvers._Products(PT)
+    rng = np.random.default_rng(n)
+    v = rng.random(D.shape[0])
+    for _ in range(4):
+        expected = PT @ v
+        v = product(v)
+        np.testing.assert_array_equal(v, expected)
+    with pytest.raises(ValueError, match="states"):
+        product(np.ones(D.shape[0] - 1))
+    with pytest.raises(ValueError, match="CSR"):
+        solvers._Products(PT.tocsc())
+
+
+def assert_sweep_equals_the_reference(gens, phi, grid, tol, monkeypatch):
+    """p(t) and int_0^t p from the sweep equal the reference loop's bit for
+    bit, and the sweep forms the loop's products less the one the loop
+    forms after its last step, if it sums to the end: kmax products for an
+    exact sum, K for a tail taken at step K."""
+    lam = 1.01 * np.max(np.abs(gens.total.diagonal()))
+    lamt = lam * np.max(grid)
+    kmax = _truncation(np.array([lamt]), np.array([tol / max(lamt, 1.0)]))[0]
+    for integral in (False, True):
+        expected, loop_products = reference_sweep(gens, phi, grid, tol,
+                                                  integral)
+        products = counted_products(monkeypatch)
+        rows = solvers._uniformization(gens, phi, grid, tol, integral)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(rows, expected)
+        assert products[0] == min(loop_products, kmax)
+
+
+REFERENCE_GRIDS = [[0.0], [0.0, 1.0, 10.0, 100.0], [100.0], [650.0, 10.0],
+                   [1000.0], [1000.0, 5000.0, 50.0], [1e6, 0.0]]
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False), (3, 2, True),
+                                    (5, 3, True), (2, 1, False)])
+def test_sweep_equals_the_reference_loop(n, R, pm, monkeypatch):
+    """On t = 0, exact sums, a grid ending between the trigger and K (t =
+    650 on the bundled fleet: trigger 1,776, kmax 1,880, K 2,130), a time
+    in (K, 2K] (t = 1000), tail times up to 1e6, and at tol = 1e-14, where
+    no tail is taken."""
+    config = example_fleet_config(n, R, pm)
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+    for grid in REFERENCE_GRIDS:
+        assert_sweep_equals_the_reference(gens, phi, grid, UNIFORMIZATION_TOL,
+                                          monkeypatch)
+    assert_sweep_equals_the_reference(gens, phi, [1000.0, 100.0], 1e-14,
+                                      monkeypatch)
+
+
+def test_tail_step_of_six_units_equals_the_reference_loop(monkeypatch):
+    """K = 4,400 at n = 6, R = 3, PM on."""
+    config = example_fleet_config(6, 3, True)
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+    products = counted_products(monkeypatch)
+    rows = transient(gens, phi, [1e6])
+    monkeypatch.undo()
+    assert products[0] == 4400
+    np.testing.assert_array_equal(
+        rows, reference_sweep(gens, phi, [1e6], UNIFORMIZATION_TOL, False)[0])
+
+
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(small_models())
+def test_sweep_equals_the_reference_loop_on_random_models(monkeypatch,
+                                                          config):
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+    for grid in ([0.0, 1.0, 10.0], [100.0, 1000.0, 5.0]):
+        assert_sweep_equals_the_reference(gens, phi, grid, UNIFORMIZATION_TOL,
+                                          monkeypatch)
 
 
 def test_long_sweep_memory_does_not_grow_with_the_horizon():
