@@ -105,13 +105,11 @@ def _tail_weights(K: int, kmax: np.ndarray, lamt: np.ndarray, lam: float,
 
 
 class _Products:
-    """x -> PT x for the uniformization sweep, PT @ x bit for bit.  A
-    product zero-fills its output and runs scipy's csr_matvec, the kernel
-    that `csr_matrix @ vector` itself runs after `np.zeros` and its
-    dispatch, into one of two state vectors made once: the one its
-    argument is not, so an iterate outlives the next product and the one
-    after overwrites it.  The kernel checks no size; PT is checked here,
-    and any argument other than the two vectors before each product."""
+    """(x, out) -> PT x in out, PT @ x bit for bit: zero-fill out and run
+    scipy's csr_matvec, the kernel that `csr_matrix @ vector` itself runs
+    after `np.zeros` and its dispatch.  The kernel checks no size: PT is
+    checked here, and the caller passes contiguous float64 vectors of PT's
+    size."""
 
     def __init__(self, PT: sp.csr_matrix):
         from scipy.sparse._sparsetools import csr_matvec
@@ -123,21 +121,11 @@ class _Products:
                              f"CSR matrix: {PT.format} {PT.dtype} {PT.shape}")
         self._kernel, self._matrix = csr_matvec, (n, n, PT.indptr,
                                                   PT.indices, PT.data)
-        self._out = np.empty(n), np.empty(n)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        a, b = self._out
-        if x is a:
-            a = b
-        elif x is not b and not (x.dtype == np.float64
-                                 and x.shape == a.shape
-                                 and x.flags.c_contiguous):
-            raise ValueError("the sweep's products need a contiguous "
-                             f"float64 vector of {a.size} states: "
-                             f"{x.dtype} {x.shape}")
-        a.fill(0.0)
-        self._kernel(*self._matrix, x, a)
-        return a
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        self._kernel(*self._matrix, x, out)
+        return out
 
 
 def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
@@ -172,14 +160,13 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
 
     A step adds its iterate to the rows whose weight is not 0 (at t = 5000
     on the bundled fleet every weight before K underflows to 0), a window
-    of rows found for a whole block of steps at once; a window of one row
-    is updated in place through a scratch vector, by the two roundings of
-    acc[r] += w * vec.  It then forms the next iterate by one `_Products`
-    call, scipy's own CSR kernel run into two reused vectors, PT @ vec bit
-    for bit: at 3,668 states the sparse product is most of a step, and a
-    fresh vector and a dispatch per step would be a good part of the
-    rest.  No iterate is formed past the last step: an exact sum forms
-    kmax products, and a tail taken at step K forms K."""
+    of rows found for a whole block of steps at once.  It then forms the
+    next iterate by one `_Products` call, scipy's own CSR kernel run into
+    the two vectors of `iterates` in turn, PT @ vec bit for bit: at 3,668
+    states the sparse product is most of a step, and a fresh vector and a
+    dispatch per step would be a good part of the rest.  No iterate is
+    formed past the last step: an exact sum forms kmax products, and a
+    tail taken at step K forms K."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     phi = np.ascontiguousarray(phi, dtype=float)
     if not times.size or not np.all(np.isfinite(times) & (times >= 0)):
@@ -188,6 +175,9 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
     if not 0.0 < tol < 1.0:
         raise SolverError(f"uniformization needs 0 < tol < 1: {tol}")
     D = gens.total
+    if phi.shape != (D.shape[0],):
+        raise SolverError(f"uniformization needs phi of {D.shape[0]} "
+                          f"states: shape {phi.shape}")
     lam = 1.01 * np.max(np.abs(D.diagonal()))
     PT = (sp.identity(D.shape[0], format="csr") + D / lam).T.tocsr()
     # longest sum first, so the times still summing at step k are a prefix
@@ -198,10 +188,12 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                           f"counts: lam = {lam}, t = {times[order[0]]}")
     kmax = _truncation(lamt, tol / np.maximum(lamt, 1.0))
     acc = np.zeros((times.size, phi.size))
-    product, scratch = _Products(PT), np.empty(phi.size)
+    buf = np.empty(phi.size)
+    product = _Products(PT)
+    iterates = np.empty((2, phi.size))     # v_k is formed in iterates[k & 1]
 
-    def gap(a, b):                  # ||a - b||_1, formed in `scratch`
-        return np.abs(np.subtract(a, b, out=scratch), out=scratch).sum()
+    def gap(a, b):                  # ||a - b||_1, formed in `buf`
+        return np.abs(np.subtract(a, b, out=buf), out=buf).sum()
     vec, pi = phi, None
     search = int(kmax[0])           # both tests run while k < search
     k = done = 0                    # rows [0, done) took the stationary tail
@@ -220,9 +212,7 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
         some = nonzero.any(axis=1)
         lo = np.where(some, nonzero.argmax(axis=1), 0)
         hi = np.where(some, rows.size - nonzero[:, ::-1].argmax(axis=1), 0)
-        w_lo = weights[np.arange(steps.size), lo]
-        for s, (r0, r1, w) in enumerate(zip(lo.tolist(), hi.tolist(),
-                                            w_lo.tolist())):
+        for s, (r0, r1) in enumerate(zip(lo.tolist(), hi.tolist())):
             # a tail taken at step k serves every time with kmax > k
             if not done and k < search:
                 if (pi is None and k and not k % TRIGGER_STRIDE
@@ -237,14 +227,11 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
                                          integral)
                     acc[:done] += tail[:, None] * pi
                     break
-            if r1 - r0 == 1:        # the two roundings of acc[r] += w * vec
-                row = acc[done + r0]
-                np.add(row, np.multiply(vec, w, out=scratch), out=row)
-            elif r1 > r0:
+            if r1 > r0:
                 acc[done + r0:done + r1] += weights[s, r0:r1, None] * vec
             k += 1
             if k <= last:
-                prev, vec = vec, product(vec)
+                prev, vec = vec, product(vec, iterates[k & 1])
     return acc[np.argsort(order)]
 
 

@@ -523,9 +523,9 @@ def counted_products(monkeypatch):
     products = [0]
     product = solvers._Products.__call__
 
-    def counted(self, x):
+    def counted(self, x, out):
         products[0] += 1
-        return product(self, x)
+        return product(self, x, out)
     monkeypatch.setattr(solvers._Products, "__call__", counted)
     return products
 
@@ -571,15 +571,16 @@ def test_sweep_products_equal_the_sparse_product(n):
           + D / (1.01 * np.max(np.abs(D.diagonal())))).T.tocsr()
     product = solvers._Products(PT)
     rng = np.random.default_rng(n)
-    v = rng.random(D.shape[0])
+    v, out = rng.random(D.shape[0]), np.full(D.shape[0], np.nan)
     for _ in range(4):
         expected = PT @ v
-        v = product(v)
+        v, out = product(v, out), v
         np.testing.assert_array_equal(v, expected)
-    with pytest.raises(ValueError, match="states"):
-        product(np.ones(D.shape[0] - 1))
     with pytest.raises(ValueError, match="CSR"):
         solvers._Products(PT.tocsc())
+    phi = np.full(D.shape[0] - 1, 1.0 / (D.shape[0] - 1))
+    with pytest.raises(SolverError, match="states"):
+        transient(gens, phi, [1.0])
 
 
 def assert_sweep_equals_the_reference(gens, phi, grid, tol, monkeypatch):
