@@ -137,8 +137,24 @@ class ModelConfig:
         return self.damage_init.size
 
     @property
+    def carries_inspection(self) -> bool:
+        """Whether the chain carries the online unit's inspection phase u.
+
+        Only with PM on: a major finding then sends the unit to preventive
+        repair (label B).  With PM off an inspection only restarts its own
+        clock, and no event, cost or rate reads u, so the chain is
+        ordinarily lumpable by u and its lumped chain is the chain without
+        the inspection clock.  The matrix side reads this rule: the
+        layout's phase grid, the unit blocks and the initial distribution.
+        The model file, `config_to_dict` and the simulator, which keeps its
+        own clock as an independent oracle, keep the inspection PH."""
+        return self.pm_enabled
+
+    @property
     def eps(self) -> int:
-        return self.inspection.order
+        """Order of the inspection clock the chain carries; 1 without one
+        (a 1 x 1 factor of the unit's phase grid)."""
+        return self.inspection.order if self.carries_inspection else 1
 
     @property
     def v(self) -> int:

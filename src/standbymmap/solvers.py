@@ -47,15 +47,18 @@ class SolverError(RuntimeError):
 
 def initial_distribution(config: ModelConfig, layout: StateSpaceLayout) -> np.ndarray:
     """Start of a fresh fleet: all units new, shock clock stationary,
-    repairperson leaving for vacation."""
+    repairperson leaving for vacation; the inspection clock starts in eta
+    where the chain carries it."""
     from .ph import renewal_stationary
     phi = np.zeros(layout.total)
     start, stop = layout.span(layout.n, 0, "v")
     st = layout.states[start:stop]
+    eta = (config.inspection.init[st["u"]] if config.carries_inspection
+           else 1.0)
     phi[start:stop] = (config.internal.init[st["i"]]
                        * renewal_stationary(config.shock)[st["j"]]
                        * config.damage_init[st["h"]]
-                       * config.inspection.init[st["u"]]
+                       * eta
                        * config.vacation.init[st["w"]])
     return phi
 

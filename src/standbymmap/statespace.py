@@ -17,13 +17,16 @@ the prefix (i_1,) groups the queues by the type of their head.
 
 Phase tuples: (i, j, h, u[, w | r]) while an online unit exists (s < k) and
 (j[, w | r]) when all units are down (the inspection clock is suspended).
-The service phase r is carried only in nv states with s >= 1 and belongs to
-the queue head i_1.
+With PM off the online unit's tuple is (i, j, h[, w | r]): nothing reads
+the inspection phase u there, so the chain does not carry it (see
+`ModelConfig.carries_inspection`).  The service phase r is carried only in
+nv states with s >= 1 and belongs to the queue head i_1.
 
 State table: `states` has one row per global index, with the integer
 columns k, s, vacation (x == "v"), head (i_1), the online unit's phases i,
 j, h, u and the clock phase w (the vacation phase w or the service phase
-r).  Phases are 0-based; a column that a state does not carry reads -1.
+r).  Phases are 0-based; a column that a state does not carry reads -1,
+as u does in every state with PM off.
 Per-state quantities read the phases they need by name, so only this
 module knows the order of the phase tuple.  The queue of a state is not a
 column: `key_of` walks it down the prefix spans.
@@ -84,8 +87,9 @@ class StateSpaceLayout:
             *((name, small) for name in "ijhuw")])
         phases = np.full((5, self.total), -1, dtype=small)   # i, j, h, u, w
         grids = {}   # phase dims -> their coordinates, one row per factor
+        online = [0, 1, 2, 3, 4] if c.carries_inspection else [0, 1, 2, 4]
         for k, s, x in self._bounds:
-            rows = [0, 1, 2, 3, 4] if s < k else [1, 4]
+            rows = online if s < k else [1, 4]
             for head in self.queues(min(s, 1)):
                 start, stop = self.span(k, s, x, head)
                 table[["k", "s", "vacation", "head"]][start:stop] = (
@@ -150,7 +154,8 @@ class StateSpaceLayout:
     def phase_dims(self, k: int, s: int, x: str, queue: tuple) -> tuple:
         """Factor sizes of the phase tuple, rightmost fastest."""
         c = self.config
-        dims = (c.m, c.t, c.d, c.eps) if s < k else (c.t,)
+        online = (c.m, c.t, c.d) + ((c.eps,) if c.carries_inspection else ())
+        dims = online if s < k else (c.t,)
         if x == "v":
             return dims + (c.v,)
         if s == 0:

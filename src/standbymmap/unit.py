@@ -1,6 +1,9 @@
 """Transition blocks of the online unit.
 
 The online unit lives on the phase grid (internal, shock, damage, inspection).
+With PM off the chain carries no inspection phase (see
+`ModelConfig.carries_inspection`): the grid's inspection factor is 1 x 1,
+which leaves the layout's (i, j, h), and no term reads the inspection clock.
 Its outflow splits into four labelled channels: repairable failure (A),
 positive inspection sending the unit to preventive maintenance (B),
 non-repairable failure (C) and everything else (O, block H0).  Each channel
@@ -26,8 +29,9 @@ from .ph import kron
 
 @dataclass(frozen=True)
 class UnitBlocks:
-    """Event blocks of the online unit on the (i, j, h, u) phase grid, and
-    the blocks of the all-down fleet on the shock clock j."""
+    """Event blocks of the online unit on the (i, j, h, u) phase grid, (i, j,
+    h) with PM off, and the blocks of the all-down fleet on the shock clock
+    j."""
 
     H0: np.ndarray
     HA: np.ndarray
@@ -42,34 +46,41 @@ class UnitBlocks:
 
 def _terms(c: ModelConfig) -> dict:
     """Kronecker terms of every block on the grid, keyed by its UnitBlocks
-    field, and `keep_shock` = 1_m (x) I_t (x) 1_d (x) 1_eps."""
+    field, and `keep_shock` = 1_m (x) I_t (x) 1_d (x) 1_eps.  Without an
+    inspection clock (PM off, see `ModelConfig.carries_inspection`) its
+    factor is 1 x 1 and its terms are left out, not replaced by a one-phase
+    clock whose restart would add -r and +r to H0's diagonal."""
     I_m, I_t, I_d, I_e = (np.eye(k) for k in (c.m, c.t, c.d, c.eps))
     one = np.ones((1, 1))
-    alpha, omega, eta = c.internal.init, c.damage_init, c.inspection.init
+    alpha, omega = c.internal.init, c.damage_init
+    eta = c.inspection.init if c.carries_inspection else np.ones(1)
     renew = np.outer(c.shock.exit_vector, c.shock.init)        # L0 gamma
     sub = renew * (1 - c.total_failure_prob)
     new_m, new_d = np.outer(np.ones(c.m), alpha), np.outer(np.ones(c.d), omega)
     new_e = np.outer(np.ones(c.eps), eta)
     stay_d = np.outer(c.damage_matrix.sum(axis=1), omega)      # D 1 omega
-    insp = np.outer(c.inspection.exit_vector, eta)
-    minor_i = (np.arange(c.m) < c.minor_internal).astype(float)
-    minor_d = (np.arange(c.d) < c.minor_damage).astype(float)
-    # A major finding (major internal phase, or minor with major damage) sends
-    # the unit to PM (B) with PM on; with PM off its phases persist (O).
-    pm = float(c.pm_enabled)
-    majors = ((1 - minor_i, np.ones(c.d)), (minor_i, 1 - minor_d))
+    # without the inspection clock nothing is found, and HB is zero
+    clock, minor, findings = [], [], [(np.zeros((c.m, c.m)), I_t, I_d, I_e)]
+    if c.carries_inspection:
+        insp = np.outer(c.inspection.exit_vector, eta)
+        minor_i = (np.arange(c.m) < c.minor_internal).astype(float)
+        minor_d = (np.arange(c.d) < c.minor_damage).astype(float)
+        # A major finding (major internal phase, or minor with major damage)
+        # sends the unit to PM (B); after a minor one its phases persist (O).
+        majors = ((1 - minor_i, np.ones(c.d)), (minor_i, 1 - minor_d))
+        clock = [(I_m, I_t, I_d, c.inspection.subgen)]
+        minor = [(np.diag(minor_i), I_t, np.diag(minor_d), insp)]
+        findings = [(np.outer(u, alpha), I_t, np.outer(v, omega), insp)
+                    for u, v in majors]
     return {
         "H0": [(c.internal.subgen, I_t, I_d, I_e),
                (I_m, c.shock.subgen, I_d, I_e),
-               (I_m, I_t, I_d, c.inspection.subgen),
+               *clock,
                (c.shock_effect, sub, c.damage_matrix, I_e),
-               (np.diag(minor_i), I_t, np.diag(minor_d), insp)]
-              + [(np.diag(u * (1 - pm)), I_t, np.diag(v), insp)
-                 for u, v in majors],
+               *minor],
         "HA": [(np.outer(c.internal_exit_repairable, alpha), I_t, new_d, new_e),
                (np.outer(c.shock_repairable, alpha), sub, stay_d, new_e)],
-        "HB": [(np.outer(u * pm, alpha), I_t, np.outer(v, omega), insp)
-               for u, v in majors],
+        "HB": findings,
         "HC": [(np.outer(c.internal_exit_nonrepairable, alpha), I_t, new_d, new_e),
                (np.outer(c.shock_nonrepairable, alpha), sub, stay_d, new_e),
                (new_m, sub, np.outer(c.damage_exit, omega), new_e),

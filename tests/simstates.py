@@ -19,12 +19,16 @@ from standbymmap.statespace import MacroStateKey
 
 
 def global_index(layout, st):
-    """Map a simulator state onto the generator's row index."""
+    """Map a simulator state onto the generator's row index.  With PM off
+    the layout does not carry the inspection phase, so the states that
+    differ in it alone share one index."""
     key = MacroStateKey(st.k, st.s, "v" if st.on_vacation else "nv", st.queue)
     assert len(st.queue) == st.s, f"queue {st.queue} for s={st.s}"
     lo, _ = layout.span(key.k, key.s, key.x, key.queue)
     if st.s < st.k:
-        phases = [st.internal, st.shock, st.damage, st.inspection]
+        phases = [st.internal, st.shock, st.damage]
+        if layout.config.pm_enabled:
+            phases.append(st.inspection)
     else:
         phases = [st.shock]
     if st.clock is not None:
@@ -38,7 +42,8 @@ def global_index(layout, st):
 
 def sim_state_of(layout, index):
     """Inverse of global_index, read off the layout's state table (0-based
-    phases, -1 for a phase the state does not carry)."""
+    phases, -1 for a phase the state does not carry).  With PM off its
+    inspection phase is None, which the simulator does not run."""
     key, row = layout.key_of(index), layout.states[index]
     i, j, h, u, clock = (None if row[name] < 0 else int(row[name])
                          for name in "ijhuw")

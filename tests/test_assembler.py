@@ -170,9 +170,11 @@ def test_labels_follow_the_vacation_threshold(n, R, pm):
 
 
 # (n, R, PM[, preventive init]) -> label -> (nnz, entry sum) of the bundled
-# model.  The PM-off values are those of the layout over every queue of
-# {corrective, preventive} restricted to the states without a preventive
-# mark, entry for entry the generator of the PM-off layout.
+# model.  The PM-off layout holds the queues without a preventive mark and
+# no inspection phase: each of its rows is a row of the chain that carries
+# the phase, with the targets summed over it (see the label oracle).  So a
+# label placed only from states with a unit online, such as A, C or NS,
+# sums to half its value on that chain (the inspection has two phases).
 PINNED = {
     (4, 3, True): {
         "O": (22292, -2265.7178448), "A": (4240, 561.376), "B": (2544, 190.8),
@@ -185,13 +187,13 @@ PINNED = {
         "C": (4368, 582.4), "D": (936, 517.7389776), "CD": (960, 89.6),
         "E": (128, 106.2028672), "F": (576, 211.2), "NS": (48, 6.4)},
     (4, 3, False): {
-        "O": (6076, -577.3498572), "A": (1240, 164.176), "B": (0, 0.0),
-        "C": (1152, 153.6), "D": (132, 109.5217068), "CD": (288, 38.4),
-        "E": (96, 79.6521504), "F": (192, 25.6), "NS": (48, 6.4)},
+        "O": (2612, -290.3343484), "A": (620, 82.088), "B": (0, 0.0),
+        "C": (576, 76.8), "D": (68, 56.4202732), "CD": (144, 19.2),
+        "E": (48, 39.8260752), "F": (96, 12.8), "NS": (24, 3.2)},
     (6, 3, False): {
-        "O": (12364, -1295.9905816), "A": (2600, 344.24), "B": (0, 0.0),
-        "C": (2784, 371.2), "D": (264, 219.0434136), "CD": (288, 38.4),
-        "E": (320, 265.507168), "F": (384, 51.2), "NS": (48, 6.4)},
+        "O": (5252, -651.3141304), "A": (1300, 172.12), "B": (0, 0.0),
+        "C": (1392, 185.6), "D": (136, 112.8405464), "CD": (144, 19.2),
+        "E": (160, 132.753584), "F": (192, 25.6), "NS": (24, 3.2)},
 }
 
 

@@ -13,6 +13,13 @@ the product of the clocks' start vectors on the simulator's initial states.
 The simulator is built from the event semantics alone, so this checks the
 Kronecker blocks (the derived primed unit blocks included) on models other
 than the bundled one.
+
+With PM off the layout does not carry the inspection phase, while the
+simulator keeps its own inspection clock.  Each reached state's row, its
+targets summed over the dropped phase, must then equal the row of its
+index, so the states that differ in that phase alone must have equal rows:
+the chain is ordinarily lumpable by it, and its lumped chain is the one
+assembled.
 """
 
 from collections import deque
@@ -39,11 +46,16 @@ ATOL = 1e-12
 
 def simulator_generators(sim, layout):
     """The nine labelled generators read off the simulator's rows, over the
-    states reachable from the initial ones; also the global index of each
-    reached state and the reward rate of each reached index."""
+    states reachable from the initial ones: row r is the r-th reached
+    state's row, its targets summed by global index.  With PM off the
+    layout drops the inspection phase, so a target's column sums the
+    simulator's rows over that phase, and several states share one index.
+    Also the reached states in row order, the global index of each, and
+    the reward rate of each."""
     entries = {label: ([], [], []) for label in EVENT_LABELS}
     index = {}      # reached state -> global index
-    rewards = {}    # reached index -> reward rate
+    order = []      # reached states in row order
+    rewards = []
     todo = deque()
 
     def reach(state):
@@ -56,35 +68,39 @@ def simulator_generators(sim, layout):
         reach(state)
     while todo:
         state = todo.popleft()
-        i = index[state]
+        r = len(order)
+        order.append(state)
         row = sim.row(state)
-        rewards[i] = row.reward
+        rewards.append(row.reward)
         rates = row.total * np.diff(row.cum, prepend=0.0)
         for rate, target, event in zip(rates, row.targets, row.events):
             rows, cols, vals = entries[event or "O"]
-            rows.append(i)
+            rows.append(r)
             cols.append(reach(target))
             vals.append(rate)
         rows, cols, vals = entries["O"]
-        rows.append(i)
-        cols.append(i)
+        rows.append(r)
+        cols.append(index[state])
         vals.append(-row.total)
-    shape = (layout.total, layout.total)
+    shape = (len(order), layout.total)
     mats = {label: sp.csr_matrix((vals, (rows, cols)), shape=shape)
             for label, (rows, cols, vals) in entries.items()}
-    return mats, index, rewards
+    return mats, order, index, np.array(rewards)
 
 
 def check_state_table(config, layout, index):
     """Assert that the state table row of every reached state reads the
-    state's macro-state and phases (-1 where it carries none), and that
-    the initial distribution is alpha_i pi_j omega_h eta_u upsilon_w on
-    the initial states and 0 elsewhere."""
+    state's macro-state and phases (-1 where it carries none, u with PM
+    off), and that the initial distribution is alpha_i pi_j omega_h eta_u
+    upsilon_w on the initial states, summed over u with PM off, and 0
+    elsewhere."""
     names = ("k", "s", "vacation", "head", "i", "j", "h", "u", "w")
     for state, i in index.items():
         row = layout.states[i]
         head = state.queue[0] if state.queue else -1
         phases = [-1 if p is None else p for p in state[4:]]
+        if not config.pm_enabled:
+            phases[3] = -1
         assert tuple(row[name] for name in names) == (
             state.k, state.s, state.on_vacation, head, *phases), state
         assert layout.key_of(i).queue == state.queue, state
@@ -92,30 +108,31 @@ def check_state_table(config, layout, index):
     pi_shock = renewal_stationary(c.shock)
     expected = np.zeros(layout.total)
     for st in initial_states(config):
-        expected[index[st]] = (c.internal.init[st.internal]
-                               * pi_shock[st.shock]
-                               * c.damage_init[st.damage]
-                               * c.inspection.init[st.inspection]
-                               * c.vacation.init[st.clock])
+        expected[index[st]] += (c.internal.init[st.internal]
+                                * pi_shock[st.shock]
+                                * c.damage_init[st.damage]
+                                * c.inspection.init[st.inspection]
+                                * c.vacation.init[st.clock])
     np.testing.assert_allclose(initial_distribution(config, layout),
                                expected, rtol=1e-14, atol=0)
 
 
 def check_against_simulator(config, layout):
-    """Assert that every labelled generator row, the reward rate nr - nc of
-    every reached state and the fixed cost of every label agree with the
-    simulator, and check the state table and the initial distribution;
-    return the reached indices."""
+    """Assert that the row of every reached state in each labelled
+    generator, the reward rate nr - nc of every reached state and the
+    fixed cost of every label agree with the simulator, and check the
+    state table and the initial distribution; return the reached
+    indices."""
     assembled = label_matrices(config, layout)
     sim = FleetSimulator(config)
-    mats, index, rewards = simulator_generators(sim, layout)
+    mats, order, index, rewards = simulator_generators(sim, layout)
     check_state_table(config, layout, index)
-    rows = sorted(rewards)
+    rows = [index[state] for state in order]
     for label in EVENT_LABELS:
-        gap = abs(assembled[label][rows] - mats[label][rows]).max()
+        gap = abs(assembled[label][rows] - mats[label]).max()
         assert gap <= ATOL, f"label {label}: max entry gap {gap:.3e}"
     net = build_nr(config, layout) - build_nc(config, layout)
-    gap = np.max(np.abs(net[rows] - [rewards[i] for i in rows]))
+    gap = np.max(np.abs(net[rows] - rewards))
     assert gap <= ATOL, f"reward rate: max gap {gap:.3e}"
     for label, cost in zip(ARRIVAL_LABELS, event_costs(config)):
         assert cost == sim._event_costs.get(label, 0.0), f"cost of label {label}"

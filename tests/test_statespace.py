@@ -45,9 +45,10 @@ def test_reference_dimension():
 
 @pytest.mark.parametrize("n,pm,total", [
     (4, True, 3668), (5, True, 8276), (6, True, 17556),
-    (4, False, 1024), (5, False, 1546), (6, False, 2132)])
+    (4, False, 528), (5, False, 794), (6, False, 1092)])
 def test_state_counts_at_threshold_three(n, pm, total):
-    # with PM off only the queues without a preventive mark are counted
+    # with PM off only the queues without a preventive mark are counted,
+    # and no state carries the inspection phase
     config = example_fleet_config(units=n, vacation_threshold=3, pm_enabled=pm)
     assert enumerate_states(config).total == total
 
@@ -114,13 +115,14 @@ CELLS = [(4, 3, True), (3, 2, False), (6, 3, True)]
 @pytest.mark.parametrize("n,R,pm", CELLS)
 def test_state_table_reads_each_queue_and_phase(n, R, pm):
     """The phase columns are compact and read -1 where a state carries no
-    such phase."""
+    such phase: u with every unit down, and everywhere with PM off."""
     layout = enumerate_states(example_fleet_config(n, R, pm))
     st = layout.states
     assert all(st[name].dtype == np.int8 for name in "ijhuw")
     down = st["s"] == st["k"]
-    for name in "ihu":
+    for name in "ih":
         assert np.all((st[name] == -1) == down)
+    assert np.all((st["u"] == -1) == (down | (not pm)))
     assert np.all((st["w"] == -1) == (~st["vacation"] & (st["s"] == 0)))
     assert np.all((st["head"] == -1) == (st["s"] == 0))
 

@@ -70,14 +70,24 @@ def test_event_blocks_are_nonnegative(config):
 @given(small_models())
 @example(BUNDLED)
 def test_disabling_pm_removes_major_inspections(config):
+    """With PM off the grid drops the inspection phase: each row of the
+    PM-on core, its targets summed over that phase, is the PM-off row of
+    its (i, j, h), less the would-be inspection flow, which folds back
+    onto the row's own (i, j, h)."""
     off = build_unit_blocks(replace(config, pm_enabled=False))
     on = build_unit_blocks(replace(config, pm_enabled=True))
     assert np.count_nonzero(off.HB) == 0
-    # the would-be inspection flow folds back into the diagonal block
-    gain = off.H0 - on.H0
+    size = len(off.H0)
+    assert size * config.inspection.order == len(on.H0)
+    lump = np.kron(np.eye(size), np.ones((config.inspection.order, 1)))
+    gain = lump @ off.H0 - on.H0 @ lump
     assert gain.min() >= -1e-12 and gain.max() > 0
+    np.testing.assert_allclose(gain * (lump == 0), 0.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gain.sum(axis=1), on.HB.sum(axis=1),
                                rtol=0, atol=1e-12)
+    for name in ("HA", "HC"):
+        np.testing.assert_allclose(lump @ getattr(off, name),
+                                   getattr(on, name) @ lump, rtol=0, atol=1e-12)
 
 
 @on_models
