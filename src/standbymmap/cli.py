@@ -13,8 +13,10 @@ true|false and 1|0.
 CSV files carry 6 significant digits, except occupancy.csv (psi to 6
 decimals) and grid.csv (x to 6 decimals, profit and availability to 4);
 validate prints its table to 6 decimals.  JSON keeps full precision.
-Exit code 0 means no validation or numerical failure; errors are emitted
-to stderr as one-line JSON records.
+Exit code 0 means no validation or numerical failure; errors, a file
+that cannot be written among them, exit 1 and are emitted to stderr as
+one-line JSON records.  A stdout its reader closes early (`| head -1`)
+ends the command with exit code 1 and nothing on stderr.
 """
 
 import argparse
@@ -394,8 +396,16 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ModelFileError, ConfigError, AssemblyError, SolverError,
+        code = args.handler(args)
+        sys.stdout.flush()   # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output, and Python's own flush at exit, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except (ModelFileError, ConfigError, AssemblyError, SolverError, OSError,
             ValueError, KeyError, argparse.ArgumentTypeError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

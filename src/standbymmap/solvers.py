@@ -238,20 +238,16 @@ def _uniformization(gens: MmapGenerators, phi: np.ndarray, times, tol: float,
     return acc[np.argsort(order)]
 
 
-def transient(gens: MmapGenerators, phi: np.ndarray, times,
-              tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
-    """Rows p(t) = phi expm(D t) for each t, by uniformization.  Below a
-    tol of about 1e-11 the tail certificate cannot hold, as pi is itself
-    only about that accurate in l1, and each t sums all its kmax(t) steps."""
-    return _uniformization(gens, phi, times, tol, integral=False)
+def transient(gens: MmapGenerators, phi: np.ndarray, times) -> np.ndarray:
+    """Rows p(t) = phi expm(D t) for each t, by uniformization."""
+    return _uniformization(gens, phi, times, UNIFORMIZATION_TOL,
+                           integral=False)
 
 
-def transient_integral(gens: MmapGenerators, phi: np.ndarray, t,
-                       tol: float = UNIFORMIZATION_TOL) -> np.ndarray:
+def transient_integral(gens: MmapGenerators, phi: np.ndarray, t) -> np.ndarray:
     """Row vector int_0^t phi expm(D u) du, by uniformization; for a
-    sequence of times, one such row per t from one sweep.  Below a tol of
-    about 1e-11 every t sums all its kmax(t) steps, as `transient` does."""
-    rows = _uniformization(gens, phi, t, tol, integral=True)
+    sequence of times, one such row per t from one sweep."""
+    rows = _uniformization(gens, phi, t, UNIFORMIZATION_TOL, integral=True)
     return rows[0] if np.ndim(t) == 0 else rows
 
 

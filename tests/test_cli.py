@@ -338,6 +338,42 @@ def test_malformed_env_switch_is_a_json_error(capsys, monkeypatch):
     assert "STANDBYMMAP_PM" in record["message"]
 
 
+def test_an_output_directory_that_cannot_be_made_is_a_json_error(tmp_path,
+                                                                capsys):
+    """--out under a regular file: mkdir fails after the solve, and the
+    command exits 1 with one JSON record, no traceback, and writes
+    nothing."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["steady", "--out", str(blocker / "x")]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "NotADirectoryError"
+    assert str(blocker / "x") in record["message"]
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_ends_the_command_without_a_traceback(unbuffered):
+    """`build | head -1` closes build's stdout early.  Here the reader has
+    closed it before the first line, so every write fails: a line at a
+    time in `print` (PYTHONUNBUFFERED) or all at once at the flush."""
+    package_root = str(Path(standbymmap.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from standbymmap.cli import "
+             "main; sys.exit(main())", "build", "--pm", "off"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_simulate_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

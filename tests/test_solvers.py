@@ -356,11 +356,12 @@ def test_truncation_defect_is_reported(optimal_config, optimal_gens):
     of being rescaled away, and stays within the tolerance."""
     tol = 1e-4
     phi = initial_distribution(optimal_config, optimal_gens.layout)
-    rows = transient(optimal_gens, phi, [1.0, 10.0, 100.0], tol=tol)
+    rows = solvers._uniformization(optimal_gens, phi, [1.0, 10.0, 100.0],
+                                   tol, False)
     leak = 1.0 - rows.sum(axis=1)
     assert np.all((leak > 1e-12) & (leak <= tol))
     t = 100.0
-    gap = t - transient_integral(optimal_gens, phi, t, tol=tol).sum()
+    gap = t - solvers._uniformization(optimal_gens, phi, t, tol, True).sum()
     assert 1e-12 < gap <= tol * t
 
 
@@ -369,12 +370,12 @@ def test_long_horizons_reach_the_stationary_distribution(
         optimal_config, optimal_gens, optimal_pi, t):
     """Past the mixing time the sweep stops and adds a certified stationary
     tail: rows of mass 1, never a silent zero row."""
-    tol = 1e-10
+    tol = UNIFORMIZATION_TOL
     phi = initial_distribution(optimal_config, optimal_gens.layout)
-    p = transient(optimal_gens, phi, [t], tol=tol)[0]
+    p = transient(optimal_gens, phi, [t])[0]
     assert np.abs(p - optimal_pi).sum() <= tol
     assert abs(p.sum() - 1.0) <= 1e-12
-    mass = transient_integral(optimal_gens, phi, t, tol=tol).sum()
+    mass = transient_integral(optimal_gens, phi, t).sum()
     assert abs(mass - t) <= tol * t
 
 
@@ -384,7 +385,7 @@ def test_tolerance_below_rounding_still_sums(optimal_config, optimal_gens):
     gives NaN (q below about 1e-16)."""
     phi = initial_distribution(optimal_config, optimal_gens.layout)
     grid = [10.0, 100.0]
-    tight = transient(optimal_gens, phi, grid, tol=1e-17)
+    tight = solvers._uniformization(optimal_gens, phi, grid, 1e-17, False)
     assert np.max(np.abs(tight.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(tight - transient(optimal_gens, phi, grid))) <= 1e-9
 
@@ -420,9 +421,9 @@ def test_truncation_is_the_smallest_point_past_q(q):
 def test_tolerance_outside_the_unit_interval_is_an_error(
         optimal_config, optimal_gens, tol):
     phi = initial_distribution(optimal_config, optimal_gens.layout)
-    for solve in (transient, transient_integral):
+    for integral in (False, True):
         with pytest.raises(SolverError, match="0 < tol < 1"):
-            solve(optimal_gens, phi, [10.0], tol=tol)
+            solvers._uniformization(optimal_gens, phi, [10.0], tol, integral)
 
 
 EPS = 1e-11
@@ -518,16 +519,24 @@ def test_grid_rows_equal_single_calls_across_the_tail(n, R, pm):
         assert profits[i] == profit_transient(gens, phi, t, config)
 
 
-def counted_products(monkeypatch):
-    """A one-entry list that counts the sweep's products from now on."""
+def counted_products(monkeypatch, budget=np.inf):
+    """A one-entry list that counts the sweep's products from now on; a
+    product past the budget fails the test there."""
     products = [0]
     product = solvers._Products.__call__
 
     def counted(self, x, out):
         products[0] += 1
+        assert products[0] <= budget, f"over the budget of {budget} products"
         return product(self, x, out)
     monkeypatch.setattr(solvers._Products, "__call__", counted)
     return products
+
+
+def kmax_at(gens, t, tol=UNIFORMIZATION_TOL):
+    """The sweep's truncation point kmax(t)."""
+    lamt = 1.01 * np.max(np.abs(gens.total.diagonal())) * t
+    return _truncation(np.array([lamt]), np.array([tol / max(lamt, 1.0)]))[0]
 
 
 def test_a_time_short_of_twice_the_tail_step_takes_the_tail(
@@ -538,17 +547,62 @@ def test_a_time_short_of_twice_the_tail_step_takes_the_tail(
     at tol = 1e-17, which never take the tail."""
     tol, t = UNIFORMIZATION_TOL, 1000.0
     phi = initial_distribution(optimal_config, optimal_gens.layout)
-    lam = 1.01 * np.max(np.abs(optimal_gens.total.diagonal()))
-    kmax = _truncation(np.array([lam * t]), np.array([tol / (lam * t)]))[0]
+    kmax = kmax_at(optimal_gens, t)
     products = counted_products(monkeypatch)
-    p = transient(optimal_gens, phi, [t], tol=tol)[0]
+    p = transient(optimal_gens, phi, [t])[0]
     assert kmax / 2 <= products[0] < kmax + 1
     monkeypatch.undo()
-    p_ref = transient(optimal_gens, phi, [t], tol=1e-17)[0]
+    p_ref = solvers._uniformization(optimal_gens, phi, [t], 1e-17, False)[0]
     assert np.abs(p - p_ref).sum() <= 2 * tol
-    integral = transient_integral(optimal_gens, phi, t, tol=tol)
-    integral_ref = transient_integral(optimal_gens, phi, t, tol=1e-17)
+    integral = transient_integral(optimal_gens, phi, t)
+    integral_ref = solvers._uniformization(optimal_gens, phi, t, 1e-17,
+                                           True)[0]
     assert np.abs(integral - integral_ref).sum() <= tol * t
+
+
+def long_horizon_within_budget(gens, phi, monkeypatch):
+    """p(1e6), formed with at most kmax(1e6) / 100 products."""
+    counted_products(monkeypatch, budget=kmax_at(gens, 1e6) // 100)
+    p = transient(gens, phi, [1e6])[0]
+    monkeypatch.undo()
+    return p
+
+
+@pytest.mark.parametrize("n,R,pm", [(4, 3, True), (4, 3, False),
+                                    (3, 2, True), (6, 3, True),
+                                    (6, 3, False), (2, 1, False)])
+def test_the_package_tolerance_certifies_the_tail(n, R, pm, monkeypatch):
+    """Why the sweep runs at one tolerance: at UNIFORMIZATION_TOL it
+    certifies its stationary tail on the chains the CLI and the benchmark
+    serve, so t = 1e6 forms at most 1% of its kmax (1.76M to 2.44M
+    steps), and its row is pi to within the tolerance with mass 1.  Below
+    about 1e-11, pi's own accuracy in l1, no tail could be certified."""
+    config = example_fleet_config(n, R, pm)
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+    p = long_horizon_within_budget(gens, phi, monkeypatch)
+    assert np.abs(p - stationary_direct(gens)).sum() <= UNIFORMIZATION_TOL
+    assert abs(p.sum() - 1.0) <= 1e-12
+
+
+def test_an_uncertified_tail_breaks_the_product_budget(monkeypatch):
+    """With the trigger's solve made to raise, the sweep takes no tail:
+    t = 1e4 sums all its kmax steps, and t = 1e6 stops at the budget
+    above, not two million steps later."""
+    config = example_fleet_config(2, 1, False)
+    gens = assemble_all(config, validate=False)
+    phi = initial_distribution(config, gens.layout)
+
+    def unsolved(gens):
+        raise SolverError("no stationary solve")
+    monkeypatch.setattr(solvers, "stationary_direct", unsolved)
+    products = counted_products(monkeypatch)
+    transient(gens, phi, [1e4])
+    assert products[0] == kmax_at(gens, 1e4)
+    monkeypatch.undo()
+    monkeypatch.setattr(solvers, "stationary_direct", unsolved)
+    with pytest.raises(AssertionError, match="over the budget"):
+        long_horizon_within_budget(gens, phi, monkeypatch)
 
 
 def test_an_exact_sum_forms_no_iterate_past_its_last_step(
@@ -588,9 +642,7 @@ def assert_sweep_equals_the_reference(gens, phi, grid, tol, monkeypatch):
     bit, and the sweep forms the loop's products less the one the loop
     forms after its last step, if it sums to the end: kmax products for an
     exact sum, K for a tail taken at step K."""
-    lam = 1.01 * np.max(np.abs(gens.total.diagonal()))
-    lamt = lam * np.max(grid)
-    kmax = _truncation(np.array([lamt]), np.array([tol / max(lamt, 1.0)]))[0]
+    kmax = kmax_at(gens, np.max(grid), tol)
     for integral in (False, True):
         expected, loop_products = reference_sweep(gens, phi, grid, tol,
                                                   integral)
